@@ -11,6 +11,7 @@ reflexive loop can be added without disturbing any truth value.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, replace
 
@@ -168,7 +169,7 @@ def universe_to_json(u: SentenceUniverse) -> dict:
 class ChainState:
     universe: SentenceUniverse
     t_ext: tuple               # per world, frozenset of codes
-    converged_at: tuple        # per world, first stage the jump repeats
+    traces: tuple              # per world, the JumpTrace that computed t_ext
     loop_added: bool = False
 
     @property
@@ -297,7 +298,7 @@ def jump_to_fixpoint(state: ChainState, alpha: int) -> JumpTrace:
 def initial_chain(universe: SentenceUniverse) -> ChainState:
     empty = ChainState(universe, (), ())
     trace = jump_to_fixpoint(empty, 0)
-    return ChainState(universe, (trace.stages[-1],), (trace.fixed_point_stage,))
+    return ChainState(universe, (trace.stages[-1],), (trace,))
 
 
 def extend_chain(state: ChainState) -> ChainState:
@@ -312,14 +313,14 @@ def extend_chain(state: ChainState) -> ChainState:
             raise ChainInvariantError(
                 f"extension at new world exceeds world {a}")
     return ChainState(state.universe, state.t_ext + (new_ext,),
-                      state.converged_at + (trace.fixed_point_stage,))
+                      state.traces + (trace,))
 
 
 def truncate(state: ChainState, depth: int) -> ChainState:
     if depth > state.depth:
         raise ValueError("cannot truncate upward")
     return ChainState(state.universe, state.t_ext[:depth + 1],
-                      state.converged_at[:depth + 1])
+                      state.traces[:depth + 1])
 
 
 def satisfaction_record(state: ChainState, alpha=None) -> tuple:
@@ -425,14 +426,12 @@ def add_loop_and_verify(state: ChainState, theta: int) -> dict:
 # verification suites over a finished chain
 # ---------------------------------------------------------------------------
 
-def verify_monotonicity(state: ChainState, alpha: int, samples=None) -> bool:
+def verify_monotonicity(state: ChainState, alpha: int) -> bool:
     """Spot-check that the jump respects inclusion on subset pairs."""
     codes = sorted(state.universe.codes())
-    if samples is None:
-        import itertools as it
-        pool = [frozenset(c) for r in range(min(3, len(codes)) + 1)
-                for c in it.combinations(codes, r)]
-        samples = [(a, a | b) for a in pool for b in pool]
+    pool = [frozenset(c) for r in range(min(3, len(codes)) + 1)
+            for c in itertools.combinations(codes, r)]
+    samples = [(a, a | b) for a in pool for b in pool]
     ev = _JumpEvaluator(state, alpha)
     cache = {}
 
@@ -458,11 +457,12 @@ def verify_globally_decreasing(state: ChainState) -> bool:
 
 
 def verify_stagewise_domination(state: ChainState, alpha: int, beta: int) -> bool:
-    """Earlier worlds dominate later ones stage by stage along the jump."""
+    """Earlier worlds dominate later ones stage by stage along the jump;
+    ``beta`` may be the frontier world just below the chain."""
     if alpha > beta:
         alpha, beta = beta, alpha
-    tr_a = jump_to_fixpoint(state, alpha) if alpha <= state.depth else None
-    tr_b = jump_to_fixpoint(state, beta)
+    tr_a = state.traces[alpha]
+    tr_b = state.traces[beta] if beta <= state.depth else jump_to_fixpoint(state, beta)
     n = max(len(tr_a.stages), len(tr_b.stages))
 
     def stage(tr, i):
@@ -480,9 +480,6 @@ def run_universe(universe: SentenceUniverse, budget: int) -> dict:
     returned report carries everything the command line emits."""
     state = initial_chain(universe)
     state, conv = detect_convergence(state, budget)
-    traces = [jump_to_fixpoint(truncate(state, max(a - 1, 0)) if a else
-                               ChainState(universe, (), ()), a)
-              for a in range(state.depth + 1)]
     model = chain_model(universe, state.t_ext)
     ev = Evaluator(model)
     closure_ok = all(
@@ -495,25 +492,26 @@ def run_universe(universe: SentenceUniverse, budget: int) -> dict:
         "theta": conv["theta"],
         "stable": conv["stable"],
         "t_ext": {f"w{a}": sorted(state.t_ext[a]) for a in range(state.depth + 1)},
-        "converged_at": list(state.converged_at),
+        "converged_at": [tr.fixed_point_stage for tr in state.traces],
         "history": [[bool(v) for v in rec] for rec in conv["history"]],
         "traces": [{"world": tr.world,
                     "stages": [sorted(s) for s in tr.stages],
                     "fixed_point_stage": tr.fixed_point_stage}
-                   for tr in traces],
+                   for tr in state.traces],
         "checks": {
             "monotonicity": all(verify_monotonicity(state, a)
                                 for a in range(state.depth + 1)),
             "locally_increasing": all(
                 all(a_ <= b_ for a_, b_ in zip(tr.stages, tr.stages[1:]))
-                for tr in traces),
+                for tr in state.traces),
             "globally_decreasing": verify_globally_decreasing(state),
             "stagewise_domination": all(
                 verify_stagewise_domination(state, a, b)
                 for a in range(state.depth + 1)
                 for b in range(a + 1, state.depth + 1)),
             "fixed_points_within_bound":
-                all(c <= len(universe.sentences) + 1 for c in state.converged_at),
+                all(tr.fixed_point_stage <= len(universe.sentences) + 1
+                    for tr in state.traces),
             "closure": closure_ok,
         },
     }

@@ -2,10 +2,10 @@
 
 Exit codes: 0 success (valid proof / satisfied formula / countermodel found
 / checks pass), 1 semantic failure (invalid proof, formula false, nothing
-found within bounds, a verification failed), 2 malformed input.  All output
-is JSON.  Commands are deterministic given their inputs and ``--seed``;
-``--jobs`` is accepted for interface compatibility and capped work is always
-equivalent to the sequential run.
+found within bounds, a verification failed), 2 malformed input, which
+includes search bounds above 4 worlds and input nested too deeply to
+process.  All output is JSON.  Commands are deterministic given their inputs
+and ``--seed``.
 """
 
 from __future__ import annotations
@@ -131,8 +131,7 @@ def cmd_countermodel(args) -> int:
         for text in args.premises or []:
             premises.append(parse_inferring(text)[0])
         conclusion = parse_inferring(args.conclusion)[0]
-        bounds = SearchBounds(args.max_worlds, args.max_domain,
-                              args.mode != "bqlcd")
+        bounds = SearchBounds(args.max_worlds, args.max_domain)
         for phi in premises + [conclusion]:
             if free_vars(phi):
                 raise ParseError("premises and conclusion must be closed")
@@ -281,8 +280,6 @@ def build_parser():
                     "reflexive root: proof checking, reduction, model "
                     "evaluation, countermodel search and the fixed-point "
                     "truth construction")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker cap (results are identical at any value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="check a proof file against a system")
@@ -330,10 +327,11 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
+    try:
+        return args.func(args)
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
-    return args.func(args)
 
 
 if __name__ == "__main__":

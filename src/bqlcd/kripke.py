@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from .syntax import (
     And, Atom, Bottom, Const, Exists, Forall, Imp, Or, Param, Signature,
-    Top, Var, free_vars, infer_signature, pretty,
+    Top, Var, formula_params, free_vars, infer_signature, pretty,
 )
 
 
@@ -56,19 +56,18 @@ class KripkeModel:
 
 
 def transitive_closure(pairs, worlds):
+    """Warshall's algorithm; pairs through worlds outside ``worlds`` are kept
+    but not closed over."""
     closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(tuple(closed), tuple(closed)):
-            if b == c and (a, d) not in closed:
-                closed.add((a, d))
-                changed = True
+    for k in worlds:
+        below = [a for a in worlds if (a, k) in closed]
+        above = [b for b in worlds if (k, b) in closed]
+        closed.update((a, b) for a in below for b in above)
     return frozenset(closed)
 
 
 def make_model(worlds, edges, domain_size, consts=None, funs=None, fun_arity=None,
-               rels=None, rel_arity=None, identity="absent", close=False, validate=True):
+               rels=None, rel_arity=None, identity="absent", close=False):
     worlds = tuple(worlds)
     edges = frozenset(tuple(e) for e in edges)
     if close:
@@ -84,8 +83,7 @@ def make_model(worlds, edges, domain_size, consts=None, funs=None, fun_arity=Non
             per[w] = frozenset(tuple(t) for t in per[w])
     m = KripkeModel(worlds, edges, domain_size, dict(consts or {}), dict(funs or {}),
                     dict(fun_arity or {}), rels, rel_arity, identity)
-    if validate:
-        validate_model(m)
+    validate_model(m)
     return m
 
 
@@ -144,31 +142,38 @@ def _validate_identity(m):
             raise ModelError(f"'=' not symmetric at {w}")
         if any((a, d) not in eq for (a, b) in eq for (c, d) in eq if b == c):
             raise ModelError(f"'=' not transitive at {w}")
-        for f, table in m.funs.items():
-            ar = m.fun_arity[f]
-            for xs in itertools.product(m.domain(), repeat=ar):
-                for ys in itertools.product(m.domain(), repeat=ar):
-                    if all((x, y) in eq for x, y in zip(xs, ys)):
-                        fx = _apply_fun(m, f, xs)
-                        fy = _apply_fun(m, f, ys)
-                        if (fx, fy) not in eq:
-                            raise ModelError(f"'=' not a congruence for {f} at {w}")
-        for r, rper in m.rels.items():
-            if r == "=":
-                continue
-            ar = m.rel_arity[r]
-            ext = rper[w]
-            for xs in ext:
-                for ys in itertools.product(m.domain(), repeat=ar):
-                    if all((x, y) in eq for x, y in zip(xs, ys)) and ys not in ext:
-                        raise ModelError(f"'=' not compatible with {r} at {w}")
+        fault = _congruence_fault(
+            eq, m.domain_size,
+            {f: (m.fun_arity[f], table) for f, table in m.funs.items()},
+            {r: (m.rel_arity[r], rper[w]) for r, rper in m.rels.items() if r != "="})
+        if fault is not None:
+            raise ModelError(f"'=' {fault} at {w}")
 
 
-def _apply_fun(m, name, args):
+def _congruence_fault(eq, m, funs, exts):
+    """How the equivalence ``eq`` on ``range(m)`` fails to be a congruence
+    for the functions (name -> (arity, table)) and relation extensions
+    (name -> (arity, tuples)) of one world, or None when it is one."""
+    for f, (ar, table) in funs.items():
+        for xs in itertools.product(range(m), repeat=ar):
+            for ys in itertools.product(range(m), repeat=ar):
+                if all((x, y) in eq for x, y in zip(xs, ys)) and \
+                        (_apply_fun(table, m, xs), _apply_fun(table, m, ys)) not in eq:
+                    return f"not a congruence for {f}"
+    for r, (ar, ext) in exts.items():
+        for xs in ext:
+            for ys in itertools.product(range(m), repeat=ar):
+                if all((x, y) in eq for x, y in zip(xs, ys)) and ys not in ext:
+                    return f"not compatible with {r}"
+    return None
+
+
+def _apply_fun(table, m, args):
+    """Look up a function table stored row-major over domain size m."""
     idx = 0
     for a in args:
-        idx = idx * m.domain_size + a
-    return m.funs[name][idx]
+        idx = idx * m + a
+    return table[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +194,8 @@ def eval_term(m: KripkeModel, t, asg=None):
         if key not in m.consts:
             raise ModelError(f"parameter #{t.index} not interpreted")
         return m.consts[key]
-    return _apply_fun(m, t.name, tuple(eval_term(m, a, asg) for a in t.args))
+    return _apply_fun(m.funs[t.name], m.domain_size,
+                      tuple(eval_term(m, a, asg) for a in t.args))
 
 
 class Evaluator:
@@ -253,15 +259,14 @@ def entails_in_model(model: KripkeModel, gamma, phi) -> bool:
     return True
 
 
-def check_persistence(model: KripkeModel, phi, sample=None) -> bool:
+def check_persistence(model: KripkeModel, phi) -> bool:
     """No (w, u, assignment) with w < u, w |= phi and u |/= phi."""
-    if sample is None:
-        fvs = sorted(free_vars(phi))
-        sample = [dict(zip(fvs, combo))
-                  for combo in itertools.product(model.domain(), repeat=len(fvs))]
+    fvs = sorted(free_vars(phi))
+    asgs = [dict(zip(fvs, combo))
+            for combo in itertools.product(model.domain(), repeat=len(fvs))]
     ev = Evaluator(model)
     for (w, u) in model.edges:
-        for asg in sample:
+        for asg in asgs:
             if ev.sat(w, phi, asg) and not ev.sat(u, phi, asg):
                 return False
     return True
@@ -390,7 +395,7 @@ def model_from_json(data: dict) -> KripkeModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model JSON: {exc}") from exc
     return make_model(worlds, edges, domain, consts, funs, fun_arity,
-                      rels, rel_arity, identity, close=True, validate=True)
+                      rels, rel_arity, identity, close=True)
 
 
 def signature_of_model(m: KripkeModel) -> Signature:
@@ -402,15 +407,22 @@ def signature_of_model(m: KripkeModel) -> Signature:
 # countermodel search
 # ---------------------------------------------------------------------------
 
+# _frames(k) scans all 2**(k*k) relations on k worlds and compares each
+# transitive one under k! permutations: 2**16 relations at k = 4, but 2**25,
+# 512 times as many, with 120 permutations each at k = 5.
+MAX_WORLDS = 4
+
+
 @dataclass(frozen=True)
 class SearchBounds:
     max_worlds: int
     max_domain: int
-    require_reflexive_root: bool = True
 
     def __post_init__(self):
         if self.max_worlds < 1 or self.max_domain < 1:
             raise ValueError("search bounds must be >= 1")
+        if self.max_worlds > MAX_WORLDS:
+            raise ValueError(f"search bounds allow at most {MAX_WORLDS} worlds")
 
 
 @dataclass
@@ -517,7 +529,7 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
     need_reflexive = mode != "bqlcd"
     params = set()
     for f in gamma + [phi]:
-        params |= _formula_params_set(f)
+        params |= formula_params(f)
     params = sorted(params)
     const_names = sorted(sig.constants) + [f"#{i}" for i in params]
     rel_names = sorted(r for r in sig.relations if not (identity != "absent" and r == "="))
@@ -545,24 +557,12 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
     return SearchResult(None, None, True, tuple(notes))
 
 
-def _formula_params_set(phi):
-    from .syntax import formula_params
-    return set(formula_params(phi))
-
-
 def _has_quantifier(phi):
     if isinstance(phi, (Forall, Exists)):
         return True
     if isinstance(phi, (And, Or, Imp)):
         return _has_quantifier(phi.left) or _has_quantifier(phi.right)
     return False
-
-
-def _flat_apply(table, m, args):
-    idx = 0
-    for a in args:
-        idx = idx * m + a
-    return table[idx]
 
 
 def _search_frame(gamma, phi, k, m, frame, succ, upsets, auts,
@@ -718,14 +718,17 @@ def _search_frame(gamma, phi, k, m, frame, succ, upsets, auts,
         for fun_tables in itertools.product(*fun_spaces) if fun_spaces else [()]:
             for cache in all_caches:
                 cache.clear()
+            funs = {f: (sig.functions[f], table)
+                    for f, table in zip(fun_names, fun_tables)}
             for rel_choice in itertools.product(*(space for (_, _, _, space) in rel_specs)) \
                     if rel_specs else [()]:
                 for eqs in eq_assignments:
                     interp = list(rel_choice)
                     if eqs is not None:
-                        if identity == "congruence" and not _congruence_masks_ok(
-                                eqs, rel_choice, rel_specs, fun_tables,
-                                fun_names, sig, m, nodes):
+                        if identity == "congruence" and any(
+                                _congruence_fault(eqs[a], m, funs,
+                                                  _exts_at(a, rel_specs, rel_choice))
+                                for a in nodes):
                             continue
                         eq_masks = []
                         for pair in itertools.product(range(m), repeat=2):
@@ -757,39 +760,20 @@ def _search_frame(gamma, phi, k, m, frame, succ, upsets, auts,
     return None
 
 
-def _congruence_masks_ok(eqs, rel_choice, rel_specs, fun_tables, fun_names,
-                         sig, m, nodes):
-    for a in nodes:
-        eq = eqs[a]
-        for fi, f in enumerate(fun_names):
-            ar = sig.functions[f]
-            table = fun_tables[fi]
-            for xs in itertools.product(range(m), repeat=ar):
-                for ys in itertools.product(range(m), repeat=ar):
-                    if all((x, y) in eq for x, y in zip(xs, ys)):
-                        if (_flat_apply(table, m, xs),
-                                _flat_apply(table, m, ys)) not in eq:
-                            return False
-        for (r, ar, tuples, _), masks in zip(rel_specs, rel_choice):
-            bit = 1 << a
-            ext = {t for t, mask in zip(tuples, masks) if mask & bit}
-            for xs in ext:
-                for ys in itertools.product(range(m), repeat=ar):
-                    if all((x, y) in eq for x, y in zip(xs, ys)) and ys not in ext:
-                        return False
-    return True
+def _exts_at(a, rel_specs, rel_choice):
+    """Relation extensions (name -> (arity, tuples)) at world ``a`` of a
+    mask-encoded interpretation."""
+    return {r: (ar, frozenset(t for t, mask in zip(tuples, masks) if mask >> a & 1))
+            for (r, ar, tuples, _), masks in zip(rel_specs, rel_choice)}
 
 
 def _materialize_masks(nodes, frame, m, const_names, const_vals, fun_names,
                        fun_tables, rel_specs, rel_choice, eqs, sig, identity):
     worlds = tuple(f"w{a}" for a in nodes)
     edges = frozenset((worlds[a], worlds[b]) for (a, b) in frame)
-    rels, rel_arity = {}, {}
-    for (r, ar, tuples, _), masks in zip(rel_specs, rel_choice):
-        rels[r] = {worlds[a]: frozenset(t for t, mask in zip(tuples, masks)
-                                        if mask & (1 << a))
-                   for a in nodes}
-        rel_arity[r] = ar
+    exts = [_exts_at(a, rel_specs, rel_choice) for a in nodes]
+    rels = {r: {worlds[a]: exts[a][r][1] for a in nodes} for r, _, _, _ in rel_specs}
+    rel_arity = {r: ar for r, ar, _, _ in rel_specs}
     if eqs is not None:
         rels["="] = {worlds[a]: frozenset(eqs[a]) for a in nodes}
         rel_arity["="] = 2

@@ -363,19 +363,12 @@ def axiomatic_corpus():
 def random_model(rng, max_worlds=4, max_domain=3):
     """A well-formed model with random transitive frame and persistent
     interpretations for p (nullary), P (unary) and the constant c."""
-    from .kripke import make_model
+    from .kripke import make_model, transitive_closure
     import itertools as it
     k = rng.randint(1, max_worlds)
     worlds = [f"w{i}" for i in range(k)]
-    edges = {(a, b) for a in worlds for b in worlds if rng.random() < 0.4}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(edges):
-            for (c, d) in list(edges):
-                if b == c and (a, d) not in edges:
-                    edges.add((a, d))
-                    changed = True
+    edges = transitive_closure(
+        {(a, b) for a in worlds for b in worlds if rng.random() < 0.4}, worlds)
     m = rng.randint(1, max_domain)
     rels = {}
     arities = {"p": 0, "q": 0, "r": 0, "P": 1}

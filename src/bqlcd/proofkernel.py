@@ -435,10 +435,6 @@ NBQLCD_R = System("nd", None)
 NBQLCD = System("nd", -1)
 
 
-def nbqlcd_n(n: int) -> System:
-    return System("nd", n)
-
-
 def parse_system(s) -> System:
     if isinstance(s, System):
         return s
@@ -996,14 +992,13 @@ def _collect_texts(data, texts):
         _collect_texts(c, texts)
 
 
-def proof_from_json(data, sig=None) -> Proof:
+def proof_from_json(data) -> Proof:
     texts: list = []
     _collect_texts(data, texts)
-    if sig is None:
-        try:
-            sig = infer_signature(texts)
-        except ValueError as exc:
-            raise ProofJsonError(str(exc)) from exc
+    try:
+        sig = infer_signature(texts)
+    except ValueError as exc:
+        raise ProofJsonError(str(exc)) from exc
     counter = itertools.count()
 
     def build(d):
@@ -1024,10 +1019,10 @@ def proof_from_json(data, sig=None) -> Proof:
     return build(data)
 
 
-def load_proof(path, sig=None) -> Proof:
+def load_proof(path) -> Proof:
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ProofJsonError(f"not valid JSON: {exc}") from exc
-    return proof_from_json(data, sig)
+    return proof_from_json(data)

@@ -381,23 +381,6 @@ def box(n: int, phi: Formula) -> Formula:
     return phi
 
 
-def unbox_shape(phi: Formula, n: int) -> Formula:
-    """Strip n leading ``true ->`` guards; error if the shape is missing."""
-    for _ in range(n):
-        if not (isinstance(phi, Imp) and phi.left == TOP):
-            raise ValueError(f"formula is not guarded to depth {n}: {pretty(phi)}")
-        phi = phi.right
-    return phi
-
-
-def box_depth(phi: Formula) -> int:
-    n = 0
-    while isinstance(phi, Imp) and phi.left == TOP:
-        n += 1
-        phi = phi.right
-    return n
-
-
 def big_conj(formulas) -> Formula:
     """Right-nested conjunction of the list, in order; empty list gives true."""
     formulas = list(formulas)

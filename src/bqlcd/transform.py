@@ -865,11 +865,6 @@ def ax_release(p: Proof) -> Proof:
     return ax_compose(d1, d2)
 
 
-def _ax_extend(p_s_id: Proof, p_extra: Proof) -> Proof:
-    """From S -> X build S -> S & X (pairing with the identity axiom)."""
-    return ax_pair(p_s_id, p_extra)
-
-
 def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
     """Compile a guard-free natural-deduction proof into a closed axiomatic
     derivation of (premises conjoined) -> conclusion.

@@ -1,5 +1,9 @@
+import json
+import os
+
 import pytest
 
+from bqlcd import bradyfp
 from bqlcd.bradyfp import (
     ChainInvariantError, ChainState, SentenceUniverse, UniverseError,
     add_loop_and_verify, chain_model, detect_convergence, extend_chain,
@@ -207,6 +211,24 @@ def test_run_universe_tower_honest_failure():
     assert report["stable"] is False
     assert "loop" not in report
     assert report["checks"]["globally_decreasing"]
+
+
+@pytest.mark.parametrize("name, depth", [("tower_universe.json", 5),
+                                         ("curry_universe.json", 2)])
+def test_run_universe_computes_each_fixed_point_once(monkeypatch, name, depth):
+    calls = []
+    real = bradyfp.jump_to_fixpoint
+
+    def counting(state, alpha):
+        calls.append(alpha)
+        return real(state, alpha)
+
+    monkeypatch.setattr(bradyfp, "jump_to_fixpoint", counting)
+    with open(os.path.join(os.path.dirname(__file__), "data", name)) as fh:
+        universe = universe_from_json(json.load(fh))
+    report = run_universe(universe, 5)
+    assert report["depth"] == depth
+    assert calls == list(range(depth + 1))
 
 
 # --- quantified universes ----------------------------------------------------

@@ -126,6 +126,32 @@ def test_countermodel_identity_modes(capsys):
     assert code == 0 and payload["found"]
 
 
+DEEP_GUARD = "true -> " * 400 + "p"
+
+
+def test_countermodel_deep_guard_exits_2(capsys):
+    assert main(["countermodel", "--conclusion", DEEP_GUARD]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input nested too deeply\n"
+
+
+def test_sat_deep_guard_exits_2(capsys):
+    assert main(["sat", data("m1_model.json"),
+                 "--world", "w", "--formula", DEEP_GUARD]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input nested too deeply\n"
+
+
+def test_countermodel_max_worlds_cap_exits_2(capsys):
+    assert main(["countermodel", "--conclusion", "p",
+                 "--max-worlds", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_brady_curry(capsys):
     code, report = run(capsys, "brady", data("curry_universe.json"))
     assert code == 0
@@ -152,7 +178,7 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_selftest(capsys):
-    code = main(["--jobs", "2", "selftest", "--seed", "7"])
+    code = main(["selftest", "--seed", "7"])
     out = capsys.readouterr().out
     assert code == 0
     assert "persistence: ok" in out

@@ -1,0 +1,148 @@
+"""Golden differential: countermodel search results and truth-construction
+reports must equal the outputs recorded in ``data/golden.json``.
+
+The search part holds refutable perturbations of a seeded proof corpus
+(a premise dropped, another proof's conclusion swapped in), a few valid
+sequents of the same corpus family, the landmark sequents of
+``scripts/search_demo.py`` in their own modes, and hand-picked sequents whose
+countermodels need several worlds, function symbols under congruence, or a
+skipped function-table cell.  Each case records the model JSON, witness,
+``exhausted`` flag and notes.  The truth part holds ``run_universe`` reports
+for the universes in ``tests/data`` and for guard towers of heights 2 to 5 at
+depth budgets h-1 and h+1.
+
+Rewrite the data file only when an output change is intended:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import os
+import random
+
+from bqlcd.bradyfp import run_universe, universe_from_json
+from bqlcd.kripke import SearchBounds, countermodel_search, model_to_json
+from bqlcd.syntax import parse_inferring
+from universes import tower_universe
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN = os.path.join(DATA, "golden.json")
+
+UNIVERSE_FILES = ("curry_universe.json", "tower_universe.json",
+                  "truth_teller_universe.json")
+UNIVERSE_BUDGET = 5
+TOWER_HEIGHTS = range(2, 6)
+
+LANDMARKS = [
+    ([], "(p & (p -> q)) -> q", "bqlcd_r", (2, 1)),
+    (["p & (p -> q)"], "q", "bqlcd_r", (3, 2)),
+    ([], "p -> (q -> p)", "bqlcd_r", (3, 2)),
+    ([], "(p -> q) & (q -> r) -> (p -> r)", "bqlcd_r", (3, 2)),
+    ([], "(forall x. p | P(x)) -> p | (forall x. P(x))", "bqlcd_r", (3, 2)),
+    ([], "c = d | (c = d -> false)", "strict", (3, 2)),
+    ([], "c = d | (c = d -> false)", "congruence", (2, 2)),
+]
+
+EXTRA = [
+    ([], "p | (p -> false)", "bqlcd_r", (3, 2)),
+    ([], "((p -> q) -> p) -> p", "bqlcd_r", (3, 2)),
+    ([], "(p -> q) | (q -> p)", "bqlcd_r", (3, 2)),
+    ([], "(p & (p -> q)) -> q", "bqlcd", (3, 2)),
+    (["p", "p -> q"], "q", "bqlcd", (3, 2)),
+    ([], "p -> p", "bqlcd", (3, 2)),
+    ([], "c = d -> f(c) = f(d)", "congruence", (2, 2)),
+    ([], "f(c) = f(d) | (f(c) = f(d) -> false)", "congruence", (2, 2)),
+    (["c = d", "P(c)"], "P(d)", "congruence", (2, 2)),
+    ([], "P(f(c)) | (P(f(c)) -> false)", "congruence", (2, 2)),
+    ([], "R(c, d) -> R(d, c)", "congruence", (2, 2)),
+    ([], "c = d", "strict", (2, 2)),
+    ([], "(exists x. P(x)) -> P(c)", "bqlcd_r", (2, 2)),
+    ([], "P(f(c, c, c, c)) -> P(c)", "bqlcd_r", (1, 2)),
+]
+
+
+def search_record(premises, conclusion, mode, bounds):
+    sig = None
+    gamma = []
+    for text in premises:
+        phi, sig = parse_inferring(text, sig)
+        gamma.append(phi)
+    phi, sig = parse_inferring(conclusion, sig)
+    res = countermodel_search(gamma, phi, SearchBounds(*bounds), mode)
+    return {"premises": list(premises), "conclusion": conclusion, "mode": mode,
+            "bounds": list(bounds),
+            "model": model_to_json(res.model) if res.found else None,
+            "witness": res.witness, "exhausted": res.exhausted,
+            "notes": list(res.notes)}
+
+
+def truth_record(name, universe, budget):
+    report = json.loads(json.dumps(run_universe(universe, budget)))
+    return {"name": name, "budget": budget, "report": report}
+
+
+def truth_cases():
+    cases = []
+    for name in UNIVERSE_FILES:
+        with open(os.path.join(DATA, name)) as fh:
+            cases.append((name, universe_from_json(json.load(fh)), UNIVERSE_BUDGET))
+    for h in TOWER_HEIGHTS:
+        for budget in (h - 1, h + 1):
+            cases.append((f"tower {h}", tower_universe(h), budget))
+    return cases
+
+
+def _corpus_sequents(seed, size):
+    from bqlcd.proofgen import generate_corpus
+    from bqlcd.proofkernel import open_assumptions
+    from bqlcd.syntax import pretty
+    out = []
+    for t in generate_corpus(seed=seed, size=size):
+        opens = open_assumptions(t)
+        if len(opens) <= 3:
+            out.append((tuple(sorted(pretty(a) for a in opens)), pretty(t.conclusion)))
+    return sorted(set(out))
+
+
+def search_cases():
+    """Inputs of the search part; only used to write the data file."""
+    rng = random.Random(11)
+    seqs = _corpus_sequents(11, 60)
+    dropped = sorted({(p[:i] + p[i + 1:], c) for p, c in seqs for i in range(len(p))})
+    swapped = sorted({(p, o) for (p, c), (_, o) in zip(seqs, rng.sample(seqs, len(seqs)))
+                      if o != c})
+    cases = []
+    for cands in (dropped, swapped):
+        rng.shuffle(cands)
+        picked = 0
+        for prem, concl in cands:
+            if picked == 8:
+                break
+            if search_record(prem, concl, "bqlcd_r", (1, 2))["model"] is not None:
+                cases.append((list(prem), concl, "bqlcd_r", (3, 2)))
+                picked += 1
+    valid = sorted(_corpus_sequents(0, 200),
+                   key=lambda s: (len(s[0]), sum(map(len, s[0])) + len(s[1]), s))
+    cases += [(list(p), c, "bqlcd_r", (3, 2)) for p, c in valid[:4]]
+    return cases + LANDMARKS + EXTRA
+
+
+def test_golden_differential():
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    for case in golden["search"]:
+        got = search_record(case["premises"], case["conclusion"], case["mode"],
+                            tuple(case["bounds"]))
+        assert got == case
+    universes = {(name, budget): u for name, u, budget in truth_cases()}
+    for case in golden["truth"]:
+        key = (case["name"], case["budget"])
+        assert truth_record(*key[:1], universes[key], key[1]) == case
+
+
+if __name__ == "__main__":
+    golden = {"search": [search_record(*c) for c in search_cases()],
+              "truth": [truth_record(*c) for c in truth_cases()]}
+    with open(GOLDEN, "w") as fh:
+        json.dump(golden, fh, indent=1, sort_keys=True)
+        fh.write("\n")
