@@ -27,7 +27,7 @@ def main():
         t0 = time.perf_counter()
         res = countermodel_search(gamma, phi, SearchBounds(kw, kd), mode)
         elapsed = time.perf_counter() - t0
-        print(f"{name} [{mode} {kw},{kd}] {elapsed * 1000:6.1f} ms "
+        print(f"{name} [{mode} {kw},{kd}] {elapsed * 1000:6.1f} ms {res.stats} "
               f"-> {'countermodel at ' + res.witness if res.found else 'none'}")
         if res.found:
             print("   " + json.dumps(model_to_json(res.model)))

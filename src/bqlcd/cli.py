@@ -230,7 +230,7 @@ def _suite_soundness(rng, n=25):
         opens = sorted(open_assumptions(t), key=pretty)
         if len(opens) > 3:
             continue
-        res = countermodel_search(opens, t.conclusion, SearchBounds(2, 2))
+        res = countermodel_search(opens, t.conclusion, SearchBounds(3, 2))
         if res.found:
             return f"countermodel against a checked proof of {pretty(t.conclusion)}"
     return None

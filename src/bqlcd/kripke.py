@@ -431,6 +431,7 @@ class SearchResult:
     witness: str | None
     exhausted: bool
     notes: tuple = ()
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def found(self):
@@ -446,7 +447,9 @@ _frame_cache: dict = {}
 
 
 def _frames(k: int):
-    """Canonical transitive frames on k labelled worlds, isomorphism-pruned."""
+    """Canonical transitive frames on k labelled worlds, isomorphism-pruned,
+    each as (relation, successors, upsets, roots).  A root sees every other
+    world."""
     got = _frame_cache.get(k)
     if got is not None:
         return got
@@ -480,9 +483,8 @@ def _frames(k: int):
                   for s in itertools.combinations(nodes, r)
                   if all(b in s for a in s for b in succ[a])]
         upsets.sort(key=lambda s: (len(s), tuple(sorted(s))))
-        auts = [perm for perm in perms
-                if all((perm[a], perm[b]) in rel for (a, b) in rel)]
-        out.append((rel, succ, upsets, auts))
+        roots = tuple(a for a in nodes if all(b in succ[a] for b in nodes if b != a))
+        out.append((rel, succ, upsets, roots))
     _frame_cache[k] = out
     return out
 
@@ -515,18 +517,32 @@ def _eq_assignments(frame_succ, nodes, m):
 def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> SearchResult:
     """Exhaustive bounded search for a model refuting ``gamma |= phi``.
 
-    Deterministic: models are enumerated in a fixed canonical order (world
-    count, then domain size, then frame, then interpretations) and the first
-    refuting world of the first refuting model is returned.  A ``None`` model
-    with ``exhausted=True`` is not a validity proof, only exhaustion of the
-    bounds.
+    Deterministic: models are enumerated in a fixed order, world count k
+    outermost, then domain size, then the frames of ``_frames(k)``, then
+    constant vectors in ``itertools.product`` order, function tables,
+    relation extensions and identity relations.  The first refuting world of
+    the first refuting model is returned.  Two rules prune the order without
+    changing that first model:
+
+    - Root rule: the witness must be a root, a world that sees every other
+      world (and is reflexive, except in mode ``bqlcd``); frames without such
+      a root are skipped.  Truth at a world depends only on the submodel it
+      generates, so a countermodel refuted at a non-root has one with fewer
+      worlds, which the search met before.
+    - Constant rule: the first constant denotes 0.  Permuting the domain
+      maps every countermodel to one with that property in the same frame,
+      and those vectors come first in product order.
+
+    ``stats`` counts the frames searched, the frames skipped for want of a
+    root, the constant vectors tried and the interpretations evaluated.  A
+    ``None`` model with ``exhausted=True`` is not a validity proof, only
+    exhaustion of the bounds.
     """
     if mode not in MODES:
         raise ValueError(f"unknown search mode {mode!r}")
     gamma = list(gamma)
     identity = {"strict": "strict", "congruence": "congruence"}.get(mode, "absent")
     sig = infer_signature(gamma + [phi], identity_mode=identity)
-    need_reflexive = mode != "bqlcd"
     params = set()
     for f in gamma + [phi]:
         params |= formula_params(f)
@@ -543,18 +559,27 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
         # denotations of the occurring constants
         max_domain = min(max_domain, max(1, len(const_names)))
 
+    stats = {"frames": 0, "frames_unrooted": 0, "const_vectors": 0,
+             "interpretations": 0}
+
     for k in range(1, bounds.max_worlds + 1):
         for m in range(1, max_domain + 1):
-            for frame, succ, upsets, auts in _frames(k):
-                refl = tuple(a for a in range(k) if (a, a) in frame)
-                if need_reflexive and not refl:
+            for frame, succ, upsets, roots in _frames(k):
+                # a countermodel refuted at a non-root w restricts to the
+                # submodel generated by w, which has fewer worlds and was
+                # searched before, so the first countermodel has a root witness
+                witnesses = roots if mode == "bqlcd" else \
+                    tuple(a for a in roots if (a, a) in frame)
+                if not witnesses:
+                    stats["frames_unrooted"] += 1
                     continue
-                found = _search_frame(gamma, phi, k, m, frame, succ, upsets, auts,
+                stats["frames"] += 1
+                found = _search_frame(gamma, phi, k, m, frame, succ, upsets,
                                       const_names, rel_names, fun_names,
-                                      sig, identity, need_reflexive, notes)
+                                      sig, identity, witnesses, notes, stats)
                 if found is not None:
                     return found
-    return SearchResult(None, None, True, tuple(notes))
+    return SearchResult(None, None, True, tuple(notes), stats)
 
 
 def _has_quantifier(phi):
@@ -565,11 +590,10 @@ def _has_quantifier(phi):
     return False
 
 
-def _search_frame(gamma, phi, k, m, frame, succ, upsets, auts,
+def _search_frame(gamma, phi, k, m, frame, succ, upsets,
                   const_names, rel_names, fun_names, sig, identity,
-                  need_reflexive, notes):
+                  witnesses, notes, stats):
     nodes = tuple(range(k))
-    witnesses = tuple(a for a in nodes if (a, a) in frame) if need_reflexive else nodes
     succ_mask = tuple(sum(1 << b for b in succ[a]) for a in nodes)
     full_mask = (1 << k) - 1
     upset_masks = [sum(1 << a for a in s) for s in upsets]
@@ -713,8 +737,14 @@ def _search_frame(gamma, phi, k, m, frame, succ, upsets, auts,
     compiled = [compile_sentence(f_) for f_ in sentences]
     witness_mask = sum(1 << a for a in witnesses)
 
-    const_space = list(itertools.product(range(m), repeat=len(const_names)))
+    # swapping the first constant's value with 0 in the domain maps any
+    # countermodel on this frame to one with c0 = 0, and product order tries
+    # those vectors first, so the first model found is kept
+    const_space = [(0,) + rest for rest in
+                   itertools.product(range(m), repeat=len(const_names) - 1)] \
+        if const_names else [()]
     for const_vals in const_space:
+        stats["const_vectors"] += 1
         for fun_tables in itertools.product(*fun_spaces) if fun_spaces else [()]:
             for cache in all_caches:
                 cache.clear()
@@ -736,6 +766,7 @@ def _search_frame(gamma, phi, k, m, frame, succ, upsets, auts,
                                                 if pair in eqs[a]))
                         interp.append(tuple(eq_masks))
                     interp = tuple(interp)
+                    stats["interpretations"] += 1
                     phi_mask = compiled[-1](interp, const_vals, fun_tables, ())
                     live = witness_mask & ~phi_mask
                     if not live:
@@ -756,7 +787,7 @@ def _search_frame(gamma, phi, k, m, frame, succ, upsets, auts,
                     ev = Evaluator(model)
                     assert all(ev.sat(w, g) for g in gamma) \
                         and not ev.sat(w, phi)
-                    return SearchResult(model, w, False, tuple(notes))
+                    return SearchResult(model, w, False, tuple(notes), stats)
     return None
 
 

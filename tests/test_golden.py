@@ -7,9 +7,11 @@ sequents of the same corpus family, the landmark sequents of
 ``scripts/search_demo.py`` in their own modes, and hand-picked sequents whose
 countermodels need several worlds, function symbols under congruence, or a
 skipped function-table cell.  Each case records the model JSON, witness,
-``exhausted`` flag and notes.  The truth part holds ``run_universe`` reports
-for the universes in ``tests/data`` and for guard towers of heights 2 to 5 at
-depth budgets h-1 and h+1.
+``exhausted`` flag and notes.  A battery of seeded random sequents, 15 per
+search mode, reaches the "found" path in every mode: each is refutable, but
+not by a one-world model with a one-element domain.  The truth part holds
+``run_universe`` reports for the universes in ``tests/data`` and for guard
+towers of heights 2 to 5 at depth budgets h-1 and h+1.
 
 Rewrite the data file only when an output change is intended:
 
@@ -21,8 +23,9 @@ import os
 import random
 
 from bqlcd.bradyfp import run_universe, universe_from_json
-from bqlcd.kripke import SearchBounds, countermodel_search, model_to_json
-from bqlcd.syntax import parse_inferring
+from bqlcd.kripke import MODES, SearchBounds, countermodel_search, model_to_json
+from bqlcd.proofgen import random_sentence
+from bqlcd.syntax import parse_inferring, pretty
 from universes import tower_universe
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -104,6 +107,24 @@ def _corpus_sequents(seed, size):
     return sorted(set(out))
 
 
+def random_cases(per_mode=15):
+    """Refutable sequents of depth-3 random sentences, searched at (2, 2) or
+    (3, 1), whose countermodel needs two worlds or two elements."""
+    cases = []
+    for i, mode in enumerate(MODES):
+        rng = random.Random(300 + i)
+        picked = 0
+        while picked < per_mode:
+            prem = [pretty(random_sentence(rng, 3)) for _ in range(rng.randrange(3))]
+            concl = pretty(random_sentence(rng, 3))
+            bounds = rng.choice([(2, 2), (3, 1)])
+            if search_record(prem, concl, mode, (1, 1))["model"] is None and \
+                    search_record(prem, concl, mode, bounds)["model"] is not None:
+                cases.append((prem, concl, mode, bounds))
+                picked += 1
+    return cases
+
+
 def search_cases():
     """Inputs of the search part; only used to write the data file."""
     rng = random.Random(11)
@@ -124,7 +145,7 @@ def search_cases():
     valid = sorted(_corpus_sequents(0, 200),
                    key=lambda s: (len(s[0]), sum(map(len, s[0])) + len(s[1]), s))
     cases += [(list(p), c, "bqlcd_r", (3, 2)) for p, c in valid[:4]]
-    return cases + LANDMARKS + EXTRA
+    return cases + LANDMARKS + EXTRA + random_cases()
 
 
 def test_golden_differential():

@@ -1,17 +1,19 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bqlcd.kripke import (
-    Evaluator, IntersectionConfigError, KripkeModel, ModelError, SearchBounds,
+    MODES, Evaluator, IntersectionConfigError, KripkeModel, ModelError, SearchBounds,
     add_chain, check_intersection_config, check_persistence, countermodel_search,
     entails_in_model, eval_term, make_model, model_from_json, model_to_json,
     satisfies, validate_model,
 )
+from bqlcd.proofgen import random_sentence
 from bqlcd.syntax import (
     And, Atom, Const, Fn, Imp, Or, Param, TOP, BOTTOM, Var, box, free_vars,
-    parse_inferring, sig,
+    parse_inferring, pretty, sig,
 )
 
 
@@ -293,6 +295,62 @@ def test_search_deterministic():
     a = countermodel_search([], phi, SearchBounds(2, 2))
     b = countermodel_search([], phi, SearchBounds(2, 2))
     assert a.model == b.model and a.witness == b.witness
+
+
+def _pruning_cases():
+    """Seeded random sequents in every mode, plus two-constant sequents whose
+    countermodels need distinct denotations."""
+    cases = [([], "c = d", "strict"), ([], "c = d | (c = d -> false)", "congruence"),
+             ([], "R(c, d) -> R(d, c)", "congruence"), (["P(d)"], "P(c)", "bqlcd_r"),
+             (["P(d)"], "P(c)", "bqlcd")]
+    for i, mode in enumerate(MODES):
+        rng = random.Random(500 + i)
+        for _ in range(12):
+            prem = [pretty(random_sentence(rng, 3)) for _ in range(rng.randrange(3))]
+            cases.append((prem, pretty(random_sentence(rng, 3)), mode))
+    return cases
+
+
+def test_found_countermodels_obey_the_pruning_rules():
+    found = 0
+    for prem, concl, mode in _pruning_cases():
+        for bounds in (SearchBounds(2, 2), SearchBounds(3, 1)):
+            res = countermodel_search([parse(f) for f in prem], parse(concl), bounds, mode)
+            if not res.found:
+                continue
+            found += 1
+            model, w = res.model, res.witness
+            assert all((w, u) in model.edges for u in model.worlds if u != w)
+            if mode != "bqlcd":
+                assert (w, w) in model.edges
+            # only named constants occur, so search order is name order
+            if model.consts and model.domain_size >= 2:
+                assert model.consts[min(model.consts)] == 0
+    assert found >= 40
+
+
+def test_search_stats_count_rooted_frames_and_constant_vectors():
+    # valid, so the search exhausts (1, 2): one frame of 1 world has a
+    # reflexive root, and with c fixed to 0 only d varies over the domain
+    res = countermodel_search([], parse("(forall x. P(x)) -> P(c) & P(d)"),
+                              SearchBounds(1, 2))
+    assert not res.found
+    stats = res.stats
+    assert (stats["frames"], stats["frames_unrooted"]) == (2, 2)
+    assert stats["const_vectors"] == 1 + 2
+    assert stats["interpretations"] > 0
+    # at 3 worlds, 11 of the 39 frames have a reflexive root and 19 a root
+    for mode, frames in (("bqlcd_r", 1 + 3 + 11), ("bqlcd", 2 + 5 + 19)):
+        res = countermodel_search([], parse("p -> p"), SearchBounds(3, 1), mode)
+        assert res.stats["frames"] + res.stats["frames_unrooted"] == 2 + 8 + 39
+        assert res.stats["frames"] == frames
+
+
+def test_search_result_equality_ignores_stats():
+    a = countermodel_search([], parse("p -> p"), SearchBounds(1, 1))
+    b = countermodel_search([], parse("p -> p"), SearchBounds(1, 1))
+    b.stats = {}
+    assert a.stats and a == b
 
 
 # --- random persistence property ----------------------------------------------
