@@ -11,13 +11,14 @@ reflexive loop can be added without disturbing any truth value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, replace
 
 from .kripke import Evaluator, KripkeModel
 from .syntax import (
-    And, Atom, Bottom, Const, Exists, Fn, Forall, Imp, Or, Param, Top,
+    And, Atom, Const, Exists, Fn, Forall, Imp, Or, Param,
     Formula, Signature, is_sentence, pretty, subformulas,
 )
 
@@ -205,70 +206,34 @@ def chain_model(universe, t_exts, loop=False) -> KripkeModel:
                        consts, {}, {}, rels, {"T": 1}, "absent")
 
 
-class _JumpEvaluator:
-    """Evaluates at the frontier world for varying candidate extensions.
+def _jump(state: ChainState, alpha: int):
+    """The jump at world alpha as a function of the candidate extension x.
 
-    Satisfaction at the worlds above never depends on the candidate, so it is
-    computed once and shared between jump stages and monotonicity probes.
+    It evaluates with one ``Evaluator`` on the chain model whose world alpha
+    carries x, so satisfaction at the worlds above is computed once and
+    shared between jump stages and monotonicity probes.
     """
+    if alpha > state.depth + 1 or alpha < 0:
+        raise ValueError(f"world {alpha} is beyond the frontier")
+    u = state.universe
+    model = chain_model(u, state.t_ext[:alpha] + (frozenset(),))
+    ev = Evaluator(model)
+    w = _world_name(alpha)
 
-    def __init__(self, state: ChainState, alpha: int):
-        if alpha > state.depth + 1 or alpha < 0:
-            raise ValueError(f"world {alpha} is beyond the frontier")
-        self.u = state.universe
-        self.upper_worlds = [_world_name(b) for b in range(alpha)]
-        self.upper = Evaluator(chain_model(self.u, state.t_ext[:alpha])) \
-            if alpha else None
-        self.x = frozenset()
-        self.memo = {}
-
-    def phi(self, x) -> frozenset:
-        self.x = frozenset(x)
-        self.memo = {}
-        return frozenset(self.u.code_of(s) for s in self.u.sentences
-                         if self.sat(s, ()))
-
-    def _denote(self, t, env):
-        if isinstance(t, Const):
-            return int(t.name[1:])
-        return dict(env)[t.name]
-
-    def sat(self, phi, env):
-        key = (phi, env)
-        got = self.memo.get(key)
-        if got is None:
-            got = self._sat(phi, env)
-            self.memo[key] = got
-        return got
-
-    def _sat(self, phi, env):
-        if isinstance(phi, Top):
-            return True
-        if isinstance(phi, Bottom):
-            return False
-        if isinstance(phi, Atom):
-            return self._denote(phi.args[0], env) in self.x
-        if isinstance(phi, And):
-            return self.sat(phi.left, env) and self.sat(phi.right, env)
-        if isinstance(phi, Or):
-            return self.sat(phi.left, env) or self.sat(phi.right, env)
-        if isinstance(phi, Imp):
-            asg = dict(env)
-            return all(not self.upper.sat(w, phi.left, asg)
-                       or self.upper.sat(w, phi.right, asg)
-                       for w in self.upper_worlds)
-        vals = []
-        for b in range(self.u.domain_size):
-            sub = tuple(sorted([(k, v) for (k, v) in env if k != phi.var]
-                               + [(phi.var, b)]))
-            vals.append(self.sat(phi.body, sub))
-        return any(vals) if isinstance(phi, Exists) else all(vals)
+    def jump(x):
+        model.rels["T"][w] = frozenset((c,) for c in x)
+        # no world above sees w, so only w's own memo depends on x
+        ev.memo[w].clear()
+        return frozenset(u.code_of(s) for s in u.sentences if ev.sat(w, s))
+    return jump
 
 
 def phi_operator(state: ChainState, alpha: int, x: frozenset) -> frozenset:
     """Codes of the universe sentences satisfied at world alpha when its
-    truth extension is hypothetically ``x``."""
-    return _JumpEvaluator(state, alpha).phi(x)
+    truth extension is hypothetically ``x``: ``Evaluator`` at the frontier
+    world of the chain model ``chain_model(u, t_ext[:alpha] + (x,))``, which
+    sits below the worlds above and sees all of them."""
+    return _jump(state, alpha)(x)
 
 
 def jump_to_fixpoint(state: ChainState, alpha: int) -> JumpTrace:
@@ -278,10 +243,10 @@ def jump_to_fixpoint(state: ChainState, alpha: int) -> JumpTrace:
     within universe-size + 1 stages; a non-monotone step aborts loudly.
     """
     u = state.universe
-    ev = _JumpEvaluator(state, alpha)
+    jump = _jump(state, alpha)
     stages = [frozenset()]
     for _ in range(len(u.sentences) + 2):
-        nxt = ev.phi(stages[-1])
+        nxt = jump(stages[-1])
         if not stages[-1] <= nxt:
             raise ChainInvariantError(
                 f"jump step lost members at world {alpha}: "
@@ -431,23 +396,8 @@ def verify_monotonicity(state: ChainState, alpha: int) -> bool:
     codes = sorted(state.universe.codes())
     pool = [frozenset(c) for r in range(min(3, len(codes)) + 1)
             for c in itertools.combinations(codes, r)]
-    samples = [(a, a | b) for a in pool for b in pool]
-    ev = _JumpEvaluator(state, alpha)
-    cache = {}
-
-    def jump(x):
-        got = cache.get(x)
-        if got is None:
-            got = ev.phi(x)
-            cache[x] = got
-        return got
-
-    for x, y in samples:
-        if not x <= y:
-            continue
-        if not jump(x) <= jump(y):
-            return False
-    return True
+    jump = functools.cache(_jump(state, alpha))
+    return all(jump(a) <= jump(a | b) for a in pool for b in pool)
 
 
 def verify_globally_decreasing(state: ChainState) -> bool:

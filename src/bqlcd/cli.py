@@ -83,23 +83,25 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _sat_trace(model, w, phi, asg, ev, depth=0):
+def _sat_trace(w, phi, asg, ev, depth=0):
+    """The value of phi at w with the values of its parts, at most 7 levels
+    deep."""
     entry = {"world": w, "formula": pretty(phi), "value": ev.sat(w, phi, asg)}
+    if depth >= 6:
+        return entry
     kids = []
     if isinstance(phi, (And, Or)):
-        kids = [_sat_trace(model, w, phi.left, asg, ev),
-                _sat_trace(model, w, phi.right, asg, ev)]
+        kids = [_sat_trace(w, phi.left, asg, ev, depth + 1),
+                _sat_trace(w, phi.right, asg, ev, depth + 1)]
     elif isinstance(phi, Imp):
-        kids = [_sat_trace(model, u, phi.left, asg, ev)
-                for u in model.successors(w)]
-        kids += [_sat_trace(model, u, phi.right, asg, ev)
-                 for u in model.successors(w)]
+        kids = [_sat_trace(u, phi.left, asg, ev, depth + 1) for u in ev.succ[w]]
+        kids += [_sat_trace(u, phi.right, asg, ev, depth + 1) for u in ev.succ[w]]
     elif isinstance(phi, (Forall, Exists)):
-        for b in model.domain():
+        for b in ev.m.domain():
             sub = dict(asg or {})
             sub[phi.var] = b
-            kids.append(_sat_trace(model, w, phi.body, sub, ev))
-    if kids and depth < 6:
+            kids.append(_sat_trace(w, phi.body, sub, ev, depth + 1))
+    if kids:
         entry["parts"] = kids
     return entry
 
@@ -120,7 +122,7 @@ def cmd_sat(args) -> int:
     value = ev.sat(args.world, phi)
     payload = {"world": args.world, "formula": pretty(phi), "value": value}
     if args.trace:
-        payload["trace"] = _sat_trace(model, args.world, phi, {}, ev)
+        payload["trace"] = _sat_trace(args.world, phi, {}, ev)
     _emit(payload, args.out)
     return 0 if value else 1
 
@@ -306,8 +308,7 @@ def build_parser():
     p.add_argument("--conclusion", required=True)
     p.add_argument("--max-worlds", type=int, default=3)
     p.add_argument("--max-domain", type=int, default=2)
-    p.add_argument("--mode", default="bqlcd_r",
-                   choices=["bqlcd_r", "bqlcd", "strict", "congruence"])
+    p.add_argument("--mode", default="bqlcd_r", choices=kripke.MODES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_countermodel)
 

@@ -199,20 +199,22 @@ def eval_term(m: KripkeModel, t, asg=None):
 
 
 class Evaluator:
-    """Satisfaction with memoisation over (world, formula, relevant assignment)."""
+    """Satisfaction memoised per world on (formula, relevant assignment); the
+    assignment part is ``()`` when none is given."""
 
     def __init__(self, model: KripkeModel):
         self.m = model
-        self.memo = {}
+        self.memo = {w: {} for w in model.worlds}
         self.succ = {w: model.successors(w) for w in model.worlds}
 
     def sat(self, w, phi, asg=None):
-        asg = asg or {}
-        key = (w, phi, tuple(sorted((v, asg[v]) for v in free_vars(phi))))
-        got = self.memo.get(key)
+        memo = self.memo[w]
+        key = (phi, tuple(sorted((v, asg.get(v)) for v in free_vars(phi)))
+               if asg else ())
+        got = memo.get(key)
         if got is None:
             got = self._sat(w, phi, asg)
-            self.memo[key] = got
+            memo[key] = got
         return got
 
     def _sat(self, w, phi, asg):
@@ -230,7 +232,7 @@ class Evaluator:
         if isinstance(phi, Imp):
             return all(not self.sat(u, phi.left, asg) or self.sat(u, phi.right, asg)
                        for u in self.succ[w])
-        sub = dict(asg)
+        sub = dict(asg or ())
         if isinstance(phi, Exists):
             for b in self.m.domain():
                 sub[phi.var] = b
@@ -660,11 +662,14 @@ def _search_frame(gamma, phi, k, m, frame, succ, upsets,
         if isinstance(f_, Atom):
             ridx = rel_index[f_.rel]
             args = f_.args
+            if not args:
+                return lambda interp, cv, ft, env: interp[ridx][0]
 
             def run_atom(interp, cv, ft, env):
+                asg = dict(env)
                 idx = 0
                 for t in args:
-                    idx = idx * m + term_val(t, dict(env), cv, ft)
+                    idx = idx * m + term_val(t, asg, cv, ft)
                 return interp[ridx][idx]
             return run_atom
         if isinstance(f_, (And, Or)):

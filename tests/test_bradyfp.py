@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import random
 
 import pytest
 
@@ -86,6 +88,47 @@ def test_jump_stages_weakly_increase():
         tr = jump_to_fixpoint(ChainState(u, (), ()), 0)
         for a, b in zip(tr.stages, tr.stages[1:]):
             assert a <= b
+
+
+def _data_universe(name):
+    with open(os.path.join(os.path.dirname(__file__), "data", name)) as fh:
+        return universe_from_json(json.load(fh))
+
+
+def _quantified_universe():
+    texts = ["true", "false", "T(q0)", "exists x. T(x)",
+             "forall x. (T(x) | (T(x) -> false))"]
+    return make_universe(texts, {t: i for i, t in enumerate(texts)}, 6)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _data_universe("curry_universe.json"),
+    lambda: _data_universe("tower_universe.json"),
+    lambda: _data_universe("truth_teller_universe.json"),
+    lambda: tower_universe(2),
+    lambda: tower_universe(3),
+    lambda: tower_universe(4),
+    _quantified_universe,
+], ids=["curry", "tower_file", "truth_teller", "tower2", "tower3", "tower4",
+        "quantified"])
+def test_jump_matches_a_fresh_evaluator(make):
+    # one jump object sees every candidate, in shuffled order and twice, so
+    # a value kept from an earlier candidate would show
+    u = make()
+    state, _ = detect_convergence(initial_chain(u), 4)
+    codes = sorted(u.codes())
+    subsets = [frozenset(c) for r in range(len(codes) + 1)
+               for c in itertools.combinations(codes, r)]
+    rng = random.Random(len(codes))
+    for alpha in range(state.depth + 2):
+        jump = bradyfp._jump(state, alpha)
+        order = subsets * 2
+        rng.shuffle(order)
+        for x in order:
+            ev = Evaluator(chain_model(u, state.t_ext[:alpha] + (x,)))
+            want = frozenset(u.code_of(s) for s in u.sentences
+                             if ev.sat(f"w{alpha}", s))
+            assert jump(x) == want, (alpha, sorted(x))
 
 
 def test_monotonicity_spot_checks():
@@ -224,9 +267,7 @@ def test_run_universe_computes_each_fixed_point_once(monkeypatch, name, depth):
         return real(state, alpha)
 
     monkeypatch.setattr(bradyfp, "jump_to_fixpoint", counting)
-    with open(os.path.join(os.path.dirname(__file__), "data", name)) as fh:
-        universe = universe_from_json(json.load(fh))
-    report = run_universe(universe, 5)
+    report = run_universe(_data_universe(name), 5)
     assert report["depth"] == depth
     assert calls == list(range(depth + 1))
 

@@ -90,6 +90,18 @@ def test_sat_trace(capsys):
     assert payload["trace"]["formula"] == "p -> q"
 
 
+def test_sat_trace_is_at_most_seven_levels_deep(capsys):
+    formula = "(p & " * 9 + "p" + ")" * 9
+    code, payload = run(capsys, "sat", data("m1_model.json"),
+                        "--world", "w", "--formula", formula, "--trace")
+    assert code == 1 and payload["trace"]["formula"].count("p") == 10
+
+    def levels(entry):
+        return 1 + max((levels(k) for k in entry.get("parts", [])), default=0)
+
+    assert levels(payload["trace"]) == 7
+
+
 def test_sat_unknown_world_exits_2(capsys):
     assert main(["sat", data("m1_model.json"),
                  "--world", "zz", "--formula", "p"]) == 2

@@ -10,8 +10,10 @@ skipped function-table cell.  Each case records the model JSON, witness,
 ``exhausted`` flag and notes.  A battery of seeded random sequents, 15 per
 search mode, reaches the "found" path in every mode: each is refutable, but
 not by a one-world model with a one-element domain.  The truth part holds
-``run_universe`` reports for the universes in ``tests/data`` and for guard
-towers of heights 2 to 5 at depth budgets h-1 and h+1.
+``run_universe`` reports for the universes in ``tests/data``, for guard
+towers of heights 2 to 5 at depth budgets h-1 and h+1, for universes with
+quantified sentences, which take the jump through its quantifier cases, and
+for seeded random quantifier-free universes of 4 to 6 sentences.
 
 Rewrite the data file only when an output change is intended:
 
@@ -22,10 +24,12 @@ import json
 import os
 import random
 
-from bqlcd.bradyfp import run_universe, universe_from_json
+from bqlcd.bradyfp import make_universe, run_universe, universe_from_json
 from bqlcd.kripke import MODES, SearchBounds, countermodel_search, model_to_json
 from bqlcd.proofgen import random_sentence
-from bqlcd.syntax import parse_inferring, pretty
+from bqlcd.syntax import (
+    BOTTOM, TOP, And, Atom, Const, Imp, Or, parse_inferring, pretty, subformulas,
+)
 from universes import tower_universe
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -35,6 +39,17 @@ UNIVERSE_FILES = ("curry_universe.json", "tower_universe.json",
                   "truth_teller_universe.json")
 UNIVERSE_BUDGET = 5
 TOWER_HEIGHTS = range(2, 6)
+# (sentences, domain size); codes follow the list order
+QUANTIFIED = [
+    (["true", "false", "exists x. (T(x) -> false)", "forall x. T(x)",
+      "(forall x. T(x)) -> false"], 5),
+    (["true", "false", "T(q0)", "exists x. T(x)",
+      "forall x. (T(x) | (T(x) -> false))"], 6),
+    (["true", "false", "forall x. exists y. (T(x) -> T(y))",
+      "exists x. forall y. (T(y) -> T(x))"], 4),
+    (["true", "false", "T(q3)", "forall x. (T(x) -> T(q2))", "T(q2)"], 5),
+]
+RANDOM_UNIVERSES = 6
 
 LANDMARKS = [
     ([], "(p & (p -> q)) -> q", "bqlcd_r", (2, 1)),
@@ -84,6 +99,37 @@ def truth_record(name, universe, budget):
     return {"name": name, "budget": budget, "report": report}
 
 
+def _random_root(rng, k, depth):
+    """A quantifier-free sentence over T-atoms quoting the codes 0..k-1."""
+    if depth == 0 or rng.random() < 0.3:
+        r = rng.random()
+        if r < 0.7:
+            return Atom("T", (Const(f"q{rng.randrange(k)}"),))
+        return TOP if r < 0.85 else BOTTOM
+    op = rng.choice([Imp, Imp, And, Or])
+    return op(_random_root(rng, k, depth - 1), _random_root(rng, k, depth - 1))
+
+
+def random_universes(n, seed=500):
+    """Seeded self-referential universes of 4 to 6 sentences: k roots take
+    the codes 0..k-1 and quote each other; their subformulas follow."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        k = rng.choice([1, 2, 2, 3])
+        roots = [_random_root(rng, k, rng.choice([1, 2, 2])) for _ in range(k)]
+        if len(set(roots)) < k:
+            continue
+        subs = {sub for r in roots for sub in subformulas(r)} - set(roots)
+        if not any(isinstance(f, Atom) for f in subs):
+            continue
+        texts = [pretty(r) for r in roots] + sorted(pretty(f) for f in subs)
+        if 4 <= len(texts) <= 6:
+            out.append(make_universe(texts, {t: i for i, t in enumerate(texts)},
+                                     len(texts)))
+    return out
+
+
 def truth_cases():
     cases = []
     for name in UNIVERSE_FILES:
@@ -92,6 +138,11 @@ def truth_cases():
     for h in TOWER_HEIGHTS:
         for budget in (h - 1, h + 1):
             cases.append((f"tower {h}", tower_universe(h), budget))
+    for i, (texts, domain) in enumerate(QUANTIFIED):
+        u = make_universe(texts, {t: j for j, t in enumerate(texts)}, domain)
+        cases.append((f"quantified {i}", u, UNIVERSE_BUDGET))
+    for i, u in enumerate(random_universes(RANDOM_UNIVERSES)):
+        cases.append((f"random {i}", u, UNIVERSE_BUDGET))
     return cases
 
 

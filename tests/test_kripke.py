@@ -106,6 +106,12 @@ def test_eval_term():
         eval_term(m, Const("missing"))
 
 
+def test_open_formula_without_assignment():
+    m = make_model(["w"], [("w", "w")], 2, rels={"P": {}}, rel_arity={"P": 1})
+    with pytest.raises(ModelError, match="no assignment for variable x"):
+        satisfies(m, "w", Atom("P", (Var("x"),)))
+
+
 def test_entails_in_model():
     m = m1()
     assert entails_in_model(m, [parse("p"), parse("p -> q")], parse("q")) is True
