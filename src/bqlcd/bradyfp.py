@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .kripke import Evaluator, KripkeModel
 from .syntax import (
-    And, Atom, Const, Exists, Fn, Forall, Imp, Or, Param,
+    And, Atom, Const, Fn, Imp, Param,
     Formula, Signature, is_sentence, pretty, subformulas,
 )
 
@@ -66,19 +66,12 @@ def _quote_constants(phi):
         elif isinstance(t, Fn):
             raise UniverseError("universe sentences use no function symbols")
 
-    def walk(f_):
+    for f_ in subformulas(phi):
         if isinstance(f_, Atom):
             for a in f_.args:
-                if isinstance(a, (Param,)):
+                if isinstance(a, Param):
                     raise UniverseError("parameters may not appear in universes")
                 on_term(a)
-        elif isinstance(f_, (And, Or, Imp)):
-            walk(f_.left)
-            walk(f_.right)
-        elif isinstance(f_, (Forall, Exists)):
-            walk(f_.body)
-
-    walk(phi)
     return out
 
 

@@ -26,7 +26,7 @@ from .proofkernel import (
 )
 from .syntax import (
     And, Exists, Forall, Imp, Or, ParseError,
-    free_vars, parse_formula, parse_inferring, pretty,
+    free_vars, infer_signature, parse_formula, parse_inferring, pretty,
 )
 
 
@@ -137,6 +137,8 @@ def cmd_countermodel(args) -> int:
         for phi in premises + [conclusion]:
             if free_vars(phi):
                 raise ParseError("premises and conclusion must be closed")
+        # parsed one by one, so a symbol may still be used two ways
+        infer_signature(premises + [conclusion])
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -197,7 +199,6 @@ def _suite_modus_ponens(rng, n=40):
 def _suite_roundtrip(rng, n=200):
     for _ in range(n):
         phi = proofgen.random_sentence(rng, 3)
-        from .syntax import infer_signature
         sig = infer_signature([phi])
         if parse_formula(pretty(phi), sig) != phi:
             return f"round trip broke on {pretty(phi)}"

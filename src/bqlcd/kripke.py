@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from .syntax import (
     And, Atom, Bottom, Const, Exists, Forall, Imp, Or, Param, Signature,
-    Top, Var, formula_params, free_vars, infer_signature, pretty,
+    Top, Var, formula_params, free_vars, infer_signature, pretty, subformulas,
 )
 
 
@@ -315,13 +315,10 @@ def add_chain(model: KripkeModel, w, n: int) -> KripkeModel:
 # ---------------------------------------------------------------------------
 
 def _check_or_exists_free(phi):
-    if isinstance(phi, (Or, Exists)):
-        raise IntersectionConfigError(f"formula contains a banned connective: {pretty(phi)}")
-    if isinstance(phi, (And, Imp)):
-        _check_or_exists_free(phi.left)
-        _check_or_exists_free(phi.right)
-    elif isinstance(phi, Forall):
-        _check_or_exists_free(phi.body)
+    for sub in subformulas(phi):
+        if isinstance(sub, (Or, Exists)):
+            raise IntersectionConfigError(
+                f"formula contains a banned connective: {pretty(sub)}")
 
 
 def check_intersection_config(model: KripkeModel, w, us, phi) -> bool:
@@ -493,8 +490,6 @@ def _frames(k: int):
 
 def _eq_assignments(frame_succ, nodes, m):
     """Persistent per-world equivalence relations over domain size m."""
-    diag = frozenset((a, a) for a in range(m))
-    eqs = [diag]
     # all equivalence relations on a tiny domain, built from set partitions
     def partitions(elems):
         if not elems:
@@ -518,6 +513,9 @@ def _eq_assignments(frame_succ, nodes, m):
 
 def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> SearchResult:
     """Exhaustive bounded search for a model refuting ``gamma |= phi``.
+
+    The sentences are compiled once per search; each frame only sets the
+    domain size and the successor masks that the compiled closures read.
 
     Deterministic: models are enumerated in a fixed order, world count k
     outermost, then domain size, then the frames of ``_frames(k)``, then
@@ -552,8 +550,8 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
     const_names = sorted(sig.constants) + [f"#{i}" for i in params]
     rel_names = sorted(r for r in sig.relations if not (identity != "absent" and r == "="))
     fun_names = sorted(sig.functions)
-    notes = []
-    quantified = any(_has_quantifier(f) for f in gamma + [phi])
+    quantified = any(isinstance(g, (Forall, Exists))
+                     for f in gamma + [phi] for g in subformulas(f))
     uses_terms = bool(const_names or fun_names) or quantified or identity != "absent"
     max_domain = bounds.max_domain if uses_terms else 1
     if not quantified and not fun_names and identity == "absent":
@@ -561,9 +559,13 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
         # denotations of the occurring constants
         max_domain = min(max_domain, max(1, len(const_names)))
 
-    stats = {"frames": 0, "frames_unrooted": 0, "const_vectors": 0,
-             "interpretations": 0}
-
+    rel_index = {r: i for i, r in enumerate(rel_names)}
+    if identity != "absent":
+        rel_index["="] = len(rel_names)
+    seq = _Sequent(gamma, phi, const_names, rel_names, fun_names, sig, identity,
+                   *_compile_sequent(gamma + [phi], rel_index,
+                                     {c: i for i, c in enumerate(const_names)},
+                                     {f: i for i, f in enumerate(fun_names)}))
     for k in range(1, bounds.max_worlds + 1):
         for m in range(1, max_domain + 1):
             for frame, succ, upsets, roots in _frames(k):
@@ -573,65 +575,50 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
                 witnesses = roots if mode == "bqlcd" else \
                     tuple(a for a in roots if (a, a) in frame)
                 if not witnesses:
-                    stats["frames_unrooted"] += 1
+                    seq.stats["frames_unrooted"] += 1
                     continue
-                stats["frames"] += 1
-                found = _search_frame(gamma, phi, k, m, frame, succ, upsets,
-                                      const_names, rel_names, fun_names,
-                                      sig, identity, witnesses, notes, stats)
+                seq.stats["frames"] += 1
+                found = _search_frame(seq, k, m, frame, succ, upsets, witnesses)
                 if found is not None:
                     return found
-    return SearchResult(None, None, True, tuple(notes), stats)
+    return SearchResult(None, None, True, tuple(seq.notes), seq.stats)
 
 
-def _has_quantifier(phi):
-    if isinstance(phi, (Forall, Exists)):
-        return True
-    if isinstance(phi, (And, Or, Imp)):
-        return _has_quantifier(phi.left) or _has_quantifier(phi.right)
-    return False
+@dataclass
+class _Sequent:
+    """What one search fixes: the sentences, the signature's names in index
+    order, the compiled sentences with their caches and frame setter, and
+    the notes and counters of the result."""
+    gamma: list
+    phi: object
+    const_names: list
+    rel_names: list
+    fun_names: list
+    sig: Signature
+    identity: str
+    compiled: list          # one closure per sentence, the conclusion last
+    caches: list
+    set_frame: object
+    notes: list = field(default_factory=list)
+    stats: dict = field(default_factory=lambda: {
+        "frames": 0, "frames_unrooted": 0, "const_vectors": 0, "interpretations": 0})
 
 
-def _search_frame(gamma, phi, k, m, frame, succ, upsets,
-                  const_names, rel_names, fun_names, sig, identity,
-                  witnesses, notes, stats):
-    nodes = tuple(range(k))
-    succ_mask = tuple(sum(1 << b for b in succ[a]) for a in nodes)
-    full_mask = (1 << k) - 1
-    upset_masks = [sum(1 << a for a in s) for s in upsets]
+def _compile_sequent(sentences, rel_index, const_index, fun_index):
+    """Closure evaluating the formula to a world mask, caching on the
+    slice of the interpretation it actually mentions plus the variable
+    environment.  Caches are flushed when constants or functions move.
 
-    fun_spaces = []
-    for f in fun_names:
-        ar = sig.functions[f]
-        count = m ** (m ** ar)
-        if count > _FUN_TABLE_CAP:
-            note = f"skipped k={k} m={m}: function {f} has {count} tables"
-            if note not in notes:
-                notes.append(note)
-            return None
-        fun_spaces.append(list(itertools.product(range(m), repeat=m ** ar)))
+    Compiles each sentence once and returns the closures, their caches and
+    ``set_frame(k, m, succ)``, which rebinds the domain size, worlds and
+    successor masks that the closures read."""
+    m = nodes = full_mask = succ_mask = None
+    caches = []
 
-    rel_specs = []          # (name, arity, tuples, choice space of mask vectors)
-    for r in rel_names:
-        ar = sig.relations[r]
-        n_tuples = m ** ar
-        rel_specs.append((r, ar, list(itertools.product(range(m), repeat=ar)),
-                          list(itertools.product(upset_masks, repeat=n_tuples))))
-
-    eq_assignments = [None]
-    if identity != "absent":
-        if identity == "strict":
-            diag = frozenset((a, a) for a in range(m))
-            eq_assignments = [{a: diag for a in nodes}]
-        else:
-            eq_assignments = list(_eq_assignments(succ, nodes, m))
-
-    sentences = list(gamma) + [phi]
-    rel_index = {r: i for i, (r, _, _, _) in enumerate(rel_specs)}
-    if identity != "absent":
-        rel_index["="] = len(rel_specs)
-    const_index = {c: i for i, c in enumerate(const_names)}
-    fun_index = {f: i for i, f in enumerate(fun_names)}
+    def set_frame(k, m_, succ):
+        nonlocal m, nodes, full_mask, succ_mask
+        m, nodes, full_mask = m_, tuple(range(k)), (1 << k) - 1
+        succ_mask = tuple(sum(1 << b for b in succ[a]) for a in nodes)
 
     def term_val(t, env, const_vals, fun_tables):
         if isinstance(t, Const):
@@ -645,16 +632,7 @@ def _search_frame(gamma, phi, k, m, frame, succ, upsets,
             idx = idx * m + term_val(a, env, const_vals, fun_tables)
         return fun_tables[fun_index[t.name]][idx]
 
-    all_caches = []
-
-    def compile_sentence(f_):
-        """Closure evaluating the formula to a world mask, caching on the
-        slice of the interpretation it actually mentions plus the variable
-        environment.  Caches are flushed when constants or functions move."""
-        dep = tuple(sorted(rel_deps(f_, set())))
-        cache = {}
-        all_caches.append(cache)
-
+    def compile_(f_):
         if isinstance(f_, Top):
             return lambda interp, cv, ft, env: full_mask
         if isinstance(f_, Bottom):
@@ -673,16 +651,20 @@ def _search_frame(gamma, phi, k, m, frame, succ, upsets,
                 return interp[ridx][idx]
             return run_atom
         if isinstance(f_, (And, Or)):
-            lk = compile_sentence(f_.left)
-            rk = compile_sentence(f_.right)
+            lk = compile_(f_.left)
+            rk = compile_(f_.right)
             if isinstance(f_, And):
                 return lambda interp, cv, ft, env: \
                     lk(interp, cv, ft, env) & rk(interp, cv, ft, env)
             return lambda interp, cv, ft, env: \
                 lk(interp, cv, ft, env) | rk(interp, cv, ft, env)
+        dep = tuple(sorted({rel_index[g.rel] for g in subformulas(f_)
+                            if isinstance(g, Atom)}))
+        cache = {}
+        caches.append(cache)
         if isinstance(f_, Imp):
-            lk = compile_sentence(f_.left)
-            rk = compile_sentence(f_.right)
+            lk = compile_(f_.left)
+            rk = compile_(f_.right)
 
             def run_imp(interp, cv, ft, env):
                 key = (tuple(interp[i] for i in dep), env)
@@ -696,7 +678,7 @@ def _search_frame(gamma, phi, k, m, frame, succ, upsets,
                     cache[key] = got
                 return got
             return run_imp
-        body = compile_sentence(f_.body)
+        body = compile_(f_.body)
         var = f_.var
         if isinstance(f_, Exists):
             def run_ex(interp, cv, ft, env):
@@ -729,32 +711,59 @@ def _search_frame(gamma, phi, k, m, frame, succ, upsets,
             return got
         return run_all
 
-    def rel_deps(f_, acc):
-        if isinstance(f_, Atom):
-            acc.add(rel_index[f_.rel])
-        elif isinstance(f_, (And, Or, Imp)):
-            rel_deps(f_.left, acc)
-            rel_deps(f_.right, acc)
-        elif isinstance(f_, (Forall, Exists)):
-            rel_deps(f_.body, acc)
-        return acc
+    return [compile_(f_) for f_ in sentences], caches, set_frame
 
-    compiled = [compile_sentence(f_) for f_ in sentences]
+
+def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
+    gamma, compiled, identity, sig = seq.gamma, seq.compiled, seq.identity, seq.sig
+    stats = seq.stats
+    nodes = tuple(range(k))
+    upset_masks = [sum(1 << a for a in s) for s in upsets]
+
+    fun_spaces = []
+    for f in seq.fun_names:
+        ar = sig.functions[f]
+        count = m ** (m ** ar)
+        if count > _FUN_TABLE_CAP:
+            note = f"skipped k={k} m={m}: function {f} has {count} tables"
+            if note not in seq.notes:
+                seq.notes.append(note)
+            return None
+        fun_spaces.append(list(itertools.product(range(m), repeat=m ** ar)))
+
+    rel_specs = []          # (name, arity, tuples, choice space of mask vectors)
+    for r in seq.rel_names:
+        ar = sig.relations[r]
+        rel_specs.append((r, ar, list(itertools.product(range(m), repeat=ar)),
+                          list(itertools.product(upset_masks, repeat=m ** ar))))
+
+    eq_assignments = [None]
+    if identity != "absent":
+        if identity == "strict":
+            diag = frozenset((a, a) for a in range(m))
+            eq_assignments = [{a: diag for a in nodes}]
+        else:
+            eq_assignments = list(_eq_assignments(succ, nodes, m))
+
+    seq.set_frame(k, m, succ)
     witness_mask = sum(1 << a for a in witnesses)
 
     # swapping the first constant's value with 0 in the domain maps any
     # countermodel on this frame to one with c0 = 0, and product order tries
     # those vectors first, so the first model found is kept
     const_space = [(0,) + rest for rest in
-                   itertools.product(range(m), repeat=len(const_names) - 1)] \
-        if const_names else [()]
+                   itertools.product(range(m), repeat=len(seq.const_names) - 1)] \
+        if seq.const_names else [()]
     for const_vals in const_space:
         stats["const_vectors"] += 1
         for fun_tables in itertools.product(*fun_spaces) if fun_spaces else [()]:
-            for cache in all_caches:
+            # the caches are shared by every frame of the search, so they
+            # are cleared whenever the frame, the constants or the function
+            # tables change: each change starts a pass of this loop
+            for cache in seq.caches:
                 cache.clear()
             funs = {f: (sig.functions[f], table)
-                    for f, table in zip(fun_names, fun_tables)}
+                    for f, table in zip(seq.fun_names, fun_tables)}
             for rel_choice in itertools.product(*(space for (_, _, _, space) in rel_specs)) \
                     if rel_specs else [()]:
                 for eqs in eq_assignments:
@@ -783,16 +792,14 @@ def _search_frame(gamma, phi, k, m, frame, succ, upsets,
                     if not live:
                         continue
                     hit = (live & -live).bit_length() - 1
-                    model = _materialize_masks(
-                        nodes, frame, m, const_names, const_vals,
-                        fun_names, fun_tables, rel_specs, rel_choice,
-                        eqs, sig, identity)
+                    model = _materialize_masks(seq, nodes, frame, m, const_vals,
+                                               fun_tables, rel_specs, rel_choice, eqs)
                     validate_model(model)
                     w = model.worlds[hit]
                     ev = Evaluator(model)
                     assert all(ev.sat(w, g) for g in gamma) \
-                        and not ev.sat(w, phi)
-                    return SearchResult(model, w, False, tuple(notes), stats)
+                        and not ev.sat(w, seq.phi)
+                    return SearchResult(model, w, False, tuple(seq.notes), stats)
     return None
 
 
@@ -803,8 +810,8 @@ def _exts_at(a, rel_specs, rel_choice):
             for (r, ar, tuples, _), masks in zip(rel_specs, rel_choice)}
 
 
-def _materialize_masks(nodes, frame, m, const_names, const_vals, fun_names,
-                       fun_tables, rel_specs, rel_choice, eqs, sig, identity):
+def _materialize_masks(seq, nodes, frame, m, const_vals, fun_tables, rel_specs,
+                       rel_choice, eqs):
     worlds = tuple(f"w{a}" for a in nodes)
     edges = frozenset((worlds[a], worlds[b]) for (a, b) in frame)
     exts = [_exts_at(a, rel_specs, rel_choice) for a in nodes]
@@ -813,7 +820,7 @@ def _materialize_masks(nodes, frame, m, const_names, const_vals, fun_names,
     if eqs is not None:
         rels["="] = {worlds[a]: frozenset(eqs[a]) for a in nodes}
         rel_arity["="] = 2
-    consts = dict(zip(const_names, const_vals))
-    funs = {f: tuple(tab) for f, tab in zip(fun_names, fun_tables)}
-    return KripkeModel(worlds, edges, m, consts, funs, dict(sig.functions),
-                       rels, rel_arity, identity)
+    consts = dict(zip(seq.const_names, const_vals))
+    funs = {f: tuple(tab) for f, tab in zip(seq.fun_names, fun_tables)}
+    return KripkeModel(worlds, edges, m, consts, funs, dict(seq.sig.functions),
+                       rels, rel_arity, seq.identity)

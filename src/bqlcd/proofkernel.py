@@ -199,21 +199,23 @@ def unsafe_leaves(t: Proof) -> frozenset:
 
 
 def open_assumptions(t: Proof) -> frozenset:
-    an = analyze(t)
+    return _open_formulas(analyze(t))
+
+
+def _open_formulas(an):
     return frozenset(an.leaf_formula[lid] for lid in an.open_leaves_in(()))
 
 
 def split_assumptions(t: Proof):
     """(unsafe_open, safe_only_open) sentence sets; the first is the minimal
     left component of a split-context reading of the proof."""
-    an = analyze(t)
-    unsafe, safe = set(), set()
-    for lid in an.open_leaves_in(()):
-        if an.unsafe_for(lid):
-            unsafe.add(an.leaf_formula[lid])
-        else:
-            safe.add(an.leaf_formula[lid])
-    return frozenset(unsafe), frozenset(safe - unsafe)
+    return _split_open(analyze(t))
+
+
+def _split_open(an):
+    unsafe = frozenset(an.leaf_formula[lid] for lid in an.open_leaves_in(())
+                       if an.unsafe_for(lid))
+    return unsafe, _open_formulas(an) - unsafe
 
 
 def stratum(t: Proof) -> int:
@@ -494,8 +496,7 @@ def check_proof(t: Proof, system) -> CheckReport:
     out = [Violation(path_str(p), kind, msg) for kind, p, msg in an.problems]
     for path, nd in sorted(an.paths.items()):
         _check_node(nd, path, an, system, out)
-    unsafe, safe = split_assumptions(t)
-    return CheckReport(not out, out, stratum(t), open_assumptions(t), unsafe, safe)
+    return CheckReport(not out, out, stratum(t), _open_formulas(an), *_split_open(an))
 
 
 def _allowed_rules(system: System):

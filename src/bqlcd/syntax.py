@@ -244,14 +244,6 @@ def parameters_of(x) -> frozenset:
     return out
 
 
-def subterms_replace(t: Term, old: Term, new: Term) -> Term:
-    if t == old:
-        return new
-    if isinstance(t, Fn):
-        return Fn(t.name, tuple(subterms_replace(a, old, new) for a in t.args))
-    return t
-
-
 def substitute_term(t: Term, var: str, repl: Term) -> Term:
     if isinstance(t, Var):
         return repl if t.name == var else t

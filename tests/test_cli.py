@@ -164,6 +164,15 @@ def test_countermodel_max_worlds_cap_exits_2(capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("premise,conclusion", [("P(c)", "P"), ("f(c) = c", "P(f)")])
+def test_countermodel_signature_clash_exits_2(capsys, premise, conclusion):
+    assert main(["countermodel", "--premises", premise,
+                 "--conclusion", conclusion]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_brady_curry(capsys):
     code, report = run(capsys, "brady", data("curry_universe.json"))
     assert code == 0

@@ -9,7 +9,10 @@ countermodels need several worlds, function symbols under congruence, or a
 skipped function-table cell.  Each case records the model JSON, witness,
 ``exhausted`` flag and notes.  A battery of seeded random sequents, 15 per
 search mode, reaches the "found" path in every mode: each is refutable, but
-not by a one-world model with a one-element domain.  The truth part holds
+not by a one-world model with a one-element domain.  Quantified sequents
+over two or three variables, some with a unary function, are refuted only
+after several frames and constant vectors (their first countermodel has two
+or three worlds and two elements), or exhaust the bounds.  The truth part holds
 ``run_universe`` reports for the universes in ``tests/data``, for guard
 towers of heights 2 to 5 at depth budgets h-1 and h+1, for universes with
 quantified sentences, which take the jump through its quantifier cases, and
@@ -76,6 +79,33 @@ EXTRA = [
     ([], "c = d", "strict", (2, 2)),
     ([], "(exists x. P(x)) -> P(c)", "bqlcd_r", (2, 2)),
     ([], "P(f(c, c, c, c)) -> P(c)", "bqlcd_r", (1, 2)),
+]
+
+QUANTIFIED_SEARCH = [
+    # refuted: the first countermodel has two or three worlds and two elements
+    ([], "exists x. (P(x) -> forall y. P(y))", "bqlcd_r", (3, 2)),
+    ([], "exists x. ((exists y. P(y)) -> P(x))", "bqlcd", (3, 2)),
+    ([], "((forall x. P(x)) -> q) -> exists x. (P(x) -> q)", "strict", (3, 2)),
+    ([], "forall x. exists y. (R(x, y) -> forall z. R(x, z))", "congruence", (3, 2)),
+    ([], "forall x. exists y. (R(x, y) -> forall z. R(x, z))", "bqlcd", (3, 2)),
+    ([], "(forall x. exists y. R(x, y)) -> "
+         "exists y. forall x. (R(x, y) | (R(x, y) -> false))", "bqlcd_r", (3, 2)),
+    ([], "(forall x. exists y. R(x, y)) -> "
+         "exists y. forall x. (R(x, y) | (R(x, y) -> false))", "congruence", (3, 2)),
+    ([], "((forall x. P(f(x))) -> q) -> exists x. (P(f(x)) -> q)", "congruence", (3, 2)),
+    ([], "((forall x. P(f(x))) -> q) -> exists x. (P(f(x)) -> q)", "bqlcd", (3, 2)),
+    (["forall x. forall y. (R(x, y) -> R(y, x))"],
+     "forall x. exists y. (R(x, y) -> R(f(y), x))", "strict", (3, 2)),
+    (["forall x. forall y. (R(x, y) -> R(y, x))"],
+     "forall x. exists y. (R(x, y) -> R(f(y), x))", "bqlcd_r", (3, 2)),
+    # not refuted within (3, 2)
+    (["exists x. forall y. R(x, y)"], "forall y. exists x. R(x, y)", "bqlcd", (3, 2)),
+    (["forall x. exists y. R(x, y)"], "exists y. (R(c, y) | (R(c, y) -> false))",
+     "strict", (3, 2)),
+    (["exists x. exists y. ((P(x) -> false) & P(y))"],
+     "forall x. (P(f(x)) | (P(f(x)) -> false))", "bqlcd", (3, 2)),
+    ([], "(forall x. (P(x) | q)) -> (forall x. P(x)) | q", "bqlcd_r", (3, 2)),
+    (["forall x. (P(x) -> P(f(x)))", "P(c)"], "P(f(f(c)))", "congruence", (3, 2)),
 ]
 
 
@@ -196,7 +226,7 @@ def search_cases():
     valid = sorted(_corpus_sequents(0, 200),
                    key=lambda s: (len(s[0]), sum(map(len, s[0])) + len(s[1]), s))
     cases += [(list(p), c, "bqlcd_r", (3, 2)) for p, c in valid[:4]]
-    return cases + LANDMARKS + EXTRA + random_cases()
+    return cases + LANDMARKS + EXTRA + random_cases() + QUANTIFIED_SEARCH
 
 
 def test_golden_differential():

@@ -92,6 +92,18 @@ def test_split_assumptions_closed_proof():
     assert split_assumptions(t) == (frozenset(), frozenset())
 
 
+def test_check_proof_analyzes_once(monkeypatch):
+    from bqlcd import proofkernel
+    real, calls = proofkernel.analyze, []
+    monkeypatch.setattr(proofkernel, "analyze", lambda t: calls.append(t) or real(t))
+    for t in (mp_from_leaves(), curry_derivation(), nested_stratum_example()):
+        calls.clear()
+        report = check_proof(t, "nbqlcd_r")
+        assert len(calls) == 1
+        assert (report.unsafe_open, report.safe_open) == split_assumptions(t)
+        assert report.open_assumptions == open_assumptions(t)
+
+
 # --- the Curry derivation --------------------------------------------------------
 
 def test_curry_rejected_with_exactly_c5():
