@@ -11,14 +11,13 @@ reflexive loop can be added without disturbing any truth value.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass, replace
 
-from .kripke import Evaluator, KripkeModel
+from .kripke import Evaluator, KripkeModel, eval_term
 from .syntax import (
-    And, Atom, Const, Fn, Imp, Param,
+    And, Atom, Bottom, Const, Fn, Forall, Imp, Or, Param, Top,
     Formula, Signature, is_sentence, pretty, subformulas,
 )
 
@@ -199,26 +198,65 @@ def chain_model(universe, t_exts, loop=False) -> KripkeModel:
                        consts, {}, {}, rels, {"T": 1}, "absent")
 
 
-def _jump(state: ChainState, alpha: int):
+class _Jump:
     """The jump at world alpha as a function of the candidate extension x.
 
-    It evaluates with one ``Evaluator`` on the chain model whose world alpha
-    carries x, so satisfaction at the worlds above is computed once and
-    shared between jump stages and monotonicity probes.
+    The frontier world alpha is irreflexive and no world above sees it, so
+    every implication there is decided by the fixed extensions above, and
+    what is left of a sentence is a positive And/Or circuit over the
+    membership bits of x.  ``residual`` evaluates that circuit for many
+    candidates at once (bit-sliced): ``member[e]`` is an int whose bit j is
+    set iff element e is in candidate j, ``full`` has one bit per candidate,
+    and it returns one such int per universe sentence.  Calling the jump on
+    one set is the same pass with ``full = 1``.  One ``Evaluator`` on the
+    chain model decides the implications, once each, for every pass.
     """
-    if alpha > state.depth + 1 or alpha < 0:
-        raise ValueError(f"world {alpha} is beyond the frontier")
-    u = state.universe
-    model = chain_model(u, state.t_ext[:alpha] + (frozenset(),))
-    ev = Evaluator(model)
-    w = _world_name(alpha)
 
-    def jump(x):
-        model.rels["T"][w] = frozenset((c,) for c in x)
-        # no world above sees w, so only w's own memo depends on x
-        ev.memo[w].clear()
-        return frozenset(u.code_of(s) for s in u.sentences if ev.sat(w, s))
-    return jump
+    def __init__(self, state: ChainState, alpha: int):
+        if alpha > state.depth + 1 or alpha < 0:
+            raise ValueError(f"world {alpha} is beyond the frontier")
+        self.universe = u = state.universe
+        self.codes = tuple(u.code_of(s) for s in u.sentences)
+        self.ev = Evaluator(chain_model(u, state.t_ext[:alpha] + (frozenset(),)))
+        self.world = _world_name(alpha)
+
+    def residual(self, member: dict, full: int) -> tuple:
+        ev, w = self.ev, self.world
+
+        def res(phi, asg):
+            if isinstance(phi, Top):
+                return full
+            if isinstance(phi, Bottom):
+                return 0
+            if isinstance(phi, Atom):
+                return member.get(eval_term(ev.m, phi.args[0], asg), 0)
+            if isinstance(phi, And):
+                return res(phi.left, asg) & res(phi.right, asg)
+            if isinstance(phi, Or):
+                return res(phi.left, asg) | res(phi.right, asg)
+            if isinstance(phi, Imp):
+                # the frontier is irreflexive and never read from above, so
+                # an implication there is decided at the worlds above, the
+                # same for every candidate; the frontier's T extension in
+                # the model stays empty and is never consulted
+                return full if ev.sat(w, phi, asg) else 0
+            sub = dict(asg or ())
+            forall = isinstance(phi, Forall)
+            out = full if forall else 0
+            for b in ev.m.domain():
+                sub[phi.var] = b
+                out = out & res(phi.body, sub) if forall else out | res(phi.body, sub)
+            return out
+
+        return tuple(res(s, None) for s in self.universe.sentences)
+
+    def decode(self, masks, j=0) -> frozenset:
+        """The jump on candidate j: the codes of the sentences whose mask
+        has bit j set."""
+        return frozenset(c for c, m in zip(self.codes, masks) if m >> j & 1)
+
+    def __call__(self, x) -> frozenset:
+        return self.decode(self.residual(dict.fromkeys(x, 1), 1))
 
 
 def phi_operator(state: ChainState, alpha: int, x: frozenset) -> frozenset:
@@ -226,7 +264,7 @@ def phi_operator(state: ChainState, alpha: int, x: frozenset) -> frozenset:
     truth extension is hypothetically ``x``: ``Evaluator`` at the frontier
     world of the chain model ``chain_model(u, t_ext[:alpha] + (x,))``, which
     sits below the worlds above and sees all of them."""
-    return _jump(state, alpha)(x)
+    return _Jump(state, alpha)(x)
 
 
 def jump_to_fixpoint(state: ChainState, alpha: int) -> JumpTrace:
@@ -236,7 +274,7 @@ def jump_to_fixpoint(state: ChainState, alpha: int) -> JumpTrace:
     within universe-size + 1 stages; a non-monotone step aborts loudly.
     """
     u = state.universe
-    jump = _jump(state, alpha)
+    jump = _Jump(state, alpha)
     stages = [frozenset()]
     for _ in range(len(u.sentences) + 2):
         nxt = jump(stages[-1])
@@ -384,13 +422,42 @@ def add_loop_and_verify(state: ChainState, theta: int) -> dict:
 # verification suites over a finished chain
 # ---------------------------------------------------------------------------
 
+# with at most this many codes the monotonicity check probes every subset;
+# its masks then have 2**16 bits, 8 KiB each
+_LATTICE_CODES = 16
+
+
 def verify_monotonicity(state: ChainState, alpha: int) -> bool:
-    """Spot-check that the jump respects inclusion on subset pairs."""
+    """Check that the jump at world alpha respects inclusion.
+
+    With at most ``_LATTICE_CODES`` codes, one residual pass decides the jump
+    on every subset of the codes: candidate j holds the i-th code iff bit i
+    of j is set, so ``has[i]``, the candidates holding it, is runs of 2**i
+    zeros and ones.  Shifting the candidates without code i by 2**i adds
+    code i; a sentence mask that loses a bit under that shift breaks
+    monotonicity on a covering pair, and the covering pairs reach every
+    comparable pair of the lattice.  With more codes, pairs from the pool of
+    subsets of at most three codes and their unions are compared instead,
+    read from one residual pass over those candidates.
+    """
+    jump = _Jump(state, alpha)
     codes = sorted(state.universe.codes())
-    pool = [frozenset(c) for r in range(min(3, len(codes)) + 1)
-            for c in itertools.combinations(codes, r)]
-    jump = functools.cache(_jump(state, alpha))
-    return all(jump(a) <= jump(a | b) for a in pool for b in pool)
+    if len(codes) <= _LATTICE_CODES:
+        full = (1 << (1 << len(codes))) - 1
+        has = [(((1 << (1 << i)) - 1) << (1 << i)) * (full // ((1 << (2 << i)) - 1))
+               for i in range(len(codes))]
+        masks = jump.residual(dict(zip(codes, has)), full)
+        return all(((m & ~p) << (1 << i)) & ~m == 0
+                   for m in masks for i, p in enumerate(has))
+    pool = [frozenset(c) for r in range(4) for c in itertools.combinations(codes, r)]
+    cands = list({a | b for a in pool for b in pool})
+    member = dict.fromkeys(codes, 0)
+    for j, x in enumerate(cands):
+        for c in x:
+            member[c] |= 1 << j
+    masks = jump.residual(member, (1 << len(cands)) - 1)
+    ext = {x: jump.decode(masks, j) for j, x in enumerate(cands)}
+    return all(ext[a] <= ext[a | b] for a in pool for b in pool)
 
 
 def verify_globally_decreasing(state: ChainState) -> bool:

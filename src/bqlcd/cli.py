@@ -305,7 +305,7 @@ def build_parser():
     p.set_defaults(func=cmd_sat)
 
     p = sub.add_parser("countermodel", help="bounded countermodel search")
-    p.add_argument("--premises", nargs="*", default=[])
+    p.add_argument("--premises", nargs="*", action="extend", default=[])
     p.add_argument("--conclusion", required=True)
     p.add_argument("--max-worlds", type=int, default=3)
     p.add_argument("--max-domain", type=int, default=2)

@@ -631,6 +631,9 @@ class _Parser:
             return Var(tok)
         if tok in self.constants:
             return Const(tok)
+        if tok in self.functions or tok in self.relations:
+            raise ParseError(f"{tok!r} used both as term and "
+                             f"{'function' if tok in self.functions else 'relation'}", pos)
         if self.infer:
             # classification of fresh names is finished by the caller
             return Const(tok)

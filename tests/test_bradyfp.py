@@ -112,23 +112,31 @@ def _quantified_universe():
 ], ids=["curry", "tower_file", "truth_teller", "tower2", "tower3", "tower4",
         "quantified"])
 def test_jump_matches_a_fresh_evaluator(make):
-    # one jump object sees every candidate, in shuffled order and twice, so
-    # a value kept from an earlier candidate would show
+    # one jump object runs the residual pass over every subset at once and
+    # then sees every candidate alone, in shuffled order and twice, so a
+    # value kept from an earlier pass or candidate would show
     u = make()
     state, _ = detect_convergence(initial_chain(u), 4)
     codes = sorted(u.codes())
     subsets = [frozenset(c) for r in range(len(codes) + 1)
                for c in itertools.combinations(codes, r)]
+    member = {c: sum(1 << j for j, x in enumerate(subsets) if c in x) for c in codes}
     rng = random.Random(len(codes))
     for alpha in range(state.depth + 2):
-        jump = bradyfp._jump(state, alpha)
+        jump = bradyfp._Jump(state, alpha)
+
+        def fresh(x):
+            ev = Evaluator(chain_model(u, state.t_ext[:alpha] + (x,)))
+            return frozenset(u.code_of(s) for s in u.sentences
+                             if ev.sat(f"w{alpha}", s))
+
+        masks = jump.residual(member, (1 << len(subsets)) - 1)
+        for j, x in enumerate(subsets):
+            assert jump.decode(masks, j) == fresh(x), (alpha, sorted(x))
         order = subsets * 2
         rng.shuffle(order)
         for x in order:
-            ev = Evaluator(chain_model(u, state.t_ext[:alpha] + (x,)))
-            want = frozenset(u.code_of(s) for s in u.sentences
-                             if ev.sat(f"w{alpha}", s))
-            assert jump(x) == want, (alpha, sorted(x))
+            assert jump(x) == fresh(x), (alpha, sorted(x))
 
 
 def test_monotonicity_spot_checks():
@@ -137,6 +145,24 @@ def test_monotonicity_spot_checks():
     state = extend_chain(state)
     for alpha in range(state.depth + 1):
         assert verify_monotonicity(state, alpha)
+
+
+@pytest.mark.parametrize("lattice_codes", [bradyfp._LATTICE_CODES, 2],
+                         ids=["lattice", "pool"])
+def test_monotonicity_check_can_fail(monkeypatch, lattice_codes):
+    monkeypatch.setattr(bradyfp, "_LATTICE_CODES", lattice_codes)
+    for h in (2, 3, 4):
+        state, _ = detect_convergence(initial_chain(tower_universe(h)), h + 1)
+        assert all(verify_monotonicity(state, a) for a in range(state.depth + 2))
+    state = extend_chain(initial_chain(curry_universe()))
+    real = bradyfp._Jump.residual
+
+    def antitone(self, member, full):
+        # T(q2) reads the complement of its member mask
+        return real(self, {**member, 2: full & ~member.get(2, 0)}, full)
+
+    monkeypatch.setattr(bradyfp._Jump, "residual", antitone)
+    assert not any(verify_monotonicity(state, a) for a in range(state.depth + 2))
 
 
 # --- chain growth -------------------------------------------------------------------

@@ -127,6 +127,12 @@ def test_countermodel_none_for_transitivity(capsys):
     assert code == 1 and payload["found"] is False and payload["exhausted"]
 
 
+def test_countermodel_repeated_premises_flag_extends(capsys):
+    code, payload = run(capsys, "countermodel", "--premises", "p",
+                        "--premises", "p -> q", "--conclusion", "q")
+    assert code == 1 and payload["found"] is False and payload["exhausted"]
+
+
 def test_countermodel_identity_modes(capsys):
     code, payload = run(capsys, "countermodel",
                         "--conclusion", "c = d | (c = d -> false)",

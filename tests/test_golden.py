@@ -14,9 +14,10 @@ over two or three variables, some with a unary function, are refuted only
 after several frames and constant vectors (their first countermodel has two
 or three worlds and two elements), or exhaust the bounds.  The truth part holds
 ``run_universe`` reports for the universes in ``tests/data``, for guard
-towers of heights 2 to 5 at depth budgets h-1 and h+1, for universes with
+towers of heights 2 to 7 at depth budgets h-1 and h+1, for universes with
 quantified sentences, which take the jump through its quantifier cases, and
-for seeded random quantifier-free universes of 4 to 6 sentences.
+for seeded random quantifier-free universes of 4 to 6 and of 7 to 9
+sentences.
 
 Rewrite the data file only when an output change is intended:
 
@@ -41,7 +42,7 @@ GOLDEN = os.path.join(DATA, "golden.json")
 UNIVERSE_FILES = ("curry_universe.json", "tower_universe.json",
                   "truth_teller_universe.json")
 UNIVERSE_BUDGET = 5
-TOWER_HEIGHTS = range(2, 6)
+TOWER_HEIGHTS = range(2, 8)
 # (sentences, domain size); codes follow the list order
 QUANTIFIED = [
     (["true", "false", "exists x. (T(x) -> false)", "forall x. T(x)",
@@ -53,6 +54,7 @@ QUANTIFIED = [
     (["true", "false", "T(q3)", "forall x. (T(x) -> T(q2))", "T(q2)"], 5),
 ]
 RANDOM_UNIVERSES = 6
+LARGE_RANDOM_UNIVERSES = 4
 
 LANDMARKS = [
     ([], "(p & (p -> q)) -> q", "bqlcd_r", (2, 1)),
@@ -140,21 +142,22 @@ def _random_root(rng, k, depth):
     return op(_random_root(rng, k, depth - 1), _random_root(rng, k, depth - 1))
 
 
-def random_universes(n, seed=500):
-    """Seeded self-referential universes of 4 to 6 sentences: k roots take
-    the codes 0..k-1 and quote each other; their subformulas follow."""
+def random_universes(n, sizes=range(4, 7), depths=(1, 2, 2), seed=500):
+    """Seeded self-referential universes with a number of sentences in
+    ``sizes``: k roots of a depth drawn from ``depths`` take the codes
+    0..k-1 and quote each other; their subformulas follow."""
     rng = random.Random(seed)
     out = []
     while len(out) < n:
         k = rng.choice([1, 2, 2, 3])
-        roots = [_random_root(rng, k, rng.choice([1, 2, 2])) for _ in range(k)]
+        roots = [_random_root(rng, k, rng.choice(depths)) for _ in range(k)]
         if len(set(roots)) < k:
             continue
         subs = {sub for r in roots for sub in subformulas(r)} - set(roots)
         if not any(isinstance(f, Atom) for f in subs):
             continue
         texts = [pretty(r) for r in roots] + sorted(pretty(f) for f in subs)
-        if 4 <= len(texts) <= 6:
+        if len(texts) in sizes:
             out.append(make_universe(texts, {t: i for i, t in enumerate(texts)},
                                      len(texts)))
     return out
@@ -173,6 +176,9 @@ def truth_cases():
         cases.append((f"quantified {i}", u, UNIVERSE_BUDGET))
     for i, u in enumerate(random_universes(RANDOM_UNIVERSES)):
         cases.append((f"random {i}", u, UNIVERSE_BUDGET))
+    large = random_universes(LARGE_RANDOM_UNIVERSES, range(7, 10), (2, 3), seed=501)
+    for i, u in enumerate(large):
+        cases.append((f"large random {i}", u, UNIVERSE_BUDGET))
     return cases
 
 

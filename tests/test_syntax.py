@@ -82,6 +82,15 @@ def test_infer_signature_across_texts():
     assert s.constants == {"c", "d"}
 
 
+def test_parse_inferring_seed_rejects_a_bare_function_or_relation():
+    _, s = parse_inferring("f(c) = c")
+    with pytest.raises(ParseError, match="'f' used both as term and function"):
+        parse_inferring("P(f)", s)
+    _, s = parse_inferring("p")
+    with pytest.raises(ParseError, match="'p' used both as term and relation"):
+        parse_inferring("P(p)", s)
+
+
 def test_substitute_basic():
     P_x = Atom("P", (Var("x"),))
     assert substitute(P_x, "x", Const("c")) == Atom("P", (Const("c"),))
