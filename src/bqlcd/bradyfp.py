@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from .kripke import Evaluator, KripkeModel, eval_term
 from .syntax import (
     And, Atom, Bottom, Const, Fn, Forall, Imp, Or, Param, Top,
-    Formula, Signature, is_sentence, pretty, subformulas,
+    Formula, Signature, is_sentence, parse_inferring, pretty, subformulas,
 )
 
 
@@ -79,19 +79,16 @@ def make_universe(texts, codes, domain_size) -> SentenceUniverse:
     injective into the domain, every T-atom grounded in the domain."""
     if domain_size < 1:
         raise UniverseError("domain must be non-empty")
-    sig = Signature(frozenset(), {}, {"T": 1})
     parsed = []
     consts = {}
     for text in texts:
-        phi, inferred = _parse_universe_sentence(text)
+        phi = _parse_universe_sentence(text)
         parsed.append(phi)
         consts.update(_quote_constants(phi))
     code = {}
-    by_text = {}
     for text, phi in zip(texts, parsed):
         if text not in codes:
             raise UniverseError(f"no code assigned to {text!r}")
-        by_text[text] = phi
         code[phi] = int(codes[text])
     if set(codes) - set(texts):
         extra = sorted(set(codes) - set(texts))
@@ -130,12 +127,11 @@ def _parse_universe_sentence(text):
     # a tiny closed fragment: T-atoms over quotation constants plus the
     # propositional/quantifier skeleton
     sig = Signature(frozenset(), {}, {"T": 1})
-    from .syntax import parse_inferring
     phi, inferred = parse_inferring(text, seed=sig)
     bad = [r for r, ar in inferred.relations.items() if r != "T"]
     if bad:
         raise UniverseError(f"only the truth predicate is available, got {bad}")
-    return phi, inferred
+    return phi
 
 
 def universe_from_json(data) -> SentenceUniverse:

@@ -440,6 +440,7 @@ class SearchResult:
 MODES = ("bqlcd_r", "bqlcd", "strict", "congruence")
 
 _FUN_TABLE_CAP = 4096
+_REL_SPACE_CAP = 1 << 18
 
 
 _frame_cache: dict = {}
@@ -734,6 +735,12 @@ def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
     rel_specs = []          # (name, arity, tuples, choice space of mask vectors)
     for r in seq.rel_names:
         ar = sig.relations[r]
+        count = len(upset_masks) ** (m ** ar)
+        if count > _REL_SPACE_CAP:
+            note = f"skipped k={k} m={m}: relation {r} has {count} interpretations"
+            if note not in seq.notes:
+                seq.notes.append(note)
+            return None
         rel_specs.append((r, ar, list(itertools.product(range(m), repeat=ar)),
                           list(itertools.product(upset_masks, repeat=m ** ar))))
 

@@ -8,17 +8,19 @@ self-test command.
 
 from __future__ import annotations
 
+import itertools
 import random
 
+from .kripke import make_model, transitive_closure
 from .proofkernel import (
-    Proof, analyze, assume, canonical_leaf_ids, check_proof, node,
-    open_assumptions, proof_depth,
+    analyze, assume, canonical_leaf_ids, check_proof, node, open_assumptions,
+    proof_depth,
 )
 from .syntax import (
     And, Atom, Const, Exists, Forall, Imp, Or, Param, TOP, BOTTOM, Var,
-    formula_params, parse_inferring, substitute,
+    formula_params, free_vars, generalize_param, parse_inferring, substitute,
 )
-from .transform import boxn, nd_axiom_proof, pad_box, unbox
+from .transform import _fresh_param, boxn, nd_axiom_proof, pad_box, unbox
 
 
 def _f(text):
@@ -42,17 +44,6 @@ def random_sentence(rng, depth=2):
                        Or(Atom("P", (Var("x"),)), Atom("q")),
                        Imp(Atom("p"), Atom("P", (Var("x"),)))])
     return (Forall if rng.random() < 0.5 else Exists)("x", body)
-
-
-def _fresh_param_for(rng, *items):
-    used = set()
-    for x in items:
-        if isinstance(x, Proof):
-            from .syntax import parameters_of
-            used |= set(parameters_of(x))
-        else:
-            used |= set(formula_params(x))
-    return max(used, default=-1) + 1
 
 
 class ProofGenerator:
@@ -179,7 +170,6 @@ class ProofGenerator:
         if not t:
             return None
         idx = sorted(formula_params(t.conclusion))[0]
-        from .syntax import generalize_param
         body = generalize_param(t.conclusion, idx, "x")
         return node("forall_int", Forall("x", body), [t])
 
@@ -192,7 +182,6 @@ class ProofGenerator:
         idx = self.rng.choice(candidates)
         if idx is None:
             return node("exists_int", Exists("x", concl), [t])
-        from .syntax import generalize_param
         body = generalize_param(concl, idx, "x")
         return node("exists_int", Exists("x", body), [t])
 
@@ -201,10 +190,9 @@ class ProofGenerator:
         if not major:
             return None
         ex = major.conclusion
-        idx = _fresh_param_for(self.rng, major, ex)
+        idx = _fresh_param(major, ex)
         witness = substitute(ex.body, ex.var, Param(idx))
         wit_leaf = assume(witness)
-        from .syntax import generalize_param
         body = node("exists_int", Exists("y", generalize_param(witness, idx, "y")),
                     [wit_leaf])
         return node("exists_elim", body.conclusion, [major, body],
@@ -241,7 +229,6 @@ class ProofGenerator:
                        and isinstance(x.conclusion.body, Or))
         if t:
             body = t.conclusion.body
-            from .syntax import free_vars
             if t.conclusion.var not in free_vars(body.left):
                 return node("cd", Or(body.left,
                                      Forall(t.conclusion.var, body.right)), [t])
@@ -363,8 +350,6 @@ def axiomatic_corpus():
 def random_model(rng, max_worlds=4, max_domain=3):
     """A well-formed model with random transitive frame and persistent
     interpretations for p (nullary), P (unary) and the constant c."""
-    from .kripke import make_model, transitive_closure
-    import itertools as it
     k = rng.randint(1, max_worlds)
     worlds = [f"w{i}" for i in range(k)]
     edges = transitive_closure(
@@ -373,7 +358,7 @@ def random_model(rng, max_worlds=4, max_domain=3):
     rels = {}
     arities = {"p": 0, "q": 0, "r": 0, "P": 1}
     for name, ar in arities.items():
-        per = {w: {t for t in it.product(range(m), repeat=ar)
+        per = {w: {t for t in itertools.product(range(m), repeat=ar)
                    if rng.random() < 0.4} for w in worlds}
         changed = True
         while changed:
@@ -411,8 +396,6 @@ def random_intersection_config(rng, max_members=3, max_domain=2):
     """A model plus (w, members) satisfying the intersection conditions: the
     members are reflexive, w sees exactly them (plus worlds they see), and
     every relation at w is the member intersection."""
-    from .kripke import make_model
-    import itertools as it
     j = rng.randint(1, max_members)
     m = rng.randint(1, max_domain)
     members = [f"u{i}" for i in range(j)]
@@ -432,7 +415,7 @@ def random_intersection_config(rng, max_members=3, max_domain=2):
         for w in worlds:
             if w == "w":
                 continue
-            per[w] = {t for t in it.product(range(m), repeat=ar)
+            per[w] = {t for t in itertools.product(range(m), repeat=ar)
                       if rng.random() < 0.5}
         changed = True
         while changed:

@@ -18,6 +18,10 @@ System ids: ``nbqlcd_r`` (full), ``nbqlcd`` = ``nbqlcd[-1]`` (no modus
 ponens), ``nbqlcd[n]`` (right premises of modus ponens capped at stratum
 n-1), the axiomatic systems ``bd+``, ``djd+``, ``tjd+``, ``tjkd+``, ``tjk+``,
 and identity variants ``<nd system>+eq`` / ``<nd system>+eqxm``.
+
+Thirteen rules each internalise an axiom schema read as a rule;
+``INTERNALISED`` lists them, and the checker, the axiom templates and both
+translations read it.
 """
 
 from __future__ import annotations
@@ -27,10 +31,10 @@ import json
 from dataclasses import dataclass, replace
 
 from .syntax import (
-    And, Atom, Bottom, Exists, Forall, Imp, Or, Param, TOP,
-    Formula, formula_params, free_vars, infer_signature, is_sentence,
-    is_closed_term, match_instantiation, parse_formula, pretty, replace_param,
-    substitute,
+    And, Atom, Bottom, Exists, Fn, Forall, Imp, Or, Param, TOP,
+    Formula, _find_instantiation, formula_params, free_vars, infer_signature,
+    is_sentence, is_closed_term, match_instantiation, parameters_of,
+    parse_formula, pretty, replace_param, substitute,
 )
 
 
@@ -63,7 +67,7 @@ AX_RULES = frozenset({
 
 DISCHARGING = frozenset({"imp_int", "or_elim", "exists_elim"})
 
-_CHILD_COUNT = {
+CHILD_COUNT = {
     "top_int": 0, "eq_int": 0, "id_xm": 0,
     "bot_elim": 1, "and_elim_l": 1, "and_elim_r": 1, "or_int_l": 1,
     "or_int_r": 1, "imp_int": 1, "int_forall_int": 1, "int_exists_elim": 1,
@@ -409,6 +413,30 @@ AXIOMS_BY_LEVEL = {
     "tjk": BASE_AXIOMS | {"transitivity", "suffixing", "prefixing", "weakening"},
 }
 
+# rule -> (axiom schema, message when the node does not fit): premises P
+# (or P1, P2) and conclusion C fit the rule iff ``internal_instance`` of
+# them instantiates the schema
+INTERNALISED = {
+    "bot_elim": ("ex_falso", "premise must be the falsity constant"),
+    "and_elim_l": ("and_elim_l", "conclusion is not the left conjunct of the premise"),
+    "and_elim_r": ("and_elim_r", "conclusion is not the right conjunct of the premise"),
+    "or_int_l": ("or_int_l", "premise is not the left disjunct of the conclusion"),
+    "or_int_r": ("or_int_r", "premise is not the right disjunct of the conclusion"),
+    "forall_elim": ("forall_inst", "conclusion is not an instance of the premise"),
+    "exists_int": ("exists_int", "premise is not an instance of the conclusion"),
+    "cd": ("cd", "conclusion does not pull the quantifier inside the disjunction"),
+    "int_forall_int": ("forall_imp", "premise is not the internalised form of the conclusion"),
+    "int_exists_elim": ("exists_imp", "premise is not the internalised form of the conclusion"),
+    "int_trans": ("transitivity", "premises do not chain"),
+    "int_and_int": ("and_comp", "premises do not combine under one antecedent"),
+    "int_or_elim": ("or_comp", "premises do not combine under one consequent"),
+}
+
+
+def internal_instance(premises, concl: Formula) -> Formula:
+    """``P -> C``, or ``P1 & P2 -> C`` for two premises."""
+    return Imp(premises[0] if len(premises) == 1 else And(*premises), concl)
+
 
 # ---------------------------------------------------------------------------
 # systems
@@ -540,7 +568,7 @@ def _check_node(nd, path, an, system, out):
         else:
             bad("rule", f"unknown rule {rule!r}")
         return
-    want = _CHILD_COUNT.get(rule)
+    want = CHILD_COUNT.get(rule)
     if want is not None and len(nd.children) != want:
         bad("rule", f"{rule} expects {want} premises, got {len(nd.children)}")
         return
@@ -602,7 +630,6 @@ def _eigenparam_for_forall(nd):
         if premise != body:
             return None, "vacuous generalisation must repeat its premise"
         return None, None
-    from .syntax import _find_instantiation
     t = _find_instantiation(body, v, premise)
     if not isinstance(t, Param):
         return None, "premise does not instantiate the conclusion with a parameter"
@@ -627,7 +654,6 @@ def _eigenparam_for_exists(nd, an, path):
     if len(formulas) != 1:
         return None, None, "discharged witness occurrences are not uniform"
     xi = formulas.pop()
-    from .syntax import _find_instantiation
     t = _find_instantiation(matrix, v, xi)
     if not isinstance(t, Param) or substitute(matrix, v, t) != xi:
         return None, None, "discharged assumptions are not a parameter instance of the matrix"
@@ -638,27 +664,20 @@ def _check_shape(nd, path, an, system, bad):
     rule, concl = nd.rule, nd.conclusion
     kids = [c.conclusion for c in nd.children]
 
-    if rule == "top_int":
+    if rule == "forall_elim" and not isinstance(kids[0], Forall):
+        bad("rule", "premise is not universally quantified")
+    elif rule == "exists_int" and not isinstance(concl, Exists):
+        bad("rule", "conclusion is not existentially quantified")
+    elif rule in INTERNALISED:
+        schema, message = INTERNALISED[rule]
+        if AXIOM_MATCHERS[schema](internal_instance(kids, concl)) is None:
+            bad("rule", message)
+    elif rule == "top_int":
         if concl != TOP:
             bad("rule", "the truth constant is the only conclusion here")
-    elif rule == "bot_elim":
-        if not isinstance(kids[0], Bottom):
-            bad("rule", "premise must be the falsity constant")
     elif rule == "and_int":
         if concl != And(kids[0], kids[1]):
             bad("rule", "conclusion is not the conjunction of the premises")
-    elif rule == "and_elim_l":
-        if not (isinstance(kids[0], And) and kids[0].left == concl):
-            bad("rule", "conclusion is not the left conjunct of the premise")
-    elif rule == "and_elim_r":
-        if not (isinstance(kids[0], And) and kids[0].right == concl):
-            bad("rule", "conclusion is not the right conjunct of the premise")
-    elif rule == "or_int_l":
-        if not (isinstance(concl, Or) and concl.left == kids[0]):
-            bad("rule", "premise is not the left disjunct of the conclusion")
-    elif rule == "or_int_r":
-        if not (isinstance(concl, Or) and concl.right == kids[0]):
-            bad("rule", "premise is not the right disjunct of the conclusion")
     elif rule == "or_elim":
         major = kids[0]
         if not isinstance(major, Or):
@@ -690,44 +709,6 @@ def _check_shape(nd, path, an, system, bad):
             if got >= system.stratum_bound:
                 bad("system",
                     f"right premise has stratum {got}, needs < {system.stratum_bound}")
-    elif rule == "int_trans":
-        ok = (isinstance(kids[0], Imp) and isinstance(kids[1], Imp)
-              and isinstance(concl, Imp) and kids[0].right == kids[1].left
-              and concl.left == kids[0].left and concl.right == kids[1].right)
-        if not ok:
-            bad("rule", "premises do not chain")
-    elif rule == "int_and_int":
-        ok = (isinstance(kids[0], Imp) and isinstance(kids[1], Imp)
-              and isinstance(concl, Imp) and isinstance(concl.right, And)
-              and kids[0].left == kids[1].left == concl.left
-              and concl.right.left == kids[0].right
-              and concl.right.right == kids[1].right)
-        if not ok:
-            bad("rule", "premises do not combine under one antecedent")
-    elif rule == "int_or_elim":
-        ok = (isinstance(kids[0], Imp) and isinstance(kids[1], Imp)
-              and isinstance(concl, Imp) and isinstance(concl.left, Or)
-              and kids[0].right == kids[1].right == concl.right
-              and concl.left.left == kids[0].left
-              and concl.left.right == kids[1].left)
-        if not ok:
-            bad("rule", "premises do not combine under one consequent")
-    elif rule == "int_forall_int":
-        ok = (isinstance(kids[0], Forall) and isinstance(kids[0].body, Imp)
-              and isinstance(concl, Imp) and isinstance(concl.right, Forall)
-              and concl.right.var == kids[0].var
-              and kids[0].body.left == concl.left
-              and kids[0].body.right == concl.right.body)
-        if not ok:
-            bad("rule", "premise is not the internalised form of the conclusion")
-    elif rule == "int_exists_elim":
-        ok = (isinstance(kids[0], Forall) and isinstance(kids[0].body, Imp)
-              and isinstance(concl, Imp) and isinstance(concl.left, Exists)
-              and concl.left.var == kids[0].var
-              and kids[0].body.left == concl.left.body
-              and kids[0].body.right == concl.right)
-        if not ok:
-            bad("rule", "premise is not the internalised form of the conclusion")
     elif rule == "forall_int":
         idx, err = _eigenparam_for_forall(nd)
         if err:
@@ -740,30 +721,6 @@ def _check_shape(nd, path, an, system, bad):
                 if idx in formula_params(an.leaf_formula[lid]):
                     bad("C2", f"parameter #{idx} occurs in open assumption "
                               f"{pretty(an.leaf_formula[lid])}")
-    elif rule == "forall_elim":
-        prem = kids[0]
-        if not isinstance(prem, Forall):
-            bad("rule", "premise is not universally quantified")
-            return
-        ok, _ = match_instantiation(prem.body, prem.var, concl)
-        if not ok:
-            bad("rule", "conclusion is not an instance of the premise")
-    elif rule == "cd":
-        prem = kids[0]
-        ok = (isinstance(prem, Forall) and isinstance(prem.body, Or)
-              and isinstance(concl, Or) and isinstance(concl.right, Forall)
-              and concl.right.var == prem.var
-              and prem.body.left == concl.left
-              and prem.body.right == concl.right.body)
-        if not ok:
-            bad("rule", "conclusion does not pull the quantifier inside the disjunction")
-    elif rule == "exists_int":
-        if not isinstance(concl, Exists):
-            bad("rule", "conclusion is not existentially quantified")
-            return
-        ok, _ = match_instantiation(concl.body, concl.var, kids[0])
-        if not ok:
-            bad("rule", "premise is not an instance of the conclusion")
     elif rule == "exists_elim":
         if kids[1] != concl:
             bad("rule", "body must conclude the main conclusion")
@@ -847,7 +804,6 @@ def _replaces_term(a, b, t1, t2):
         return True
     if a == t1 and b == t2:
         return True
-    from .syntax import Fn
     if isinstance(a, Fn) and isinstance(b, Fn) and a.name == b.name \
             and len(a.args) == len(b.args):
         return all(_replaces_term(x, y, t1, t2) for x, y in zip(a.args, b.args))
@@ -917,7 +873,6 @@ def rename_eigenvariables(t: Proof, avoid) -> Proof:
     that uses ``avoid`` stays checkable.
     """
     avoid = set(avoid)
-    from .syntax import parameters_of
     used = set(parameters_of(t)) | avoid
     counter = itertools.count(max(used) + 1 if used else 0)
 

@@ -17,13 +17,15 @@ import itertools
 from dataclasses import dataclass, replace
 
 from .proofkernel import (
-    Judgment, Proof, analyze, assume, canonical_leaf_ids, check_judgment,
-    check_proof, eigenparameter, node, open_assumptions,
+    AX_RULES, CHILD_COUNT, IDENTITY_RULES, INTERNALISED, ND_RULES, Judgment,
+    Proof, analyze, assume, canonical_leaf_ids, check_judgment, check_proof,
+    eigenparameter, internal_instance, node, open_assumptions,
     rename_eigenvariables, stratum,
 )
 from .syntax import (
-    And, Exists, Forall, Imp, Or, Param, TOP, Formula, big_conj, box,
-    formula_params, free_vars, parameters_of, pretty, substitute,
+    And, Exists, Forall, Imp, Or, Param, TOP, Formula, _find_instantiation,
+    big_conj, box, formula_params, free_vars, parameters_of, pretty,
+    substitute,
 )
 
 
@@ -317,13 +319,6 @@ def or_join(n, a, b, c, p_ac, p_bc) -> Proof:
 # relative deduction
 # ---------------------------------------------------------------------------
 
-_ZERO_PREMISE = {"top_int", "eq_int", "id_xm"}
-_UNARY = {"bot_elim", "and_elim_l", "and_elim_r", "or_int_l", "or_int_r",
-          "int_forall_int", "int_exists_elim", "forall_elim", "cd",
-          "exists_int"}
-_BINARY = {"and_int", "int_trans", "int_and_int", "int_or_elim", "eq_elim"}
-
-
 def relative_deduction(t: Proof, gamma, sigma, n: int, identity="absent",
                        skip_check=False) -> Proof:
     """Rewrite a stratum-n proof into a guard-free proof of the guarded
@@ -348,24 +343,37 @@ def _rd(t: Proof, gamma, sigma, n: int) -> Proof:
     concl = t.conclusion
     rule = t.rule
 
-    if rule in _ZERO_PREMISE:
-        return boxn(vacuous_imp(node(rule, concl), s_conj), n)
-
     if rule == "assume":
         if concl in gamma:
             return boxn(vacuous_imp(assume(concl), s_conj), n)
         if concl in sigma:
             return boxn(derive_conj_imp(s_conj, concl), n)
         raise TransformError(f"open assumption {pretty(concl)} outside both contexts")
+    if rule == "or_elim":
+        return _rd_or_elim(t, gamma, sigma, n)
+    if rule == "imp_int":
+        return _rd_imp_int(t, gamma, sigma, n)
+    if rule == "imp_elim":
+        return _rd_imp_elim(t, gamma, sigma, n)
+    if rule == "exists_elim":
+        return _rd_exists_elim(t, gamma, sigma, n)
+    if rule == "forall_int" and _pinned_eigenparam(t) is not None:
+        return _rd_forall_int(t, gamma, sigma, n)
 
-    if rule in _UNARY or (rule == "forall_int" and _pinned_eigenparam(t) is None):
-        # vacuous generalisation behaves like any other unary rule
+    # every other natural-deduction rule is rewritten by its premise count;
+    # a vacuous generalisation behaves like any other unary rule
+    nd_rule = rule in ND_RULES or rule in IDENTITY_RULES
+    arity = CHILD_COUNT[rule] if nd_rule else None
+    if arity == 0:
+        return boxn(vacuous_imp(node(rule, concl), s_conj), n)
+
+    if arity == 1:
         alpha = t.children[0].conclusion
         a1 = _rd(t.children[0], gamma, sigma, n)
         tmpl = close_antecedent(node(rule, concl, [assume(alpha)]), alpha)
         return chain_imp(n, s_conj, alpha, concl, a1, boxn(tmpl, n))
 
-    if rule in _BINARY:
+    if arity == 2:
         alpha, beta = (c.conclusion for c in t.children)
         a1 = _rd(t.children[0], gamma, sigma, n)
         a2 = _rd(t.children[1], gamma, sigma, n)
@@ -376,16 +384,6 @@ def _rd(t: Proof, gamma, sigma, n: int) -> Proof:
                                node("and_elim_r", beta, [assume(ab)])]), ab)
         return chain_imp(n, s_conj, ab, concl, paired, boxn(tmpl, n))
 
-    if rule == "or_elim":
-        return _rd_or_elim(t, gamma, sigma, n)
-    if rule == "imp_int":
-        return _rd_imp_int(t, gamma, sigma, n)
-    if rule == "imp_elim":
-        return _rd_imp_elim(t, gamma, sigma, n)
-    if rule == "forall_int":
-        return _rd_forall_int(t, gamma, sigma, n)
-    if rule == "exists_elim":
-        return _rd_exists_elim(t, gamma, sigma, n)
     raise TransformError(f"rule {rule} has no rewrite case")
 
 
@@ -621,7 +619,6 @@ def unrestricted_exists_elim(t_major: Proof, t_body: Proof, param_index=None,
     if param_index is None:
         candidates = []
         for f_ in opens:
-            from .syntax import _find_instantiation
             cand = _find_instantiation(matrix, v, f_)
             if isinstance(cand, Param) and substitute(matrix, v, cand) == f_:
                 candidates.append(cand.index)
@@ -652,37 +649,27 @@ def unrestricted_exists_elim(t_major: Proof, t_body: Proof, param_index=None,
 # axiomatic systems: derived templates for every axiom
 # ---------------------------------------------------------------------------
 
+_RULE_FOR_SCHEMA = {schema: rule for rule, (schema, _) in INTERNALISED.items()}
+
+
 def nd_axiom_proof(schema: str, concl: Formula) -> Proof:
     """A closed guard-free derivation of the given axiom instance."""
+    rule = _RULE_FOR_SCHEMA.get(schema)
+    if rule is not None:
+        # the rule applied to the antecedent, or to its two conjuncts
+        if CHILD_COUNT[rule] == 1:
+            a = assume(concl.left)
+            return node("imp_int", concl, [node(rule, concl.right, [a])], {a.leaf_id})
+        src = concl.left
+        inner = node(rule, concl.right,
+                     [node("and_elim_l", src.left, [assume(src)]),
+                      node("and_elim_r", src.right, [assume(src)])])
+        return close_antecedent(inner, src)
     if schema == "identity":
         a = assume(concl.left)
         return node("imp_int", concl, [a], {a.leaf_id})
     if schema == "imp_top":
         return node("imp_int", concl, [node("top_int", TOP)])
-    if schema == "ex_falso":
-        a = assume(concl.left)
-        return node("imp_int", concl,
-                    [node("bot_elim", concl.right, [a])], {a.leaf_id})
-    if schema == "and_comp":
-        src = concl.left
-        inner = node("int_and_int", concl.right,
-                     [node("and_elim_l", src.left, [assume(src)]),
-                      node("and_elim_r", src.right, [assume(src)])])
-        return close_antecedent(inner, src)
-    if schema in ("and_elim_l", "and_elim_r"):
-        a = assume(concl.left)
-        return node("imp_int", concl,
-                    [node(schema, concl.right, [a])], {a.leaf_id})
-    if schema in ("or_int_l", "or_int_r"):
-        a = assume(concl.left)
-        return node("imp_int", concl,
-                    [node(schema, concl.right, [a])], {a.leaf_id})
-    if schema == "or_comp":
-        src = concl.left
-        inner = node("int_or_elim", concl.right,
-                     [node("and_elim_l", src.left, [assume(src)]),
-                      node("and_elim_r", src.right, [assume(src)])])
-        return close_antecedent(inner, src)
     if schema == "distribution":
         src = concl.left
         return close_antecedent(
@@ -692,25 +679,6 @@ def nd_axiom_proof(schema: str, concl: Formula) -> Proof:
         return close_antecedent(
             derive_infinite_distribution(src.left, src.right.var,
                                          src.right.body), src)
-    if schema in ("forall_imp", "exists_imp", "cd", "forall_elim_like"):
-        rule = {"forall_imp": "int_forall_int", "exists_imp": "int_exists_elim",
-                "cd": "cd"}[schema]
-        a = assume(concl.left)
-        return node("imp_int", concl, [node(rule, concl.right, [a])], {a.leaf_id})
-    if schema == "forall_inst":
-        a = assume(concl.left)
-        return node("imp_int", concl,
-                    [node("forall_elim", concl.right, [a])], {a.leaf_id})
-    if schema == "exists_int":
-        a = assume(concl.left)
-        return node("imp_int", concl,
-                    [node("exists_int", concl.right, [a])], {a.leaf_id})
-    if schema == "transitivity":
-        src = concl.left
-        inner = node("int_trans", concl.right,
-                     [node("and_elim_l", src.left, [assume(src)]),
-                      node("and_elim_r", src.right, [assume(src)])])
-        return close_antecedent(inner, src)
     if schema == "suffixing":
         first, rest = concl.left, concl.right
         d1 = assume(first)
@@ -747,18 +715,11 @@ def axiomatic_to_nd(t: Proof) -> Proof:
     return canonical_leaf_ids(out)
 
 
-_DIRECT_RULES = {"top_int", "bot_elim", "and_int", "and_elim_l", "and_elim_r",
-                 "or_int_l", "or_int_r", "imp_elim", "forall_elim", "cd",
-                 "exists_int", "forall_int"}
-
-
 def _ax2nd(t: Proof) -> Proof:
     if t.is_assumption():
         return t
     if t.rule.startswith("axiom:"):
         return relabel_fresh(nd_axiom_proof(t.rule[6:], t.conclusion))
-    if t.rule in _DIRECT_RULES:
-        return node(t.rule, t.conclusion, [_ax2nd(c) for c in t.children])
     if t.rule == "affixing":
         p1 = _ax2nd(t.children[0])
         p2 = _ax2nd(t.children[1])
@@ -777,6 +738,8 @@ def _ax2nd(t: Proof) -> Proof:
         return unrestricted_exists_elim(_ax2nd(t.children[0]),
                                         _ax2nd(t.children[1]),
                                         param_index=idx)
+    if t.rule in AX_RULES:
+        return node(t.rule, t.conclusion, [_ax2nd(c) for c in t.children])
     raise TransformError(f"rule {t.rule} has no translation")
 
 
@@ -911,55 +874,32 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
         return ax_compose(ax_conj_imp(target_conj, src), p)
 
     def go(nd_, path):
-        a_here = a_list(path)
-        s = big_conj(a_here)
+        s = big_conj(a_list(path))
         concl = nd_.conclusion
         rule = nd_.rule
+
+        def sub(i, target=s):
+            """target -> premise i, from the compiled subproof of premise i."""
+            return lift(target, a_list(path + (i,)), go(nd_.children[i], path + (i,)))
+
         if rule == "assume":
             return ax_conj_imp(s, concl)
         if rule == "top_int":
             return ax_axiom("imp_top", Imp(s, TOP))
-        inner_ax = {
-            "bot_elim": "ex_falso", "and_elim_l": "and_elim_l",
-            "and_elim_r": "and_elim_r", "or_int_l": "or_int_l",
-            "or_int_r": "or_int_r", "forall_elim": "forall_inst",
-            "exists_int": "exists_int", "cd": "cd",
-            "int_forall_int": "forall_imp", "int_exists_elim": "exists_imp",
-        }
-        if rule in inner_ax:
-            sub = lift(s, a_list(path + (0,)), go(nd_.children[0], path + (0,)))
-            step = ax_axiom(inner_ax[rule], Imp(nd_.children[0].conclusion, concl))
-            return ax_compose(sub, step)
         if rule == "and_int":
-            l = lift(s, a_list(path + (0,)), go(nd_.children[0], path + (0,)))
-            r = lift(s, a_list(path + (1,)), go(nd_.children[1], path + (1,)))
-            return ax_pair(l, r)
-        if rule in ("int_trans", "int_and_int", "int_or_elim"):
-            l = lift(s, a_list(path + (0,)), go(nd_.children[0], path + (0,)))
-            r = lift(s, a_list(path + (1,)), go(nd_.children[1], path + (1,)))
-            both = ax_pair(l, r)
-            inner = {
-                "int_trans": ("transitivity", Imp(
-                    And(l.conclusion.right, r.conclusion.right), concl)),
-                "int_and_int": ("and_comp", Imp(
-                    And(l.conclusion.right, r.conclusion.right), concl)),
-                "int_or_elim": ("or_comp", Imp(
-                    And(l.conclusion.right, r.conclusion.right), concl)),
-            }[rule]
-            return ax_compose(both, ax_axiom(*inner))
+            return ax_pair(sub(0), sub(1))
+        if rule in INTERNALISED:
+            subs = [sub(i) for i in range(len(nd_.children))]
+            kids = [c.conclusion for c in nd_.children]
+            step = ax_axiom(INTERNALISED[rule][0], internal_instance(kids, concl))
+            return ax_compose(subs[0] if len(subs) == 1 else ax_pair(*subs), step)
         if rule == "imp_int":
-            phi = concl.left
-            body = lift(And(s, phi), a_list(path + (0,)),
-                        go(nd_.children[0], path + (0,)))
-            return ax_release(body)
+            return ax_release(sub(0, And(s, concl.left)))
         if rule == "or_elim":
-            major, left, right = nd_.children
-            disj = major.conclusion
-            la = lift(s, a_list(path + (0,)), go(major, path + (0,)))
-            lifted_l = lift(And(s, disj.left), a_list(path + (1,)),
-                            go(left, path + (1,)))
-            lifted_r = lift(And(s, disj.right), a_list(path + (2,)),
-                            go(right, path + (2,)))
+            disj = nd_.children[0].conclusion
+            la = sub(0)
+            lifted_l = sub(1, And(s, disj.left))
+            lifted_r = sub(2, And(s, disj.right))
             branches = node("and_int",
                             And(lifted_l.conclusion, lifted_r.conclusion),
                             [lifted_l, lifted_r])
@@ -973,23 +913,19 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
             pair = ax_pair(ax_axiom("identity", Imp(s, s)), la)
             return ax_compose(pair, body)
         if rule == "forall_int":
-            v, phi = concl.var, concl.body
-            sub = lift(s, a_list(path + (0,)), go(nd_.children[0], path + (0,)))
-            gen = node("forall_int", Forall(v, Imp(s, phi)), [sub])
+            gen = node("forall_int", Forall(concl.var, Imp(s, concl.body)), [sub(0)])
             step = ax_axiom("forall_imp",
                             Imp(gen.conclusion, Imp(s, concl)))
             return ax_mp(gen, step)
         if rule == "exists_elim":
-            major, body_nd = nd_.children
-            ex = major.conclusion
+            ex = nd_.children[0].conclusion
             v, matrix = ex.var, ex.body
             idx = eigenparameter(nd_)
             if idx is None:
                 idx = _fresh_param(t, *gamma)
             xi = substitute(matrix, v, Param(idx))
-            la = lift(s, a_list(path + (0,)), go(major, path + (0,)))
-            lifted = lift(And(s, xi), a_list(path + (1,)),
-                          go(body_nd, path + (1,)))
+            la = sub(0)
+            lifted = sub(1, And(s, xi))
             gen = node("forall_int",
                        Forall(v, Imp(And(s, matrix), concl)), [lifted])
             step = ax_axiom("exists_imp", Imp(

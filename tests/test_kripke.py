@@ -296,6 +296,15 @@ def test_search_skips_huge_function_tables_with_note():
     assert any("g" in note for note in res.notes)
 
 
+def test_search_skips_huge_relation_spaces_with_note():
+    # a ternary relation over three elements has 2 ** 27 interpretations on
+    # one world; the space is skipped and noted instead of built
+    phi = parse("forall x. forall y. forall z. R(x, y, z)")
+    res = countermodel_search([phi], phi, SearchBounds(1, 3))
+    assert not res.found
+    assert f"skipped k=1 m=3: relation R has {2 ** 27} interpretations" in res.notes
+
+
 def test_search_deterministic():
     phi = parse("(p & (p -> q)) -> q")
     a = countermodel_search([], phi, SearchBounds(2, 2))

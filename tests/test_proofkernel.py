@@ -489,3 +489,61 @@ def test_axiomatic_discharge_is_unrestricted():
     report2 = check_proof(t, "nbqlcd_r")
     assert not report2.valid
     assert {v.constraint for v in report2.violations} == {"C5"}
+
+
+# --- rule messages -------------------------------------------------------------
+
+# rule -> (premises, conclusion, message); each premise is an assumption leaf
+_RULE_CASES = {
+    "bot_elim": (["false"], "p", "premise must be the falsity constant"),
+    "and_elim_l": (["p & q"], "p", "conclusion is not the left conjunct of the premise"),
+    "and_elim_r": (["p & q"], "q", "conclusion is not the right conjunct of the premise"),
+    "or_int_l": (["p"], "p | q", "premise is not the left disjunct of the conclusion"),
+    "or_int_r": (["q"], "p | q", "premise is not the right disjunct of the conclusion"),
+    "int_trans": (["p -> q", "q -> r"], "p -> r", "premises do not chain"),
+    "int_and_int": (["p -> q", "p -> r"], "p -> q & r",
+                    "premises do not combine under one antecedent"),
+    "int_or_elim": (["p -> r", "q -> r"], "p | q -> r",
+                    "premises do not combine under one consequent"),
+    "int_forall_int": (["forall x. (p -> P(x))"], "p -> forall x. P(x)",
+                       "premise is not the internalised form of the conclusion"),
+    "int_exists_elim": (["forall x. (P(x) -> p)"], "(exists x. P(x)) -> p",
+                        "premise is not the internalised form of the conclusion"),
+    "forall_elim": (["forall x. P(x)"], "P(c)", "conclusion is not an instance of the premise"),
+    "cd": (["forall x. (p | P(x))"], "p | forall x. P(x)",
+           "conclusion does not pull the quantifier inside the disjunction"),
+    "exists_int": (["P(c)"], "exists x. P(x)", "premise is not an instance of the conclusion"),
+}
+
+
+def _rule_node(rule, premises, concl):
+    leaves = [assume(BOTTOM if p == "false" else f(p), f"h{i}")
+              for i, p in enumerate(premises)]
+    return node(rule, f(concl), leaves)
+
+
+def _single_rule_violation(t, message):
+    report = check_proof(t, "nbqlcd_r")
+    assert [(v.node, v.constraint, v.message) for v in report.violations] == \
+        [("r", "rule", message)]
+
+
+@pytest.mark.parametrize("rule", sorted(_RULE_CASES))
+def test_rule_message(rule):
+    premises, concl, message = _RULE_CASES[rule]
+    valid(_rule_node(rule, premises, concl))
+    if rule in ("bot_elim", "exists_int"):
+        # falsity yields any conclusion, and a fresh-atom conclusion of
+        # exists_int trips its first guard instead
+        bad = _rule_node(rule, ["fresh"] + premises[1:], concl)
+    else:
+        bad = _rule_node(rule, premises, "fresh")
+    _single_rule_violation(bad, message)
+
+
+@pytest.mark.parametrize("rule, premises, concl, message", [
+    ("forall_elim", ["p"], "P(c)", "premise is not universally quantified"),
+    ("exists_int", ["P(c)"], "fresh", "conclusion is not existentially quantified"),
+])
+def test_rule_first_guard_message(rule, premises, concl, message):
+    _single_rule_violation(_rule_node(rule, premises, concl), message)
