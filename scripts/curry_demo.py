@@ -8,10 +8,13 @@ biconditional holding at the looped world with both sides false.
 
 import json
 
-from bqlcd.bradyfp import make_universe, run_universe, tb_instance
+from bqlcd.bradyfp import (
+    chain_model, extend_chain, initial_chain, make_universe, run_universe,
+    tb_instance,
+)
 from bqlcd.kripke import satisfies
 from bqlcd.proofkernel import assume, check_proof, node
-from bqlcd.syntax import Imp, BOTTOM, parse_inferring, pretty
+from bqlcd.syntax import Imp, BOTTOM, parse_inferring
 
 
 def build_curry_proof():
@@ -43,7 +46,6 @@ def main():
     print(json.dumps({k: out[k] for k in ("theta", "stable", "t_ext", "checks")},
                      indent=2))
 
-    from bqlcd.bradyfp import chain_model, initial_chain, extend_chain, truncate
     state = extend_chain(initial_chain(universe))
     model = chain_model(universe, state.t_ext, loop=True)
     bottom = "w1"

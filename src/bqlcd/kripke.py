@@ -721,26 +721,32 @@ def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
     nodes = tuple(range(k))
     upset_masks = [sum(1 << a for a in s) for s in upsets]
 
-    fun_spaces = []
-    for f in seq.fun_names:
-        ar = sig.functions[f]
-        count = m ** (m ** ar)
-        if count > _FUN_TABLE_CAP:
-            note = f"skipped k={k} m={m}: function {f} has {count} tables"
-            if note not in seq.notes:
-                seq.notes.append(note)
-            return None
-        fun_spaces.append(list(itertools.product(range(m), repeat=m ** ar)))
+    def skip(note):
+        if note not in seq.notes:
+            seq.notes.append(note)
 
+    # the spaces are sized before any is built: each symbol's alone, then
+    # all of them together
+    total = 1
+    for f in seq.fun_names:
+        count = m ** (m ** sig.functions[f])
+        if count > _FUN_TABLE_CAP:
+            return skip(f"skipped k={k} m={m}: function {f} has {count} tables")
+        total *= count
+    for r in seq.rel_names:
+        count = len(upset_masks) ** (m ** sig.relations[r])
+        if count > _REL_SPACE_CAP:
+            return skip(f"skipped k={k} m={m}: relation {r} has {count} interpretations")
+        total *= count
+    if total > _REL_SPACE_CAP:
+        return skip(f"skipped k={k} m={m}: {total} interpretations of the "
+                    f"relations and functions together")
+
+    fun_spaces = [list(itertools.product(range(m), repeat=m ** sig.functions[f]))
+                  for f in seq.fun_names]
     rel_specs = []          # (name, arity, tuples, choice space of mask vectors)
     for r in seq.rel_names:
         ar = sig.relations[r]
-        count = len(upset_masks) ** (m ** ar)
-        if count > _REL_SPACE_CAP:
-            note = f"skipped k={k} m={m}: relation {r} has {count} interpretations"
-            if note not in seq.notes:
-                seq.notes.append(note)
-            return None
         rel_specs.append((r, ar, list(itertools.product(range(m), repeat=ar)),
                           list(itertools.product(upset_masks, repeat=m ** ar))))
 

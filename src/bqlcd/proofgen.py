@@ -13,14 +13,15 @@ import random
 
 from .kripke import make_model, transitive_closure
 from .proofkernel import (
-    analyze, assume, canonical_leaf_ids, check_proof, node, open_assumptions,
-    proof_depth,
+    assume, canonical_leaf_ids, check_proof, node, open_assumptions, proof_depth,
 )
 from .syntax import (
     And, Atom, Const, Exists, Forall, Imp, Or, Param, TOP, BOTTOM, Var,
     formula_params, free_vars, generalize_param, parse_inferring, substitute,
 )
-from .transform import _fresh_param, boxn, nd_axiom_proof, pad_box, unbox
+from .transform import (
+    _fresh_param, boxn, close_antecedent, nd_axiom_proof, pad_box, unbox,
+)
 
 
 def _f(text):
@@ -117,10 +118,7 @@ class ProofGenerator:
             ante = self.rng.choice(opens)
         else:
             ante = random_sentence(self.rng, 1)
-        an = analyze(t)
-        ids = {lid for lid in an.open_leaves_in(())
-               if an.leaf_formula[lid] == ante and not an.unsafe_for(lid)}
-        return node("imp_int", Imp(ante, t.conclusion), [t], ids)
+        return close_antecedent(t, ante)
 
     def _move_imp_elim(self):
         major = self._pick(lambda x: isinstance(x.conclusion, Imp))

@@ -32,9 +32,9 @@ from dataclasses import dataclass, replace
 
 from .syntax import (
     And, Atom, Bottom, Exists, Fn, Forall, Imp, Or, Param, TOP,
-    Formula, _find_instantiation, formula_params, free_vars, infer_signature,
-    is_sentence, is_closed_term, match_instantiation, parameters_of,
-    parse_formula, pretty, replace_param, substitute,
+    Formula, formula_params, free_vars, infer_signature, is_sentence,
+    is_closed_term, match_instantiation, parameters_of, parse_formula, pretty,
+    replace_param,
 )
 
 
@@ -544,10 +544,8 @@ def _allowed_rules(system: System):
 
 
 def _check_node(nd, path, an, system, out):
-    here = path_str(path)
-
     def bad(constraint, message):
-        out.append(Violation(here, constraint, message))
+        out.append(Violation(path_str(path), constraint, message))
 
     if not is_sentence(nd.conclusion):
         bad("C1", f"label is not a sentence: {pretty(nd.conclusion)}")
@@ -630,10 +628,10 @@ def _eigenparam_for_forall(nd):
         if premise != body:
             return None, "vacuous generalisation must repeat its premise"
         return None, None
-    t = _find_instantiation(body, v, premise)
+    ok, t = match_instantiation(body, v, premise)
     if not isinstance(t, Param):
         return None, "premise does not instantiate the conclusion with a parameter"
-    if substitute(body, v, t) != premise:
+    if not ok:
         return None, "premise does not match the generalised formula"
     return t.index, None
 
@@ -654,8 +652,8 @@ def _eigenparam_for_exists(nd, an, path):
     if len(formulas) != 1:
         return None, None, "discharged witness occurrences are not uniform"
     xi = formulas.pop()
-    t = _find_instantiation(matrix, v, xi)
-    if not isinstance(t, Param) or substitute(matrix, v, t) != xi:
+    ok, t = match_instantiation(matrix, v, xi)
+    if not (ok and isinstance(t, Param)):
         return None, None, "discharged assumptions are not a parameter instance of the matrix"
     return t.index, xi, None
 
@@ -900,12 +898,14 @@ def rename_eigenvariables(t: Proof, avoid) -> Proof:
 # canonical form and JSON
 # ---------------------------------------------------------------------------
 
-def canonical_leaf_ids(t: Proof) -> Proof:
+def relabel_leaves(t: Proof, name) -> Proof:
+    """Copy with the i-th distinct leaf id, in depth-first order, renamed
+    to ``name(i)``; discharges of ids with no leaf are dropped."""
     mapping = {}
 
     def collect(nd):
         if nd.is_assumption() and nd.leaf_id not in mapping:
-            mapping[nd.leaf_id] = f"a{len(mapping)}"
+            mapping[nd.leaf_id] = name(len(mapping))
         for c in nd.children:
             collect(c)
 
@@ -919,6 +919,10 @@ def canonical_leaf_ids(t: Proof) -> Proof:
                        leaf_id=mapping.get(nd.leaf_id) if nd.leaf_id else None)
 
     return rebuild(t)
+
+
+def canonical_leaf_ids(t: Proof) -> Proof:
+    return relabel_leaves(t, lambda i: f"a{i}")
 
 
 def proofs_equal(a: Proof, b: Proof) -> bool:

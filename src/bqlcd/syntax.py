@@ -3,6 +3,9 @@
 The term language has a countable stock of parameter constants written
 ``#0``, ``#1``, ... in text; they act as names for arbitrarily chosen
 objects inside derivations and never collide with user constants.
+
+Every rewrite of the terms in a formula (substitution, renaming and
+generalising parameters) goes through ``map_terms``.
 """
 
 from __future__ import annotations
@@ -161,15 +164,15 @@ def sig(constants=(), functions=None, relations=None, identity_mode="absent"):
 # structural helpers
 # ---------------------------------------------------------------------------
 
-def term_free_vars(t: Term) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
+def subterms(t: Term) -> Iterator[Term]:
+    yield t
     if isinstance(t, Fn):
-        out = frozenset()
         for a in t.args:
-            out |= term_free_vars(a)
-        return out
-    return frozenset()
+            yield from subterms(a)
+
+
+def term_free_vars(t: Term) -> frozenset:
+    return frozenset(s.name for s in subterms(t) if isinstance(s, Var))
 
 
 _FREE_CACHE: dict = {}
@@ -182,9 +185,8 @@ def free_vars(phi: Formula) -> frozenset:
     if isinstance(phi, (Top, Bottom)):
         out = frozenset()
     elif isinstance(phi, Atom):
-        out = frozenset()
-        for a in phi.args:
-            out |= term_free_vars(a)
+        out = frozenset(s.name for a in phi.args for s in subterms(a)
+                        if isinstance(s, Var))
     elif isinstance(phi, BINARY):
         out = free_vars(phi.left) | free_vars(phi.right)
     else:
@@ -202,27 +204,18 @@ def is_closed_term(t: Term) -> bool:
 
 
 def term_params(t: Term) -> frozenset:
-    if isinstance(t, Param):
-        return frozenset((t.index,))
-    if isinstance(t, Fn):
-        out = frozenset()
-        for a in t.args:
-            out |= term_params(a)
-        return out
-    return frozenset()
+    return frozenset(s.index for s in subterms(t) if isinstance(s, Param))
 
 
 def formula_params(phi: Formula) -> frozenset:
-    if isinstance(phi, (Top, Bottom)):
-        return frozenset()
     if isinstance(phi, Atom):
-        out = frozenset()
-        for a in phi.args:
-            out |= term_params(a)
-        return out
+        return frozenset(s.index for a in phi.args for s in subterms(a)
+                         if isinstance(s, Param))
     if isinstance(phi, BINARY):
         return formula_params(phi.left) | formula_params(phi.right)
-    return formula_params(phi.body)
+    if isinstance(phi, QUANT):
+        return formula_params(phi.body)
+    return frozenset()
 
 
 def parameters_of(x) -> frozenset:
@@ -244,12 +237,25 @@ def parameters_of(x) -> frozenset:
     return out
 
 
-def substitute_term(t: Term, var: str, repl: Term) -> Term:
-    if isinstance(t, Var):
-        return repl if t.name == var else t
+def map_term(t: Term, leaf) -> Term:
+    """``t`` with every leaf term ``s`` (any term but an ``Fn``) replaced by
+    ``leaf(s)``."""
     if isinstance(t, Fn):
-        return Fn(t.name, tuple(substitute_term(a, var, repl) for a in t.args))
-    return t
+        return Fn(t.name, tuple(map_term(a, leaf) for a in t.args))
+    return leaf(t)
+
+
+def map_terms(phi: Formula, leaf, bound=None) -> Formula:
+    """``phi`` with every argument term rewritten by ``map_term(_, leaf)``;
+    the walk does not enter a quantifier binding the variable ``bound``."""
+    if isinstance(phi, Atom):
+        return Atom(phi.rel, tuple(map_term(a, leaf) for a in phi.args))
+    if isinstance(phi, BINARY):
+        return type(phi)(map_terms(phi.left, leaf, bound),
+                         map_terms(phi.right, leaf, bound))
+    if isinstance(phi, QUANT) and phi.var != bound:
+        return type(phi)(phi.var, map_terms(phi.body, leaf, bound))
+    return phi
 
 
 def substitute(phi: Formula, var: str, t: Term) -> Formula:
@@ -260,81 +266,36 @@ def substitute(phi: Formula, var: str, t: Term) -> Formula:
 
 
 def _subst(phi, var, t):
-    if isinstance(phi, (Top, Bottom)):
-        return phi
-    if isinstance(phi, Atom):
-        return Atom(phi.rel, tuple(substitute_term(a, var, t) for a in phi.args))
-    if isinstance(phi, And):
-        return And(_subst(phi.left, var, t), _subst(phi.right, var, t))
-    if isinstance(phi, Or):
-        return Or(_subst(phi.left, var, t), _subst(phi.right, var, t))
-    if isinstance(phi, Imp):
-        return Imp(_subst(phi.left, var, t), _subst(phi.right, var, t))
-    if phi.var == var:
-        return phi
-    cls = type(phi)
-    return cls(phi.var, _subst(phi.body, var, t))
+    return map_terms(phi, lambda s: t if isinstance(s, Var) and s.name == var else s,
+                     var)
 
 
 def replace_param(phi: Formula, old: int, new: int) -> Formula:
     """Rename parameter ``#old`` to ``#new`` everywhere in ``phi``."""
-    def on_term(t):
-        if isinstance(t, Param):
-            return Param(new) if t.index == old else t
-        if isinstance(t, Fn):
-            return Fn(t.name, tuple(on_term(a) for a in t.args))
-        return t
-
-    if isinstance(phi, (Top, Bottom)):
-        return phi
-    if isinstance(phi, Atom):
-        return Atom(phi.rel, tuple(on_term(a) for a in phi.args))
-    if isinstance(phi, And):
-        return And(replace_param(phi.left, old, new), replace_param(phi.right, old, new))
-    if isinstance(phi, Or):
-        return Or(replace_param(phi.left, old, new), replace_param(phi.right, old, new))
-    if isinstance(phi, Imp):
-        return Imp(replace_param(phi.left, old, new), replace_param(phi.right, old, new))
-    cls = type(phi)
-    return cls(phi.var, replace_param(phi.body, old, new))
+    return map_terms(phi, lambda s: Param(new)
+                     if isinstance(s, Param) and s.index == old else s)
 
 
 def generalize_param(phi: Formula, index: int, var: str) -> Formula:
     """Replace every occurrence of parameter ``#index`` by the variable ``var``."""
-    def on_term(t):
-        if isinstance(t, Param) and t.index == index:
-            return Var(var)
-        if isinstance(t, Fn):
-            return Fn(t.name, tuple(on_term(a) for a in t.args))
-        return t
-
-    if isinstance(phi, (Top, Bottom)):
-        return phi
-    if isinstance(phi, Atom):
-        return Atom(phi.rel, tuple(on_term(a) for a in phi.args))
-    if isinstance(phi, BINARY):
-        cls = type(phi)
-        return cls(generalize_param(phi.left, index, var),
-                   generalize_param(phi.right, index, var))
-    cls = type(phi)
-    return cls(phi.var, generalize_param(phi.body, index, var))
+    return map_terms(phi, lambda s: Var(var)
+                     if isinstance(s, Param) and s.index == index else s)
 
 
 def match_instantiation(body: Formula, var: str, target: Formula):
     """Closed term ``t`` with ``substitute(body, var, t) == target``.
 
-    Returns ``(True, t)`` on success; ``t`` is ``None`` when ``var`` is not
-    free in ``body`` (vacuous, any term works).  Returns ``(False, None)``
-    when no term matches.
+    Returns ``(ok, t)``.  ``t`` is the term that ``target`` has at the first
+    position where ``body`` has ``var`` free, whether it matches or not;
+    it is ``None`` when there is no such position.  When ``var`` is not free
+    in ``body`` any term works, and ``ok`` is ``body == target``.
     """
     if var not in free_vars(body):
         return (body == target, None)
     cand = _find_instantiation(body, var, target)
-    if cand is None or not is_closed_term(cand):
-        return (False, None)
-    if _subst(body, var, cand) == target:
-        return (True, cand)
-    return (False, None)
+    ok = (cand is not None and is_closed_term(cand)
+          and _subst(body, var, cand) == target)
+    return (ok, cand)
 
 
 def _find_instantiation(body, var, target):
@@ -690,24 +651,19 @@ def infer_signature(texts_or_formulas, identity_mode="absent") -> Signature:
 
 
 def _collect_symbols(phi, constants, functions, relations):
-    def on_term(t):
-        if isinstance(t, Const):
-            constants.add(t.name)
-        elif isinstance(t, Fn):
-            prev = functions.get(t.name)
-            if prev is not None and prev != len(t.args):
-                raise SignatureError(f"function {t.name} used with two arities")
-            functions[t.name] = len(t.args)
-            for a in t.args:
-                on_term(a)
-
     if isinstance(phi, Atom):
         prev = relations.get(phi.rel)
         if prev is not None and prev != len(phi.args):
             raise SignatureError(f"relation {phi.rel} used with two arities")
         relations[phi.rel] = len(phi.args)
-        for a in phi.args:
-            on_term(a)
+        for t in (s for a in phi.args for s in subterms(a)):
+            if isinstance(t, Const):
+                constants.add(t.name)
+            elif isinstance(t, Fn):
+                prev = functions.get(t.name)
+                if prev is not None and prev != len(t.args):
+                    raise SignatureError(f"function {t.name} used with two arities")
+                functions[t.name] = len(t.args)
     elif isinstance(phi, BINARY):
         _collect_symbols(phi.left, constants, functions, relations)
         _collect_symbols(phi.right, constants, functions, relations)

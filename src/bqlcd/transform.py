@@ -19,12 +19,12 @@ from dataclasses import dataclass, replace
 from .proofkernel import (
     AX_RULES, CHILD_COUNT, IDENTITY_RULES, INTERNALISED, ND_RULES, Judgment,
     Proof, analyze, assume, canonical_leaf_ids, check_judgment, check_proof,
-    eigenparameter, internal_instance, node, open_assumptions,
+    eigenparameter, internal_instance, node, open_assumptions, relabel_leaves,
     rename_eigenvariables, stratum,
 )
 from .syntax import (
-    And, Exists, Forall, Imp, Or, Param, TOP, Formula, _find_instantiation,
-    big_conj, box, formula_params, free_vars, parameters_of, pretty,
+    And, Exists, Forall, Imp, Or, Param, TOP, Formula, big_conj, box,
+    formula_params, free_vars, match_instantiation, parameters_of, pretty,
     substitute,
 )
 
@@ -50,35 +50,24 @@ def boxn(p: Proof, n: int) -> Proof:
     return p
 
 
+def _safe_opens(p: Proof, phi: Formula) -> set:
+    """Ids of the open occurrences of ``phi`` in ``p`` that lie in the right
+    premise of no modus ponens, which a node on top of ``p`` may discharge."""
+    an = analyze(p)
+    return {lid for lid in an.open_leaves_in(())
+            if an.leaf_formula[lid] == phi and not an.unsafe_for(lid)}
+
+
 def close_antecedent(p: Proof, antecedent: Formula) -> Proof:
     """Conditional proof discharging every safe open occurrence of the
     antecedent."""
-    an = analyze(p)
-    ids = {lid for lid in an.open_leaves_in(())
-           if an.leaf_formula[lid] == antecedent and not an.unsafe_for(lid)}
-    return node("imp_int", Imp(antecedent, p.conclusion), [p], ids)
+    return node("imp_int", Imp(antecedent, p.conclusion), [p],
+                _safe_opens(p, antecedent))
 
 
 def relabel_fresh(p: Proof) -> Proof:
     """Copy with globally fresh leaf ids (for inserting a proof twice)."""
-    mapping = {}
-
-    def collect(nd):
-        if nd.is_assumption():
-            mapping.setdefault(nd.leaf_id, f"g{next(_fresh_graft)}")
-        for c in nd.children:
-            collect(c)
-
-    collect(p)
-
-    def rebuild(nd):
-        return replace(
-            nd,
-            children=tuple(rebuild(c) for c in nd.children),
-            discharges=frozenset(mapping[x] for x in nd.discharges if x in mapping),
-            leaf_id=mapping.get(nd.leaf_id) if nd.leaf_id else None)
-
-    return rebuild(p)
+    return relabel_leaves(p, lambda i: f"g{next(_fresh_graft)}")
 
 
 def graft(host: Proof, replacements: dict) -> Proof:
@@ -109,13 +98,13 @@ def graft(host: Proof, replacements: dict) -> Proof:
 
 def ordered_opens(p: Proof) -> list:
     """Distinct open assumption sentences in first-occurrence order."""
-    an = analyze(p)
-    out = []
-    for lid in sorted(an.open_leaves_in(()), key=lambda x: an.leaf_path[x]):
-        f_ = an.leaf_formula[lid]
-        if f_ not in out:
-            out.append(f_)
-    return out
+    return _ordered_opens(analyze(p), ())
+
+
+def _ordered_opens(an, path) -> list:
+    """The same for the subtree at ``path`` of an analysed proof."""
+    lids = sorted(an.open_leaves_in(path), key=an.leaf_path.__getitem__)
+    return list(dict.fromkeys(an.leaf_formula[lid] for lid in lids))
 
 
 def _fresh_param(*items, avoid=()):
@@ -144,6 +133,18 @@ def _conj_components(s: Formula) -> dict:
     return out
 
 
+def _project(source: Formula, path: str) -> Proof:
+    """The conjunct at ``path`` (a string of "l" and "r" steps) of the open
+    assumption ``source``, by and-eliminations."""
+    p = assume(source)
+    for step in path:
+        if step == "l":
+            p = node("and_elim_l", p.conclusion.left, [p])
+        else:
+            p = node("and_elim_r", p.conclusion.right, [p])
+    return p
+
+
 def derive_conj_imp(source: Formula, target: Formula) -> Proof:
     """Closed proof of ``source -> target`` where the target is assembled
     from pieces of the source conjunction tree (plus the truth constant)."""
@@ -151,13 +152,7 @@ def derive_conj_imp(source: Formula, target: Formula) -> Proof:
 
     def build(t):
         if t in comp:
-            p = assume(source)
-            for step in comp[t]:
-                if step == "l":
-                    p = node("and_elim_l", p.conclusion.left, [p])
-                else:
-                    p = node("and_elim_r", p.conclusion.right, [p])
-            return p
+            return _project(source, comp[t])
         if t == TOP:
             return node("top_int", TOP)
         if isinstance(t, And):
@@ -239,15 +234,7 @@ def regularity_transform(p: Proof, n: int, premises=None) -> Proof:
     premises each guarded n deep, conclude the guarded conclusion."""
     if n < 0:
         raise TransformError("guard depth must be >= 0")
-    if premises is None:
-        premises = ordered_opens(p)
-    else:
-        seen, deduped = set(), []
-        for f_ in premises:
-            if f_ not in seen:
-                seen.add(f_)
-                deduped.append(f_)
-        premises = deduped
+    premises = ordered_opens(p) if premises is None else list(dict.fromkeys(premises))
     if not set(open_assumptions(p)) <= set(premises):
         raise TransformError("premise list does not cover the open assumptions")
     cur = p
@@ -262,18 +249,7 @@ def _regularity_step(q: Proof, lower: list, upper: list) -> Proof:
         return vacuous_imp(q, TOP)
     big = big_conj(lower)
     comp = _conj_components(big)
-    exts = {}
-    for f_ in lower:
-        if f_ in exts:
-            continue
-        p = assume(big)
-        for step in comp[f_]:
-            if step == "l":
-                p = node("and_elim_l", p.conclusion.left, [p])
-            else:
-                p = node("and_elim_r", p.conclusion.right, [p])
-        exts[f_] = p
-    q2 = graft(q, exts)
+    q2 = graft(q, {f_: _project(big, comp[f_]) for f_ in lower})
     right = close_antecedent(q2, big)
     leaves = [assume(u) for u in upper]
     left = leaves[-1]
@@ -288,14 +264,9 @@ def boxed_chain(template: Proof, n: int, pairs) -> Proof:
     """Regularity applied to a small rule proof, then premise proofs grafted
     onto its guarded assumptions.  ``pairs``: list of (premise, proof of the
     premise guarded n deep)."""
-    seen, premises, mapping = set(), [], {}
-    for f_, p_ in pairs:
-        if f_ not in seen:
-            seen.add(f_)
-            premises.append(f_)
-            mapping[box(n, f_)] = p_
-    lifted = regularity_transform(template, n, premises)
-    return graft(lifted, mapping)
+    lifted = regularity_transform(template, n, [f_ for f_, _ in pairs])
+    # reversed, so that the first proof of a repeated premise is kept
+    return graft(lifted, {box(n, f_): p_ for f_, p_ in reversed(pairs)})
 
 
 def chain_imp(n, a, b, c, p_ab, p_bc) -> Proof:
@@ -398,11 +369,8 @@ def _sub_contexts(sub: Proof, gamma, sigma, exclude=()):
     assumptions, routed to the unsafe side when they were there already."""
     opens = set(open_assumptions(sub)) - set(exclude)
     gamma_star = frozenset(g for g in gamma if g in opens)
-    sigma_star = []
-    for s_ in sigma:
-        if s_ in opens and s_ not in gamma_star and s_ not in sigma_star \
-                and s_ not in exclude:
-            sigma_star.append(s_)
+    sigma_star = list(dict.fromkeys(s_ for s_ in sigma
+                                    if s_ in opens and s_ not in gamma_star))
     leftover = opens - set(gamma_star) - set(sigma_star)
     if leftover:
         raise TransformError(
@@ -599,11 +567,8 @@ def unrestricted_or_elim(t_major: Proof, t_left: Proof, t_right: Proof,
     pr = relabel_fresh(pad_box(rr.proof, rr.n, k))
     maj = relabel_fresh(t_major)
     target = box(k, t_left.conclusion)
-    ids = set()
-    for branch, want in ((pl, disj.left), (pr, disj.right)):
-        an = analyze(branch)
-        ids |= {lid for lid in an.open_leaves_in(())
-                if an.leaf_formula[lid] == want}
+    # reduced proofs are guard-free, so every open occurrence is safe
+    ids = _safe_opens(pl, disj.left) | _safe_opens(pr, disj.right)
     out = node("or_elim", target, [maj, pl, pr], ids)
     return canonical_leaf_ids(unbox(out, k))
 
@@ -617,12 +582,9 @@ def unrestricted_exists_elim(t_major: Proof, t_body: Proof, param_index=None,
     v, matrix = ex.var, ex.body
     opens = ordered_opens(t_body)
     if param_index is None:
-        candidates = []
-        for f_ in opens:
-            cand = _find_instantiation(matrix, v, f_)
-            if isinstance(cand, Param) and substitute(matrix, v, cand) == f_:
-                candidates.append(cand.index)
-        candidates = sorted(set(candidates))
+        matches = (match_instantiation(matrix, v, f_) for f_ in opens)
+        candidates = sorted({cand.index for ok, cand in matches
+                             if ok and isinstance(cand, Param)})
         if len(candidates) > 1:
             raise TransformError(
                 f"ambiguous witness parameter, pass one of {candidates}")
@@ -638,10 +600,9 @@ def unrestricted_exists_elim(t_major: Proof, t_body: Proof, param_index=None,
             f"{', '.join(pretty(b) for b in bad)}")
     r = reduce_proof(t_body, identity)
     body = relabel_fresh(r.proof)
-    an = analyze(body)
-    ids = {lid for lid in an.open_leaves_in(()) if an.leaf_formula[lid] == xi}
+    # the reduced body is guard-free, so every open occurrence is safe
     out = node("exists_elim", box(r.n, t_body.conclusion),
-               [relabel_fresh(t_major), body], ids)
+               [relabel_fresh(t_major), body], _safe_opens(body, xi))
     return canonical_leaf_ids(unbox(out, r.n))
 
 
@@ -858,14 +819,6 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
     t = rename_eigenvariables(t, avoid)
     an = analyze(t)
 
-    def a_list(path):
-        out = []
-        for lid in sorted(an.open_leaves_in(path), key=lambda x: an.leaf_path[x]):
-            f_ = an.leaf_formula[lid]
-            if f_ not in out:
-                out.append(f_)
-        return out
-
     def lift(target_conj, inner_list, p):
         """target -> concl from (conj of inner_list) -> concl."""
         src = big_conj(inner_list)
@@ -874,13 +827,15 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
         return ax_compose(ax_conj_imp(target_conj, src), p)
 
     def go(nd_, path):
-        s = big_conj(a_list(path))
+        s = big_conj(_ordered_opens(an, path))
         concl = nd_.conclusion
         rule = nd_.rule
 
         def sub(i, target=s):
             """target -> premise i, from the compiled subproof of premise i."""
-            return lift(target, a_list(path + (i,)), go(nd_.children[i], path + (i,)))
+            sub_path = path + (i,)
+            inner = go(nd_.children[i], sub_path)
+            return lift(target, _ordered_opens(an, sub_path), inner)
 
         if rule == "assume":
             return ax_conj_imp(s, concl)
@@ -939,7 +894,7 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
         raise TransformError(f"rule {rule} has no axiomatic compilation")
 
     core = go(t, ())
-    out = lift(big_conj(gamma), a_list(()), core)
+    out = lift(big_conj(gamma), _ordered_opens(an, ()), core)
     final = check_proof(out, "tjk+")
     if not final.valid:
         raise TransformError("internal: compiled proof does not check")

@@ -305,6 +305,16 @@ def test_search_skips_huge_relation_spaces_with_note():
     assert f"skipped k=1 m=3: relation R has {2 ** 27} interpretations" in res.notes
 
 
+def test_search_skips_huge_joint_relation_spaces_with_note():
+    # each binary relation over three elements has 2 ** 9 interpretations on
+    # one world, under the cap alone; the three together have 2 ** 27
+    phi = parse("forall x. forall y. R(x, y) & S(x, y) & U(x, y)")
+    res = countermodel_search([phi], phi, SearchBounds(2, 3))
+    assert not res.found and res.exhausted
+    assert (f"skipped k=1 m=3: {2 ** 27} interpretations of the relations and "
+            f"functions together") in res.notes
+
+
 def test_search_deterministic():
     phi = parse("(p & (p -> q)) -> q")
     a = countermodel_search([], phi, SearchBounds(2, 2))

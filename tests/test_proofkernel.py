@@ -547,3 +547,22 @@ def test_rule_message(rule):
 ])
 def test_rule_first_guard_message(rule, premises, concl, message):
     _single_rule_violation(_rule_node(rule, premises, concl), message)
+
+
+def test_forall_int_from_a_constant_instance_message():
+    t = node("forall_int", f("forall x. P(x)"), [assume(f("P(c)"), "w")])
+    _single_rule_violation(
+        t, "premise does not instantiate the conclusion with a parameter")
+
+
+def test_forall_int_from_a_mismatched_instance_message():
+    t = node("forall_int", f("forall x. R(x, x)"), [assume(f("R(#0, #1)"), "w")])
+    _single_rule_violation(t, "premise does not match the generalised formula")
+
+
+def test_exists_elim_discharging_a_constant_instance_message():
+    ex = assume(f("exists x. P(x)"), "e")
+    body = node("exists_int", f("exists y. P(y)"), [assume(f("P(c)"), "w")])
+    t = node("exists_elim", f("exists y. P(y)"), [ex, body], {"w"})
+    _single_rule_violation(
+        t, "discharged assumptions are not a parameter instance of the matrix")

@@ -1,0 +1,22 @@
+"""Smoke test: the scripts under ``scripts/`` run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [
+    ["search_demo.py"],
+    ["curry_demo.py"],
+    ["reduction_stats.py", "--size", "20"],
+])
+def test_script_runs(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

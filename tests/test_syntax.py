@@ -3,9 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 from bqlcd.syntax import (
     And, Atom, Bottom, Const, Exists, Fn, Forall, Imp, Or, Param, ParseError,
-    Signature, Top, TOP, BOTTOM, Var, big_conj, box, free_vars, infer_signature,
-    is_sentence, parameters_of, parse_formula, parse_inferring, pretty,
-    sig, substitute,
+    Signature, Top, TOP, BOTTOM, Var, _subst, big_conj, box, formula_params,
+    free_vars, generalize_param, infer_signature, is_sentence,
+    match_instantiation, parameters_of, parse_formula, parse_inferring, pretty,
+    replace_param, sig, substitute,
 )
 
 SIG = sig(constants=["c", "d"], functions={"f": 1},
@@ -179,6 +180,61 @@ def test_parse_pretty_roundtrip(phi):
 def test_substitute_identity_when_not_free(phi):
     if "zz" not in free_vars(phi):
         assert substitute(phi, "zz", Const("c")) == phi
+
+
+# formulas() uses the parameters #0, #1 and #3 and binds only x
+
+@settings(max_examples=60)
+@given(formulas())
+def test_replace_param_round_trip(phi):
+    assert replace_param(replace_param(phi, 0, 7), 7, 0) == phi
+
+
+@settings(max_examples=60)
+@given(formulas())
+def test_generalize_param_then_substitute_round_trip(phi):
+    assert substitute(generalize_param(phi, 0, "zz"), "zz", Param(0)) == phi
+
+
+@settings(max_examples=60)
+@given(formulas())
+def test_formula_params_after_replace_param(phi):
+    before = formula_params(phi)
+    want = before - {0} | ({7} if 0 in before else set())
+    assert formula_params(replace_param(phi, 0, 7)) == want
+
+
+@settings(max_examples=60)
+@given(formulas())
+def test_match_instantiation_recovers_the_parameter(phi):
+    body = generalize_param(phi, 0, "x")
+    ok, cand = match_instantiation(body, "x", _subst(body, "x", Param(5)))
+    assert ok
+    assert cand == (Param(5) if "x" in free_vars(body) else None)
+
+
+def test_match_instantiation_returns_the_candidate_on_failure():
+    x, c = Var("x"), Const("c")
+    body = Atom("R", (x, x))
+    assert match_instantiation(body, "x", Atom("R", (c, c))) == (True, c)
+    assert match_instantiation(body, "x", Atom("R", (Param(0), Param(1)))) == \
+        (False, Param(0))
+    assert match_instantiation(body, "x", Atom("R", (Var("y"), Var("y")))) == \
+        (False, Var("y"))
+    assert match_instantiation(body, "x", TOP) == (False, None)
+
+
+def test_param_rewrites_go_under_every_binder():
+    x, c = Var("x"), Const("c")
+    phi = And(Forall("x", Atom("R", (x, Param(0)))),
+              Atom("P", (Fn("f", (Param(0),)),)))
+    assert replace_param(phi, 0, 2) == And(
+        Forall("x", Atom("R", (x, Param(2)))), Atom("P", (Fn("f", (Param(2),)),)))
+    open_ = generalize_param(phi, 0, "x")
+    assert open_ == And(Forall("x", Atom("R", (x, x))), Atom("P", (Fn("f", (x,)),)))
+    # substitution stops at a binder of its own variable
+    assert substitute(open_, "x", c) == And(
+        Forall("x", Atom("R", (x, x))), Atom("P", (Fn("f", (c,)),)))
 
 
 def test_relation_names_are_not_terms():

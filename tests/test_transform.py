@@ -1,8 +1,9 @@
 import pytest
 
+from bqlcd.proofgen import generate_corpus
 from bqlcd.proofkernel import (
-    assume, check_proof, node, open_assumptions, proof_size, stratum,
-    rename_eigenvariables,
+    assume, check_proof, node, open_assumptions, proof_size, proofs_equal,
+    stratum, rename_eigenvariables,
 )
 from bqlcd.syntax import (
     And, Exists, Forall, Imp, Or, Param, TOP, big_conj, box, parameters_of,
@@ -12,8 +13,8 @@ from bqlcd.transform import (
     ReductionResult, TransformError, axiomatic_to_nd, boxn, derive_and_release,
     derive_conj_imp, derive_distribution, derive_forall_embedding,
     derive_infinite_distribution, nd_axiom_proof, nd_to_axiomatic, pad_box,
-    reduce_proof, regularity_transform, relative_deduction, unbox,
-    unrestricted_exists_elim, unrestricted_or_elim,
+    reduce_proof, regularity_transform, relabel_fresh, relative_deduction,
+    unbox, unrestricted_exists_elim, unrestricted_or_elim,
 )
 from proofcases import f, fo, mp_from_leaves, nested_stratum_example
 
@@ -519,3 +520,18 @@ def test_rename_nested_shared_eigenparameters():
     assert check_proof(out, "nbqlcd_r").valid
     from bqlcd.syntax import parameters_of
     assert 1 not in parameters_of(out)
+
+
+def _leaf_ids(t):
+    own = {t.leaf_id} if t.is_assumption() else set()
+    return own.union(*(_leaf_ids(c) for c in t.children))
+
+
+@pytest.mark.parametrize("t", [nested_stratum_example(), mp_from_leaves()]
+                         + generate_corpus(seed=1, size=12))
+def test_relabel_fresh_is_a_fresh_copy(t):
+    once, twice = relabel_fresh(t), relabel_fresh(t)
+    assert not _leaf_ids(once) & _leaf_ids(t)
+    assert not _leaf_ids(once) & _leaf_ids(twice)
+    assert proofs_equal(once, t)
+    assert check_proof(once, "nbqlcd_r") == check_proof(t, "nbqlcd_r")
