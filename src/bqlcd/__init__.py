@@ -10,10 +10,10 @@ from .syntax import (
     parse_inferring, pretty, sig, substitute,
 )
 from .kripke import (
-    Evaluator, KripkeModel, ModelError, SearchBounds, SearchResult, add_chain,
+    KripkeModel, ModelError, SearchBounds, SearchResult, add_chain,
     check_intersection_config, check_persistence, countermodel_search,
-    entails_in_model, eval_term, make_model, model_from_json, model_to_json,
-    satisfies, validate_model,
+    entails_in_model, make_model, model_from_json, model_to_json, satisfies,
+    validate_model, world_masks,
 )
 from .proofkernel import (
     CheckReport, Judgment, Proof, System, assume, canonical_leaf_ids,

@@ -11,13 +11,14 @@ reflexive loop can be added without disturbing any truth value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, replace
 
-from .kripke import Evaluator, KripkeModel, eval_term
+from .kripke import KripkeModel, _compile_sequent
 from .syntax import (
-    And, Atom, Bottom, Const, Fn, Forall, Imp, Or, Param, Top,
+    And, Atom, Const, Fn, Imp, Param,
     Formula, Signature, is_sentence, parse_inferring, pretty, subformulas,
 )
 
@@ -50,6 +51,16 @@ class SentenceUniverse:
 
     def code_of(self, phi):
         return self.code[phi]
+
+    @functools.cached_property
+    def _compiled(self):
+        """``kripke._compile_sequent`` of the sentences, then of their
+        T-biconditionals, with T as relation 0 and ``q<k>`` as constant k.
+        The closures share one frame, so a universe is evaluated on one
+        frame at a time."""
+        return _compile_sequent(
+            list(self.sentences) + [tb_instance(self, s) for s in self.sentences],
+            {"T": 0}, {f"q{k}": k for k in self.code.values()}, {})
 
 
 def _quote_constants(phi):
@@ -194,18 +205,36 @@ def chain_model(universe, t_exts, loop=False) -> KripkeModel:
                        consts, {}, {}, rels, {"T": 1}, "absent")
 
 
+def _masks(universe, t_ext, loop=False, below=None, tb=False) -> list:
+    """World masks of the sentences (and T-biconditionals, with ``tb``) on
+    the chain with extensions ``t_ext``, each world seeing those above it
+    and, with ``loop``, the bottom one itself.  ``below = (member, full)``
+    adds under the chain one irreflexive world per bit j of ``full``, whose
+    T extension holds k iff ``member[k]`` has bit j."""
+    n = len(t_ext)
+    groups = [((1 << a) - 1 | (loop and a == n - 1) << a, 1 << a) for a in range(n)]
+    t_masks = [sum(1 << a for a, ext in enumerate(t_ext) if k in ext)
+               for k in range(universe.domain_size)]
+    if below is not None:
+        member, full = below
+        groups.append(((1 << n) - 1, full << n))
+        t_masks = [t | member.get(k, 0) << n for k, t in enumerate(t_masks)]
+    closures, set_frame, _ = universe._compiled
+    set_frame(universe.domain_size, tuple(groups))
+    args = ((tuple(t_masks),), range(universe.domain_size), (), ())
+    return [run(*args) for run in closures[:None if tb else len(universe.sentences)]]
+
+
 class _Jump:
     """The jump at world alpha as a function of the candidate extension x.
 
-    The frontier world alpha is irreflexive and no world above sees it, so
-    every implication there is decided by the fixed extensions above, and
-    what is left of a sentence is a positive And/Or circuit over the
-    membership bits of x.  ``residual`` evaluates that circuit for many
-    candidates at once (bit-sliced): ``member[e]`` is an int whose bit j is
-    set iff element e is in candidate j, ``full`` has one bit per candidate,
-    and it returns one such int per universe sentence.  Calling the jump on
-    one set is the same pass with ``full = 1``.  One ``Evaluator`` on the
-    chain model decides the implications, once each, for every pass.
+    ``residual`` decides many candidates at once (bit-sliced): ``member[e]``
+    is an int whose bit j is set iff element e is in candidate j, ``full``
+    has one bit per candidate, and it returns one such int per universe
+    sentence.  It runs the compiled sentences on the worlds above alpha plus
+    one irreflexive world per candidate, which sees every world above and
+    whose T extension is the candidate, then shifts the worlds above out.
+    Calling the jump on one set is the same pass with ``full = 1``.
     """
 
     def __init__(self, state: ChainState, alpha: int):
@@ -213,38 +242,11 @@ class _Jump:
             raise ValueError(f"world {alpha} is beyond the frontier")
         self.universe = u = state.universe
         self.codes = tuple(u.code_of(s) for s in u.sentences)
-        self.ev = Evaluator(chain_model(u, state.t_ext[:alpha] + (frozenset(),)))
-        self.world = _world_name(alpha)
+        self.above = state.t_ext[:alpha]
 
     def residual(self, member: dict, full: int) -> tuple:
-        ev, w = self.ev, self.world
-
-        def res(phi, asg):
-            if isinstance(phi, Top):
-                return full
-            if isinstance(phi, Bottom):
-                return 0
-            if isinstance(phi, Atom):
-                return member.get(eval_term(ev.m, phi.args[0], asg), 0)
-            if isinstance(phi, And):
-                return res(phi.left, asg) & res(phi.right, asg)
-            if isinstance(phi, Or):
-                return res(phi.left, asg) | res(phi.right, asg)
-            if isinstance(phi, Imp):
-                # the frontier is irreflexive and never read from above, so
-                # an implication there is decided at the worlds above, the
-                # same for every candidate; the frontier's T extension in
-                # the model stays empty and is never consulted
-                return full if ev.sat(w, phi, asg) else 0
-            sub = dict(asg or ())
-            forall = isinstance(phi, Forall)
-            out = full if forall else 0
-            for b in ev.m.domain():
-                sub[phi.var] = b
-                out = out & res(phi.body, sub) if forall else out | res(phi.body, sub)
-            return out
-
-        return tuple(res(s, None) for s in self.universe.sentences)
+        return tuple(mask >> len(self.above) for mask in
+                     _masks(self.universe, self.above, below=(member, full)))
 
     def decode(self, masks, j=0) -> frozenset:
         """The jump on candidate j: the codes of the sentences whose mask
@@ -257,9 +259,8 @@ class _Jump:
 
 def phi_operator(state: ChainState, alpha: int, x: frozenset) -> frozenset:
     """Codes of the universe sentences satisfied at world alpha when its
-    truth extension is hypothetically ``x``: ``Evaluator`` at the frontier
-    world of the chain model ``chain_model(u, t_ext[:alpha] + (x,))``, which
-    sits below the worlds above and sees all of them."""
+    truth extension is hypothetically ``x``: ``_Jump.residual`` on the one
+    candidate x, below the worlds above alpha and seeing all of them."""
     return _Jump(state, alpha)(x)
 
 
@@ -320,10 +321,8 @@ def satisfaction_record(state: ChainState, alpha=None) -> tuple:
     world."""
     if alpha is None:
         alpha = state.depth
-    model = chain_model(state.universe, state.t_ext, loop=state.loop_added)
-    ev = Evaluator(model)
-    w = _world_name(alpha)
-    return tuple(ev.sat(w, phi) for phi in state.universe.sentences)
+    return tuple(bool(mask >> alpha & 1)
+                 for mask in _masks(state.universe, state.t_ext, state.loop_added))
 
 
 def detect_convergence(state: ChainState, budget: int):
@@ -369,40 +368,34 @@ def add_loop_and_verify(state: ChainState, theta: int) -> dict:
     if theta > state.depth:
         raise ValueError("loop point beyond the chain")
     state = truncate(state, theta)
-    flat = chain_model(state.universe, state.t_ext, loop=False)
-    looped = chain_model(state.universe, state.t_ext, loop=True)
-    ev_flat, ev_loop = Evaluator(flat), Evaluator(looped)
     u = state.universe
+    n = len(u.sentences)
+    flat = _masks(u, state.t_ext)
+    # the looped masks are computed last: ``implies`` below reads the frame
+    # they were computed on
+    looped = _masks(u, state.t_ext, loop=True, tb=True)
+    implies = u._compiled[2]
     failures = []
-    value_changes = []
-    for a in range(state.depth + 1):
-        w = _world_name(a)
-        for phi in u.sentences:
-            if ev_flat.sat(w, phi) != ev_loop.sat(w, phi):
-                value_changes.append({"world": w, "sentence": pretty(phi)})
+    value_changes = [{"world": _world_name(a), "sentence": pretty(phi)}
+                     for a in range(state.depth + 1)
+                     for phi, f, g in zip(u.sentences, flat, looped) if (f ^ g) >> a & 1]
     if value_changes:
         failures.append({"check": "loop_preserves_values", "cases": value_changes})
     for a in range(state.depth + 1):
-        w = _world_name(a)
-        sat_set = frozenset(u.code_of(phi) for phi in u.sentences
-                            if ev_loop.sat(w, phi))
+        sat_set = frozenset(u.code_of(phi) for phi, g in zip(u.sentences, looped)
+                            if g >> a & 1)
         if sat_set != state.t_ext[a]:
-            failures.append({"check": "closure", "world": w,
+            failures.append({"check": "closure", "world": _world_name(a),
                              "satisfied": sorted(sat_set),
                              "extension": sorted(state.t_ext[a])})
-    bottom = _world_name(theta)
-    tb_failures = []
-    for phi in u.sentences:
-        if not ev_loop.sat(bottom, tb_instance(u, phi)):
-            tb_failures.append(pretty(phi))
+    tb_failures = [pretty(phi) for phi, g in zip(u.sentences, looped[n:])
+                   if not g >> theta & 1]
     if tb_failures:
         failures.append({"check": "tarski_biconditionals", "sentences": tb_failures})
-    mp_failures = []
-    for phi in u.sentences:
-        for psi in u.sentences:
-            if ev_loop.sat(bottom, phi) and ev_loop.sat(bottom, Imp(phi, psi)) \
-                    and not ev_loop.sat(bottom, psi):
-                mp_failures.append([pretty(phi), pretty(psi)])
+    mp_failures = [[pretty(phi), pretty(psi)]
+                   for phi, f in zip(u.sentences, looped) if f >> theta & 1
+                   for psi, g in zip(u.sentences, looped)
+                   if not g >> theta & 1 and implies(f, g) >> theta & 1]
     if mp_failures:
         failures.append({"check": "modus_ponens", "pairs": mp_failures})
     return {
@@ -410,7 +403,7 @@ def add_loop_and_verify(state: ChainState, theta: int) -> dict:
         "failures": failures,
         "theta": theta,
         "state": replace(state, loop_added=True),
-        "model": looped,
+        "model": chain_model(u, state.t_ext, loop=True),
     }
 
 
@@ -445,15 +438,22 @@ def verify_monotonicity(state: ChainState, alpha: int) -> bool:
         masks = jump.residual(dict(zip(codes, has)), full)
         return all(((m & ~p) << (1 << i)) & ~m == 0
                    for m in masks for i, p in enumerate(has))
-    pool = [frozenset(c) for r in range(4) for c in itertools.combinations(codes, r)]
-    cands = list({a | b for a in pool for b in pool})
-    member = dict.fromkeys(codes, 0)
-    for j, x in enumerate(cands):
-        for c in x:
-            member[c] |= 1 << j
-    masks = jump.residual(member, (1 << len(cands)) - 1)
-    ext = {x: jump.decode(masks, j) for j, x in enumerate(cands)}
-    return all(ext[a] <= ext[a | b] for a in pool for b in pool)
+    # candidates are bit sets over the positions of the codes, and index[x]
+    # is the bit of candidate x in the residual masks
+    pool = [sum(1 << i for i in c) for r in range(4)
+            for c in itertools.combinations(range(len(codes)), r)]
+    index = {x: j for j, x in enumerate(dict.fromkeys(a | b for a in pool for b in pool))}
+    member = {c: sum(1 << j for x, j in index.items() if x >> i & 1)
+              for i, c in enumerate(codes)}
+    masks = jump.residual(member, (1 << len(index)) - 1)
+    for a in pool:
+        # a sentence holding at a must hold at every union a | b
+        ups = 0
+        for j in {index[a | b] for b in pool}:
+            ups |= 1 << j
+        if any(m >> index[a] & 1 and m & ups != ups for m in masks):
+            return False
+    return True
 
 
 def verify_globally_decreasing(state: ChainState) -> bool:
@@ -486,11 +486,10 @@ def run_universe(universe: SentenceUniverse, budget: int) -> dict:
     returned report carries everything the command line emits."""
     state = initial_chain(universe)
     state, conv = detect_convergence(state, budget)
-    model = chain_model(universe, state.t_ext)
-    ev = Evaluator(model)
+    masks = _masks(universe, state.t_ext)
     closure_ok = all(
-        frozenset(universe.code_of(phi) for phi in universe.sentences
-                  if ev.sat(_world_name(a), phi)) == state.t_ext[a]
+        frozenset(universe.code_of(phi) for phi, mask in zip(universe.sentences, masks)
+                  if mask >> a & 1) == state.t_ext[a]
         for a in range(state.depth + 1))
     report = {
         "universe": list(universe.texts),

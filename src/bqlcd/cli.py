@@ -17,17 +17,22 @@ import sys
 
 from . import bradyfp, kripke, proofgen, transform
 from .kripke import (
-    Evaluator, ModelError, SearchBounds, countermodel_search, model_from_json,
-    model_to_json, signature_of_model,
+    ModelError, SearchBounds, countermodel_search, model_from_json,
+    model_to_json, satisfies, signature_of_model, world_masks,
 )
 from .proofkernel import (
     ProofJsonError, check_proof, load_proof, open_assumptions, parse_system,
     proof_size, proof_to_json, stratum,
 )
 from .syntax import (
-    And, Exists, Forall, Imp, Or, ParseError,
+    BINARY, QUANT, And, Exists, Forall, Imp, Or, ParseError,
     free_vars, infer_signature, parse_formula, parse_inferring, pretty,
 )
+
+# Evaluation, search and printing recurse a few frames per level of nesting,
+# so whether a formula near the recursion limit overflows depends on the
+# caller's own stack; deeper formulas are refused up front instead.
+MAX_NESTING = 250
 
 
 def _emit(data, out_path=None):
@@ -42,6 +47,17 @@ def _emit(data, out_path=None):
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _check_nesting(formulas):
+    """Refuse formulas nested more than ``MAX_NESTING`` levels deep."""
+    level = list(formulas)
+    for _ in range(MAX_NESTING + 1):
+        level = [sub for phi in level for sub in
+                 ((phi.left, phi.right) if isinstance(phi, BINARY) else
+                  (phi.body,) if isinstance(phi, QUANT) else ())]
+    if level:
+        raise ParseError("input nested too deeply")
 
 
 def cmd_check(args) -> int:
@@ -83,24 +99,29 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _sat_trace(w, phi, asg, ev, depth=0):
+def _sat_trace(model, w, phi, asg, masks, depth=0):
     """The value of phi at w with the values of its parts, at most 7 levels
-    deep."""
-    entry = {"world": w, "formula": pretty(phi), "value": ev.sat(w, phi, asg)}
+    deep.  Each value is read off ``world_masks``, computed once per
+    formula and assignment and kept in ``masks``."""
+    key = (phi, tuple(sorted(asg.items())))
+    if key not in masks:
+        masks[key] = world_masks(model, [phi], asg)[0]
+    value = bool(masks[key] >> model.worlds.index(w) & 1)
+    entry = {"world": w, "formula": pretty(phi), "value": value}
     if depth >= 6:
         return entry
     kids = []
     if isinstance(phi, (And, Or)):
-        kids = [_sat_trace(w, phi.left, asg, ev, depth + 1),
-                _sat_trace(w, phi.right, asg, ev, depth + 1)]
+        kids = [_sat_trace(model, w, phi.left, asg, masks, depth + 1),
+                _sat_trace(model, w, phi.right, asg, masks, depth + 1)]
     elif isinstance(phi, Imp):
-        kids = [_sat_trace(u, phi.left, asg, ev, depth + 1) for u in ev.succ[w]]
-        kids += [_sat_trace(u, phi.right, asg, ev, depth + 1) for u in ev.succ[w]]
+        succ = model.successors(w)
+        kids = [_sat_trace(model, u, phi.left, asg, masks, depth + 1) for u in succ]
+        kids += [_sat_trace(model, u, phi.right, asg, masks, depth + 1) for u in succ]
     elif isinstance(phi, (Forall, Exists)):
-        for b in ev.m.domain():
-            sub = dict(asg or {})
-            sub[phi.var] = b
-            kids.append(_sat_trace(w, phi.body, sub, ev, depth + 1))
+        for b in model.domain():
+            kids.append(_sat_trace(model, w, phi.body, {**asg, phi.var: b}, masks,
+                                   depth + 1))
     if kids:
         entry["parts"] = kids
     return entry
@@ -111,18 +132,16 @@ def cmd_sat(args) -> int:
         model = model_from_json(_load_json(args.model))
         sig = signature_of_model(model)
         phi = parse_formula(args.formula, sig)
+        _check_nesting([phi])
         if free_vars(phi):
             raise ParseError("formula must be closed")
-        if args.world not in model.worlds:
-            raise ModelError(f"unknown world {args.world!r}")
+        value = satisfies(model, args.world, phi)
     except (ModelError, ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ev = Evaluator(model)
-    value = ev.sat(args.world, phi)
     payload = {"world": args.world, "formula": pretty(phi), "value": value}
     if args.trace:
-        payload["trace"] = _sat_trace(args.world, phi, {}, ev)
+        payload["trace"] = _sat_trace(model, args.world, phi, {}, {})
     _emit(payload, args.out)
     return 0 if value else 1
 
@@ -133,6 +152,7 @@ def cmd_countermodel(args) -> int:
         for text in args.premises or []:
             premises.append(parse_inferring(text)[0])
         conclusion = parse_inferring(args.conclusion)[0]
+        _check_nesting(premises + [conclusion])
         bounds = SearchBounds(args.max_worlds, args.max_domain)
         for phi in premises + [conclusion]:
             if free_vars(phi):
@@ -172,27 +192,20 @@ def cmd_brady(args) -> int:
 def _suite_persistence(rng, n=60):
     for _ in range(n):
         model = proofgen.random_model(rng)
-        ev = Evaluator(model)
         for _ in range(4):
             phi = proofgen.random_sentence(rng)
-            if free_vars(phi):
-                continue
-            for (w, u) in model.edges:
-                if ev.sat(w, phi) and not ev.sat(u, phi):
-                    return f"persistence broken at {w} -> {u}: {pretty(phi)}"
+            if not kripke.check_persistence(model, phi):
+                return f"persistence broken: {pretty(phi)}"
     return None
 
 
 def _suite_modus_ponens(rng, n=40):
     for _ in range(n):
         model = proofgen.random_model(rng)
-        ev = Evaluator(model)
         phi = proofgen.random_sentence(rng, 1)
         psi = proofgen.random_sentence(rng, 1)
-        for w in model.reflexive_worlds():
-            if ev.sat(w, phi) and ev.sat(w, Imp(phi, psi)) \
-                    and not ev.sat(w, psi):
-                return f"detachment fails at {w}"
+        if not kripke.entails_in_model(model, [phi, Imp(phi, psi)], psi):
+            return f"detachment fails: {pretty(phi)}, {pretty(psi)}"
     return None
 
 

@@ -5,16 +5,22 @@ by all worlds.  ``edges`` holds the accessibility relation as (lower, upper)
 pairs: ``(w, u)`` means w sees u, and everything true at w persists to u.
 Consequence is evaluated at reflexive worlds only; dropping that restriction
 is the ``bqlcd`` search mode.
+
+The satisfaction clauses exist once, in ``_compile_sequent``: the search,
+``world_masks`` (behind ``satisfies`` and the model checks) and ``bradyfp``
+run its closures, which compute a formula's worlds as a bit mask.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
 from .syntax import (
-    And, Atom, Bottom, Const, Exists, Forall, Imp, Or, Param, Signature,
+    And, Atom, Bottom, Const, Exists, Fn, Forall, Imp, Or, Param, Signature,
     Top, Var, formula_params, free_vars, infer_signature, pretty, subformulas,
+    subterms,
 )
 
 
@@ -158,7 +164,7 @@ def _congruence_fault(eq, m, funs, exts):
         for xs in itertools.product(range(m), repeat=ar):
             for ys in itertools.product(range(m), repeat=ar):
                 if all((x, y) in eq for x, y in zip(xs, ys)) and \
-                        (_apply_fun(table, m, xs), _apply_fun(table, m, ys)) not in eq:
+                        (table[_row(xs, m)], table[_row(ys, m)]) not in eq:
                     return f"not a congruence for {f}"
     for r, (ar, ext) in exts.items():
         for xs in ext:
@@ -168,109 +174,92 @@ def _congruence_fault(eq, m, funs, exts):
     return None
 
 
-def _apply_fun(table, m, args):
-    """Look up a function table stored row-major over domain size m."""
+def _row(args, m):
+    """Row-major index of an argument tuple over domain size m."""
     idx = 0
     for a in args:
         idx = idx * m + a
-    return table[idx]
+    return idx
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
-def eval_term(m: KripkeModel, t, asg=None):
-    if isinstance(t, Var):
-        if asg is None or t.name not in asg:
-            raise ModelError(f"no assignment for variable {t.name}")
-        return asg[t.name]
-    if isinstance(t, Const):
-        if t.name not in m.consts:
-            raise ModelError(f"constant {t.name} not interpreted")
-        return m.consts[t.name]
-    if isinstance(t, Param):
-        key = f"#{t.index}"
-        if key not in m.consts:
-            raise ModelError(f"parameter #{t.index} not interpreted")
-        return m.consts[key]
-    return _apply_fun(m.funs[t.name], m.domain_size,
-                      tuple(eval_term(m, a, asg) for a in t.args))
+def world_masks(model: KripkeModel, formulas, asg=None) -> list:
+    """One mask per formula over ``model.worlds``: bit i is set iff the
+    formula holds at ``model.worlds[i]`` under the assignment ``asg``.  A
+    relation the model does not interpret is false everywhere; a term it
+    does not interpret, or a free variable ``asg`` leaves unassigned, raises
+    ModelError."""
+    formulas, asg = list(formulas), asg or {}
+    arity = {}
+    for phi in formulas:
+        unassigned = sorted(free_vars(phi) - set(asg))
+        if unassigned:
+            raise ModelError(f"no assignment for variable {unassigned[0]}")
+        for sub in subformulas(phi):
+            if isinstance(sub, Atom):
+                arity.setdefault(sub.rel, len(sub.args))
+                for t in (t for arg in sub.args for t in subterms(arg)):
+                    _check_interpreted(model, t)
+    n, bit = model.domain_size, _bits(model)
+    interp = []
+    for r, ar in arity.items():
+        table = [0] * n ** ar
+        for w, tuples in model.rels.get(r, {}).items():
+            for t in tuples:
+                if len(t) == ar:
+                    table[_row(t, n)] |= bit[w]
+        interp.append(tuple(table))
+    consts, funs = sorted(model.consts), sorted(model.funs)
+    closures, set_frame, _ = _compile_sequent(formulas, _index(arity), _index(consts),
+                                              _index(funs))
+    set_frame(n, tuple((sum(bit[u] for u in model.successors(w)), bit[w])
+                       for w in model.worlds))
+    args = (tuple(interp), tuple(model.consts[c] for c in consts),
+            tuple(model.funs[f] for f in funs), tuple(sorted(asg.items())))
+    return [run(*args) for run in closures]
 
 
-class Evaluator:
-    """Satisfaction memoised per world on (formula, relevant assignment); the
-    assignment part is ``()`` when none is given."""
+def _check_interpreted(model, t):
+    if isinstance(t, Const) and t.name not in model.consts:
+        raise ModelError(f"constant {t.name} not interpreted")
+    if isinstance(t, Param) and f"#{t.index}" not in model.consts:
+        raise ModelError(f"parameter #{t.index} not interpreted")
+    if isinstance(t, Fn) and t.name not in model.funs:
+        raise ModelError(f"function {t.name} not interpreted")
 
-    def __init__(self, model: KripkeModel):
-        self.m = model
-        self.memo = {w: {} for w in model.worlds}
-        self.succ = {w: model.successors(w) for w in model.worlds}
 
-    def sat(self, w, phi, asg=None):
-        memo = self.memo[w]
-        key = (phi, tuple(sorted((v, asg.get(v)) for v in free_vars(phi)))
-               if asg else ())
-        got = memo.get(key)
-        if got is None:
-            got = self._sat(w, phi, asg)
-            memo[key] = got
-        return got
+def _bits(model):
+    return {w: 1 << i for i, w in enumerate(model.worlds)}
 
-    def _sat(self, w, phi, asg):
-        if isinstance(phi, Top):
-            return True
-        if isinstance(phi, Bottom):
-            return False
-        if isinstance(phi, Atom):
-            vals = tuple(eval_term(self.m, t, asg) for t in phi.args)
-            return vals in self.m.rel_at(phi.rel, w)
-        if isinstance(phi, And):
-            return self.sat(w, phi.left, asg) and self.sat(w, phi.right, asg)
-        if isinstance(phi, Or):
-            return self.sat(w, phi.left, asg) or self.sat(w, phi.right, asg)
-        if isinstance(phi, Imp):
-            return all(not self.sat(u, phi.left, asg) or self.sat(u, phi.right, asg)
-                       for u in self.succ[w])
-        sub = dict(asg or ())
-        if isinstance(phi, Exists):
-            for b in self.m.domain():
-                sub[phi.var] = b
-                if self.sat(w, phi.body, sub):
-                    return True
-            return False
-        for b in self.m.domain():
-            sub[phi.var] = b
-            if not self.sat(w, phi.body, sub):
-                return False
-        return True
+
+def _index(names):
+    return {name: i for i, name in enumerate(names)}
 
 
 def satisfies(model: KripkeModel, w, phi, asg=None) -> bool:
     if w not in model.worlds:
         raise ModelError(f"unknown world {w!r}")
-    return Evaluator(model).sat(w, phi, asg)
+    return bool(world_masks(model, [phi], asg)[0] & _bits(model)[w])
 
 
 def entails_in_model(model: KripkeModel, gamma, phi) -> bool:
     """True iff no reflexive world satisfies all of gamma but not phi."""
-    ev = Evaluator(model)
-    for w in model.reflexive_worlds():
-        if all(ev.sat(w, g) for g in gamma) and not ev.sat(w, phi):
-            return False
-    return True
+    *premises, conclusion = world_masks(model, list(gamma) + [phi])
+    bit = _bits(model)
+    return not any(all(g & bit[w] for g in premises) and not conclusion & bit[w]
+                   for w in model.reflexive_worlds())
 
 
 def check_persistence(model: KripkeModel, phi) -> bool:
     """No (w, u, assignment) with w < u, w |= phi and u |/= phi."""
-    fvs = sorted(free_vars(phi))
-    asgs = [dict(zip(fvs, combo))
-            for combo in itertools.product(model.domain(), repeat=len(fvs))]
-    ev = Evaluator(model)
-    for (w, u) in model.edges:
-        for asg in asgs:
-            if ev.sat(w, phi, asg) and not ev.sat(u, phi, asg):
-                return False
+    fvs, bit = sorted(free_vars(phi)), _bits(model)
+    for combo in itertools.product(model.domain(), repeat=len(fvs)):
+        (mask,) = world_masks(model, [phi], dict(zip(fvs, combo)))
+        if any(mask & bit[w] and not mask & bit[u] for (w, u) in model.edges):
+            return False
     return True
 
 
@@ -349,10 +338,9 @@ def check_intersection_config(model: KripkeModel, w, us, phi) -> bool:
         if (w, z) in model.edges and z != w:
             if not any((u, z) in model.edges for u in us):
                 raise IntersectionConfigError(f"condition (iv): no family member sees {z}")
-    ev = Evaluator(model)
-    left = ev.sat(w, phi)
-    right = all(ev.sat(u, phi) for u in us)
-    return left == right
+    (mask,) = world_masks(model, [phi])
+    bit = _bits(model)
+    return bool(mask & bit[w]) == all(mask & bit[u] for u in us)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +504,7 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
     """Exhaustive bounded search for a model refuting ``gamma |= phi``.
 
     The sentences are compiled once per search; each frame only sets the
-    domain size and the successor masks that the compiled closures read.
+    domain size and the successor groups that the compiled closures read.
 
     Deterministic: models are enumerated in a fixed order, world count k
     outermost, then domain size, then the frames of ``_frames(k)``, then
@@ -560,13 +548,12 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
         # denotations of the occurring constants
         max_domain = min(max_domain, max(1, len(const_names)))
 
-    rel_index = {r: i for i, r in enumerate(rel_names)}
+    rel_index = _index(rel_names)
     if identity != "absent":
         rel_index["="] = len(rel_names)
     seq = _Sequent(gamma, phi, const_names, rel_names, fun_names, sig, identity,
-                   *_compile_sequent(gamma + [phi], rel_index,
-                                     {c: i for i, c in enumerate(const_names)},
-                                     {f: i for i, f in enumerate(fun_names)}))
+                   *_compile_sequent(gamma + [phi], rel_index, _index(const_names),
+                                     _index(fun_names))[:2])
     for k in range(1, bounds.max_worlds + 1):
         for m in range(1, max_domain + 1):
             for frame, succ, upsets, roots in _frames(k):
@@ -588,8 +575,8 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
 @dataclass
 class _Sequent:
     """What one search fixes: the sentences, the signature's names in index
-    order, the compiled sentences with their caches and frame setter, and
-    the notes and counters of the result."""
+    order, the compiled sentences with their frame setter, and the notes and
+    counters of the result."""
     gamma: list
     phi: object
     const_names: list
@@ -598,7 +585,6 @@ class _Sequent:
     sig: Signature
     identity: str
     compiled: list          # one closure per sentence, the conclusion last
-    caches: list
     set_frame: object
     notes: list = field(default_factory=list)
     stats: dict = field(default_factory=lambda: {
@@ -606,20 +592,38 @@ class _Sequent:
 
 
 def _compile_sequent(sentences, rel_index, const_index, fun_index):
-    """Closure evaluating the formula to a world mask, caching on the
-    slice of the interpretation it actually mentions plus the variable
-    environment.  Caches are flushed when constants or functions move.
+    """The package's satisfaction clauses.  Each formula becomes a closure
+    ``run(interp, const_vals, fun_tables, env)`` returning the mask of the
+    worlds where it holds; ``interp[i]`` holds relation i's world mask per
+    argument tuple, row-major, and ``env`` the assignment as sorted (name,
+    value) pairs.  Equal subformulas share one closure.
 
-    Compiles each sentence once and returns the closures, their caches and
-    ``set_frame(k, m, succ)``, which rebinds the domain size, worlds and
-    successor masks that the closures read."""
-    m = nodes = full_mask = succ_mask = None
+    Also returns ``set_frame(m, groups)``, which fixes the domain size and
+    the frame as (successor mask, world bits) pairs and clears the caches,
+    and ``implies(left, right)``, the implication clause on two masks.
+    Implications and quantifiers cache on the relations they read plus
+    ``env``, so callers set the frame again when constants or functions
+    change.
+    """
+    m = full_mask = None
+    groups = ()
     caches = []
 
-    def set_frame(k, m_, succ):
-        nonlocal m, nodes, full_mask, succ_mask
-        m, nodes, full_mask = m_, tuple(range(k)), (1 << k) - 1
-        succ_mask = tuple(sum(1 << b for b in succ[a]) for a in nodes)
+    def set_frame(m_, groups_):
+        nonlocal m, groups, full_mask
+        m, groups, full_mask = m_, groups_, 0
+        for _, bits in groups_:
+            full_mask |= bits
+        for cache in caches:
+            cache.clear()
+
+    def implies(left, right):
+        bad = left & ~right
+        got = 0
+        for succ, bits in groups:
+            if not succ & bad:
+                got |= bits
+        return got
 
     def term_val(t, env, const_vals, fun_tables):
         if isinstance(t, Const):
@@ -633,16 +637,18 @@ def _compile_sequent(sentences, rel_index, const_index, fun_index):
             idx = idx * m + term_val(a, env, const_vals, fun_tables)
         return fun_tables[fun_index[t.name]][idx]
 
+    @functools.cache
     def compile_(f_):
+        """The closure of ``f_`` and the indices of the relations it reads."""
         if isinstance(f_, Top):
-            return lambda interp, cv, ft, env: full_mask
+            return (lambda interp, cv, ft, env: full_mask), ()
         if isinstance(f_, Bottom):
-            return lambda interp, cv, ft, env: 0
+            return (lambda interp, cv, ft, env: 0), ()
         if isinstance(f_, Atom):
             ridx = rel_index[f_.rel]
             args = f_.args
             if not args:
-                return lambda interp, cv, ft, env: interp[ridx][0]
+                return (lambda interp, cv, ft, env: interp[ridx][0]), (ridx,)
 
             def run_atom(interp, cv, ft, env):
                 asg = dict(env)
@@ -650,69 +656,49 @@ def _compile_sequent(sentences, rel_index, const_index, fun_index):
                 for t in args:
                     idx = idx * m + term_val(t, asg, cv, ft)
                 return interp[ridx][idx]
-            return run_atom
-        if isinstance(f_, (And, Or)):
-            lk = compile_(f_.left)
-            rk = compile_(f_.right)
+            return run_atom, (ridx,)
+        if isinstance(f_, (Forall, Exists)):
+            body, dep = compile_(f_.body)
+            var = f_.var
+        else:
+            lk, ldep = compile_(f_.left)
+            rk, rdep = compile_(f_.right)
+            dep = tuple(sorted(set(ldep) | set(rdep)))
             if isinstance(f_, And):
-                return lambda interp, cv, ft, env: \
-                    lk(interp, cv, ft, env) & rk(interp, cv, ft, env)
-            return lambda interp, cv, ft, env: \
-                lk(interp, cv, ft, env) | rk(interp, cv, ft, env)
-        dep = tuple(sorted({rel_index[g.rel] for g in subformulas(f_)
-                            if isinstance(g, Atom)}))
+                return (lambda interp, cv, ft, env:
+                        lk(interp, cv, ft, env) & rk(interp, cv, ft, env)), dep
+            if isinstance(f_, Or):
+                return (lambda interp, cv, ft, env:
+                        lk(interp, cv, ft, env) | rk(interp, cv, ft, env)), dep
         cache = {}
         caches.append(cache)
         if isinstance(f_, Imp):
-            lk = compile_(f_.left)
-            rk = compile_(f_.right)
-
             def run_imp(interp, cv, ft, env):
                 key = (tuple(interp[i] for i in dep), env)
                 got = cache.get(key)
                 if got is None:
-                    bad = lk(interp, cv, ft, env) & ~rk(interp, cv, ft, env)
-                    got = 0
-                    for a in nodes:
-                        if not (succ_mask[a] & bad):
-                            got |= 1 << a
+                    got = implies(lk(interp, cv, ft, env), rk(interp, cv, ft, env))
                     cache[key] = got
                 return got
-            return run_imp
-        body = compile_(f_.body)
-        var = f_.var
-        if isinstance(f_, Exists):
-            def run_ex(interp, cv, ft, env):
-                key = (tuple(interp[i] for i in dep), env)
-                got = cache.get(key)
-                if got is None:
-                    got = 0
-                    base = tuple((k_, v_) for (k_, v_) in env if k_ != var)
-                    for b in range(m):
-                        got |= body(interp, cv, ft,
-                                    tuple(sorted(base + ((var, b),))))
-                        if got == full_mask:
-                            break
-                    cache[key] = got
-                return got
-            return run_ex
+            return run_imp, dep
+        forall = isinstance(f_, Forall)
 
-        def run_all(interp, cv, ft, env):
+        def run_quant(interp, cv, ft, env):
             key = (tuple(interp[i] for i in dep), env)
             got = cache.get(key)
             if got is None:
-                got = full_mask
+                got, stop = (full_mask, 0) if forall else (0, full_mask)
                 base = tuple((k_, v_) for (k_, v_) in env if k_ != var)
                 for b in range(m):
-                    got &= body(interp, cv, ft,
-                                tuple(sorted(base + ((var, b),))))
-                    if not got:
+                    val = body(interp, cv, ft, tuple(sorted(base + ((var, b),))))
+                    got = got & val if forall else got | val
+                    if got == stop:
                         break
                 cache[key] = got
             return got
-        return run_all
+        return run_quant, dep
 
-    return [compile_(f_) for f_ in sentences], caches, set_frame
+    return [compile_(f_)[0] for f_ in sentences], set_frame, implies
 
 
 def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
@@ -758,7 +744,7 @@ def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
         else:
             eq_assignments = list(_eq_assignments(succ, nodes, m))
 
-    seq.set_frame(k, m, succ)
+    groups = tuple((sum(1 << b for b in succ[a]), 1 << a) for a in nodes)
     witness_mask = sum(1 << a for a in witnesses)
 
     # swapping the first constant's value with 0 in the domain maps any
@@ -772,9 +758,9 @@ def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
         for fun_tables in itertools.product(*fun_spaces) if fun_spaces else [()]:
             # the caches are shared by every frame of the search, so they
             # are cleared whenever the frame, the constants or the function
-            # tables change: each change starts a pass of this loop
-            for cache in seq.caches:
-                cache.clear()
+            # tables change: each change starts a pass of this loop, and
+            # setting the frame clears them
+            seq.set_frame(m, groups)
             funs = {f: (sig.functions[f], table)
                     for f, table in zip(seq.fun_names, fun_tables)}
             for rel_choice in itertools.product(*(space for (_, _, _, space) in rel_specs)) \
@@ -808,10 +794,10 @@ def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
                     model = _materialize_masks(seq, nodes, frame, m, const_vals,
                                                fun_tables, rel_specs, rel_choice, eqs)
                     validate_model(model)
+                    *premises, conclusion = world_masks(model, gamma + [seq.phi])
+                    assert all(g >> hit & 1 for g in premises) \
+                        and not conclusion >> hit & 1
                     w = model.worlds[hit]
-                    ev = Evaluator(model)
-                    assert all(ev.sat(w, g) for g in gamma) \
-                        and not ev.sat(w, seq.phi)
                     return SearchResult(model, w, False, tuple(seq.notes), stats)
     return None
 

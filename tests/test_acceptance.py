@@ -20,7 +20,6 @@ from bqlcd.bradyfp import (
     add_loop_and_verify, chain_model, detect_convergence, initial_chain,
     run_universe,
 )
-from bqlcd.kripke import Evaluator
 from proofcases import curry_derivation, display_one, display_two, f, \
     nested_stratum_example
 from universes import curry_universe, tower_universe
@@ -189,12 +188,11 @@ def test_criterion_9_truth_construction():
     state, conv = detect_convergence(state, 5)
     assert conv["stable"] is False
     model = chain_model(tower, state.t_ext)
-    ev = Evaluator(model)
     from bqlcd.syntax import BOTTOM
     for n in range(5):
-        assert ev.sat(f"w{n}", box(n + 1, BOTTOM)) is True
+        assert satisfies(model, f"w{n}", box(n + 1, BOTTOM)) is True
         if n + 1 <= state.depth:
-            assert ev.sat(f"w{n + 1}", box(n + 1, BOTTOM)) is False
+            assert satisfies(model, f"w{n + 1}", box(n + 1, BOTTOM)) is False
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     ok(9, f"paradox universe verified through the loop; the guard tower "

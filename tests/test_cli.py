@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from bqlcd.cli import main
+from bqlcd.cli import MAX_NESTING, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -160,6 +160,25 @@ def test_sat_deep_guard_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: input nested too deeply\n"
+
+
+def test_guards_up_to_the_nesting_cap_are_evaluated(capsys):
+    at_cap = "true -> " * MAX_NESTING + "p"
+    assert main(["sat", data("m1_model.json"), "--world", "w", "--formula", at_cap]) == 1
+    assert main(["countermodel", "--conclusion", at_cap, "--max-worlds", "2"]) == 0
+    capsys.readouterr()
+    assert main(["countermodel", "--conclusion", "true -> " + at_cap]) == 2
+    assert capsys.readouterr().err == "error: input nested too deeply\n"
+
+
+def test_sat_uninterpreted_parameter_exits_2(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"worlds": ["w"], "domain": 1, "rels": {"P": {"w": []}},
+                                "rel_arity": {"P": 1}}))
+    assert main(["sat", str(path), "--world", "w", "--formula", "P(#7)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: parameter #7 not interpreted\n"
 
 
 def test_countermodel_max_worlds_cap_exits_2(capsys):

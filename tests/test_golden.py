@@ -29,11 +29,14 @@ import os
 import random
 
 from bqlcd.bradyfp import make_universe, run_universe, universe_from_json
-from bqlcd.kripke import MODES, SearchBounds, countermodel_search, model_to_json
+from bqlcd.kripke import (
+    MODES, SearchBounds, countermodel_search, model_from_json, model_to_json,
+)
 from bqlcd.proofgen import random_sentence
 from bqlcd.syntax import (
     BOTTOM, TOP, And, Atom, Const, Imp, Or, parse_inferring, pretty, subformulas,
 )
+from oracle import oracle_sat
 from universes import tower_universe
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -111,13 +114,17 @@ QUANTIFIED_SEARCH = [
 ]
 
 
-def search_record(premises, conclusion, mode, bounds):
+def parse_sequent(premises, conclusion):
     sig = None
     gamma = []
     for text in premises:
         phi, sig = parse_inferring(text, sig)
         gamma.append(phi)
-    phi, sig = parse_inferring(conclusion, sig)
+    return gamma, parse_inferring(conclusion, sig)[0]
+
+
+def search_record(premises, conclusion, mode, bounds):
+    gamma, phi = parse_sequent(premises, conclusion)
     res = countermodel_search(gamma, phi, SearchBounds(*bounds), mode)
     return {"premises": list(premises), "conclusion": conclusion, "mode": mode,
             "bounds": list(bounds),
@@ -246,6 +253,20 @@ def test_golden_differential():
     for case in golden["truth"]:
         key = (case["name"], case["budget"])
         assert truth_record(*key[:1], universes[key], key[1]) == case
+
+
+def test_golden_countermodels_pass_the_oracle():
+    # every recorded countermodel, re-checked by the naive evaluator: the
+    # premises hold at the witness and the conclusion does not
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    refuted = [case for case in golden["search"] if case["model"] is not None]
+    for case in refuted:
+        gamma, phi = parse_sequent(case["premises"], case["conclusion"])
+        model, w = model_from_json(case["model"]), case["witness"]
+        assert all(oracle_sat(model, w, g) for g in gamma), case["conclusion"]
+        assert not oracle_sat(model, w, phi), case["conclusion"]
+    assert len(refuted) >= 99
 
 
 if __name__ == "__main__":

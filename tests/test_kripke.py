@@ -5,63 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bqlcd.kripke import (
-    MODES, Evaluator, IntersectionConfigError, KripkeModel, ModelError, SearchBounds,
+    MODES, IntersectionConfigError, KripkeModel, ModelError, SearchBounds,
     add_chain, check_intersection_config, check_persistence, countermodel_search,
-    entails_in_model, eval_term, make_model, model_from_json, model_to_json,
-    satisfies, validate_model,
+    entails_in_model, make_model, model_from_json, model_to_json,
+    satisfies, validate_model, world_masks,
 )
 from bqlcd.proofgen import random_sentence
 from bqlcd.syntax import (
     And, Atom, Const, Fn, Imp, Or, Param, TOP, BOTTOM, Var, box, free_vars,
     parse_inferring, pretty, sig,
 )
+from oracle import oracle_sat
 
 
 def parse(text):
     return parse_inferring(text)[0]
-
-
-# --- independent oracle: a naive evaluator written straight off the clauses --
-
-def oracle_term(m, t, asg):
-    if isinstance(t, Var):
-        return asg[t.name]
-    if isinstance(t, Const):
-        return m.consts[t.name]
-    if isinstance(t, Param):
-        return m.consts[f"#{t.index}"]
-    idx = 0
-    for a in t.args:
-        idx = idx * m.domain_size + oracle_term(m, a, asg)
-    return m.funs[t.name][idx]
-
-
-def oracle_sat(m, w, phi, asg=None):
-    asg = asg or {}
-    kind = type(phi).__name__
-    if kind == "Top":
-        return True
-    if kind == "Bottom":
-        return False
-    if kind == "Atom":
-        vals = tuple(oracle_term(m, t, asg) for t in phi.args)
-        return vals in m.rels.get(phi.rel, {}).get(w, frozenset())
-    if kind == "And":
-        return oracle_sat(m, w, phi.left, asg) and oracle_sat(m, w, phi.right, asg)
-    if kind == "Or":
-        return oracle_sat(m, w, phi.left, asg) or oracle_sat(m, w, phi.right, asg)
-    if kind == "Imp":
-        for u in m.worlds:
-            if (w, u) in m.edges:
-                if oracle_sat(m, u, phi.left, asg) and not oracle_sat(m, u, phi.right, asg):
-                    return False
-        return True
-    hits = []
-    for b in range(m.domain_size):
-        sub = dict(asg)
-        sub[phi.var] = b
-        hits.append(oracle_sat(m, w, phi.body, sub))
-    return any(hits) if kind == "Exists" else all(hits)
 
 
 # --- fixtures ----------------------------------------------------------------
@@ -93,17 +51,26 @@ def test_top_bottom_and_dead_ends():
     assert satisfies(m, "u", parse("q -> false")) is True
 
 
-def test_eval_term():
+def test_term_values_and_messages():
+    # P holds of 1 only, so each atom shows what its term denotes
     m = make_model(["w"], [("w", "w")], 2,
                    consts={"c": 0, "#1": 1},
-                   funs={"f": (0, 1)}, fun_arity={"f": 1},
-                   rels={"P": {}}, rel_arity={"P": 1})
-    assert eval_term(m, Const("c")) == 0
-    assert eval_term(m, Fn("f", (Const("c"),))) == 0
-    assert eval_term(m, Param(1)) == 1
-    assert eval_term(m, Var("x"), {"x": 1}) == 1
-    with pytest.raises(ModelError):
-        eval_term(m, Const("missing"))
+                   funs={"f": (1, 0)}, fun_arity={"f": 1},
+                   rels={"P": {"w": {(1,)}}}, rel_arity={"P": 1})
+    assert satisfies(m, "w", Atom("P", (Const("c"),))) is False
+    assert satisfies(m, "w", Atom("P", (Fn("f", (Const("c"),)),))) is True
+    assert satisfies(m, "w", Atom("P", (Param(1),))) is True
+    assert satisfies(m, "w", Atom("P", (Var("x"),)), {"x": 1}) is True
+    assert satisfies(m, "w", Atom("P", (Var("x"),)), {"x": 0}) is False
+    with pytest.raises(ModelError, match="constant missing not interpreted"):
+        satisfies(m, "w", Atom("P", (Const("missing"),)))
+    with pytest.raises(ModelError, match="parameter #4 not interpreted"):
+        satisfies(m, "w", Atom("P", (Param(4),)))
+    # a relation the model does not interpret is false everywhere
+    assert satisfies(m, "w", Atom("Q", (Const("c"),))) is False
+    assert satisfies(m, "w", Imp(Atom("Q", (Const("c"),)), BOTTOM)) is True
+    with pytest.raises(ModelError, match="unknown world 'v'"):
+        satisfies(m, "v", TOP)
 
 
 def test_open_formula_without_assignment():
@@ -345,6 +312,8 @@ def test_found_countermodels_obey_the_pruning_rules():
                 continue
             found += 1
             model, w = res.model, res.witness
+            assert all(oracle_sat(model, w, parse(f)) for f in prem)
+            assert not oracle_sat(model, w, parse(concl))
             assert all((w, u) in model.edges for u in model.worlds if u != w)
             if mode != "bqlcd":
                 assert (w, w) in model.edges
@@ -444,9 +413,10 @@ def sentences(max_depth=5):
 def test_persistence_theorem(model, phi):
     if free_vars(phi):
         return
-    ev = Evaluator(model)
+    (mask,) = world_masks(model, [phi])
+    bit = {w: 1 << i for i, w in enumerate(model.worlds)}
     for (w, u) in model.edges:
-        assert not ev.sat(w, phi) or ev.sat(u, phi)
+        assert not mask & bit[w] or mask & bit[u]
 
 
 @settings(max_examples=60, deadline=None)
@@ -454,17 +424,20 @@ def test_persistence_theorem(model, phi):
 def test_modus_ponens_at_reflexive_worlds(model, phi, psi):
     if free_vars(phi) or free_vars(psi):
         return
-    ev = Evaluator(model)
+    masks = world_masks(model, [phi, Imp(phi, psi), psi])
     for w in model.reflexive_worlds():
-        if ev.sat(w, phi) and ev.sat(w, Imp(phi, psi)):
-            assert ev.sat(w, psi)
+        i = model.worlds.index(w)
+        if masks[0] >> i & 1 and masks[1] >> i & 1:
+            assert masks[2] >> i & 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_models(), sentences())
-def test_evaluator_matches_oracle(model, phi):
-    if free_vars(phi):
-        return
-    ev = Evaluator(model)
-    for w in model.worlds:
-        assert ev.sat(w, phi) == oracle_sat(model, w, phi)
+def test_world_masks_match_oracle(model, phi):
+    # open formulas too, under every assignment of their free variables
+    fvs = sorted(free_vars(phi))
+    for combo in itertools.product(range(model.domain_size), repeat=len(fvs)):
+        asg = dict(zip(fvs, combo))
+        (mask,) = world_masks(model, [phi], asg)
+        for i, w in enumerate(model.worlds):
+            assert bool(mask >> i & 1) == oracle_sat(model, w, phi, asg)
