@@ -163,6 +163,8 @@ def cmd_countermodel(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result = countermodel_search(premises, conclusion, bounds, args.mode)
+    if args.stats:
+        print(json.dumps(result.stats, sort_keys=True), file=sys.stderr)
     if result.found:
         _emit({"found": True, "witness": result.witness,
                "model": model_to_json(result.model),
@@ -323,6 +325,8 @@ def build_parser():
     p.add_argument("--max-worlds", type=int, default=3)
     p.add_argument("--max-domain", type=int, default=2)
     p.add_argument("--mode", default="bqlcd_r", choices=kripke.MODES)
+    p.add_argument("--stats", action="store_true",
+                   help="print the search counters as one JSON line to stderr")
     p.add_argument("--out")
     p.set_defaults(func=cmd_countermodel)
 

@@ -429,6 +429,9 @@ MODES = ("bqlcd_r", "bqlcd", "strict", "congruence")
 
 _FUN_TABLE_CAP = 4096
 _REL_SPACE_CAP = 1 << 18
+# Interpretations decided by one pass of the compiled sentences, one lane of
+# k + 1 bits each: this bounds the size of the masks, not the search.
+_LANES = 4096
 
 
 _frame_cache: dict = {}
@@ -508,10 +511,16 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
 
     Deterministic: models are enumerated in a fixed order, world count k
     outermost, then domain size, then the frames of ``_frames(k)``, then
-    constant vectors in ``itertools.product`` order, function tables,
-    relation extensions and identity relations.  The first refuting world of
-    the first refuting model is returned.  Two rules prune the order without
-    changing that first model:
+    constant vectors in ``itertools.product`` order, function tables, and
+    the relation extensions and identity relations as one product of digits:
+    one per relation row, relation by relation and tuple by tuple, then the
+    identity digit, the last varying fastest.  The innermost digits, up to
+    ``_LANES`` interpretations, form a block that one pass of the compiled
+    sentences decides, one lane of k + 1 bits per interpretation (see
+    ``_compile_sequent``); the outer digits pick the block, in product order
+    too.  The lowest set bit of the refuting lanes' witness mask is then the
+    first refuting world of the first refuting model, which is returned.
+    Two rules prune the order without changing that first model:
 
     - Root rule: the witness must be a root, a world that sees every other
       world (and is reflexive, except in mode ``bqlcd``); frames without such
@@ -523,7 +532,8 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
       and those vectors come first in product order.
 
     ``stats`` counts the frames searched, the frames skipped for want of a
-    root, the constant vectors tried and the interpretations evaluated.  A
+    root, the constant vectors tried, the interpretations evaluated (up to
+    and including the refuting one) and the passes, one per block.  A
     ``None`` model with ``exhausted=True`` is not a validity proof, only
     exhaustion of the bounds.
     """
@@ -588,7 +598,8 @@ class _Sequent:
     set_frame: object
     notes: list = field(default_factory=list)
     stats: dict = field(default_factory=lambda: {
-        "frames": 0, "frames_unrooted": 0, "const_vectors": 0, "interpretations": 0})
+        "frames": 0, "frames_unrooted": 0, "const_vectors": 0, "interpretations": 0,
+        "passes": 0})
 
 
 def _compile_sequent(sentences, rel_index, const_index, fun_index):
@@ -598,31 +609,56 @@ def _compile_sequent(sentences, rel_index, const_index, fun_index):
     argument tuple, row-major, and ``env`` the assignment as sorted (name,
     value) pairs.  Equal subformulas share one closure.
 
-    Also returns ``set_frame(m, groups)``, which fixes the domain size and
-    the frame as (successor mask, world bits) pairs and clears the caches,
-    and ``implies(left, right)``, the implication clause on two masks.
-    Implications and quantifiers cache on the relations they read plus
-    ``env``, so callers set the frame again when constants or functions
+    Also returns ``set_frame(m, groups, lanes=1)``, which fixes the domain
+    size and the frame as (successor mask, world bits) pairs and clears the
+    caches, and ``implies(left, right)``, the implication clause on two
+    masks.  Implications and quantifiers cache on the relations they read
+    plus ``env``, so callers set the frame again when constants or functions
     change.
+
+    With ``lanes=L`` every mask holds L interpretations of the frame side by
+    side (SWAR): lane j is the ``width`` bits from ``j * width``, where
+    ``width`` is one bit more than the frame's mask, and the lane's top bit
+    is a guard that stays 0.  ``interp`` then holds lane-packed masks,
+    ``Top`` is the frame's mask in every lane, and ``implies`` decides every
+    lane at once: a lane of ``t = bad & succ`` that is not 0 carries into its
+    guard bit when the lane's low bits, all ones, are added.  Constants,
+    functions and assignments are shared by all lanes.
     """
     m = full_mask = None
     groups = ()
+    multi = False
+    low = guard = shift = 0
     caches = []
 
-    def set_frame(m_, groups_):
-        nonlocal m, groups, full_mask
-        m, groups, full_mask = m_, groups_, 0
+    def set_frame(m_, groups_, lanes=1):
+        nonlocal m, groups, full_mask, multi, low, guard, shift
+        m, groups, full_mask, multi = m_, groups_, 0, lanes > 1
         for _, bits in groups_:
             full_mask |= bits
+        if multi:
+            shift = full_mask.bit_length()
+            rep = _repeat(1, shift + 1, lanes)
+            low, guard, full_mask = ((1 << shift) - 1) * rep, rep << shift, full_mask * rep
+            groups = tuple((succ * rep, bits * rep, bits) for succ, bits in groups_)
         for cache in caches:
             cache.clear()
 
     def implies(left, right):
         bad = left & ~right
         got = 0
-        for succ, bits in groups:
-            if not succ & bad:
+        if not multi:
+            for succ, bits in groups:
+                if not succ & bad:
+                    got |= bits
+            return got
+        for succ, bits, lane_bits in groups:
+            t = bad & succ
+            if not t:
                 got |= bits
+            else:
+                # a lane of t that is not 0 carries into its guard bit
+                got |= ((guard & ~(t + low)) >> shift) * lane_bits
         return got
 
     def term_val(t, env, const_vals, fun_tables):
@@ -730,11 +766,10 @@ def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
 
     fun_spaces = [list(itertools.product(range(m), repeat=m ** sig.functions[f]))
                   for f in seq.fun_names]
-    rel_specs = []          # (name, arity, tuples, choice space of mask vectors)
+    rel_specs = []          # (name, arity, tuples)
     for r in seq.rel_names:
         ar = sig.relations[r]
-        rel_specs.append((r, ar, list(itertools.product(range(m), repeat=ar)),
-                          list(itertools.product(upset_masks, repeat=m ** ar))))
+        rel_specs.append((r, ar, list(itertools.product(range(m), repeat=ar))))
 
     eq_assignments = [None]
     if identity != "absent":
@@ -743,6 +778,35 @@ def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
             eq_assignments = [{a: diag for a in nodes}]
         else:
             eq_assignments = list(_eq_assignments(succ, nodes, m))
+
+    # The interpretations are the product of one digit per relation row,
+    # relation by relation and tuple by tuple, then the identity digit, the
+    # last varying fastest.  A digit's values are the masks it gives its
+    # rows: an upset to a relation row, the m * m world masks to '=' (none
+    # without identity, so interp[-1] is then empty).
+    pairs = list(itertools.product(range(m), repeat=2))
+    digits = [[(u,) for u in upset_masks] for _, _, tuples in rel_specs for _ in tuples]
+    digits.append([() if eqs is None else
+                   tuple(sum(1 << a for a in nodes if pair in eqs[a]) for pair in pairs)
+                   for eqs in eq_assignments])
+    ends = list(itertools.accumulate([len(t) for _, _, t in rel_specs] + [len(digits[-1][0])]))
+    row_bounds = list(zip([0] + ends, ends))
+    width = k + 1
+    lanes, layout = _lane_layout([len(values) for values in digits])
+    # words[d][q]: the lane-packed masks digit d gives its rows in the
+    # blocks with outer index q, and how many leading lanes are real
+    words = [[(_lane_words(values[q * chunk:(q + 1) * chunk], chunk, stride, lanes, width),
+               lanes if (q + 1) * chunk <= len(values) else (len(values) - q * chunk) * stride)
+              for q in range(-(-len(values) // chunk))]
+             for values, (stride, chunk) in zip(digits, layout)]
+    full = _repeat(1, width, lanes)
+
+    def choice(qs, lane):
+        """The relation rows and the identity relation of a lane."""
+        *rows, eq = [q * chunk + lane // stride % chunk
+                     for q, (stride, chunk) in zip(qs, layout)]
+        rows = [upset_masks[i] for i in rows]
+        return tuple(tuple(rows[a:b]) for a, b in row_bounds[:-1]), eq_assignments[eq]
 
     groups = tuple((sum(1 << b for b in succ[a]), 1 << a) for a in nodes)
     witness_mask = sum(1 << a for a in witnesses)
@@ -760,53 +824,98 @@ def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
             # are cleared whenever the frame, the constants or the function
             # tables change: each change starts a pass of this loop, and
             # setting the frame clears them
-            seq.set_frame(m, groups)
+            seq.set_frame(m, groups, lanes)
             funs = {f: (sig.functions[f], table)
                     for f, table in zip(seq.fun_names, fun_tables)}
-            for rel_choice in itertools.product(*(space for (_, _, _, space) in rel_specs)) \
-                    if rel_specs else [()]:
-                for eqs in eq_assignments:
-                    interp = list(rel_choice)
-                    if eqs is not None:
-                        if identity == "congruence" and any(
-                                _congruence_fault(eqs[a], m, funs,
-                                                  _exts_at(a, rel_specs, rel_choice))
-                                for a in nodes):
-                            continue
-                        eq_masks = []
-                        for pair in itertools.product(range(m), repeat=2):
-                            eq_masks.append(sum(1 << a for a in nodes
-                                                if pair in eqs[a]))
-                        interp.append(tuple(eq_masks))
-                    interp = tuple(interp)
-                    stats["interpretations"] += 1
-                    phi_mask = compiled[-1](interp, const_vals, fun_tables, ())
-                    live = witness_mask & ~phi_mask
+            for qs in itertools.product(*(range(len(w)) for w in words)):
+                flat = [x for w, q in zip(words, qs) for x in w[q][0]]
+                interp = tuple(tuple(flat[a:b]) for a, b in row_bounds)
+                real = min(w[q][1] for w, q in zip(words, qs))
+                valid = full if real == lanes else _repeat(1, width, real)
+                if identity == "congruence":
+                    for lane in range(real):
+                        rel_choice, eqs = choice(qs, lane)
+                        if any(_congruence_fault(eqs[a], m, funs,
+                                                 _exts_at(a, rel_specs, rel_choice))
+                               for a in nodes):
+                            valid ^= 1 << lane * width
+                stats["passes"] += 1
+                phi_mask = compiled[-1](interp, const_vals, fun_tables, ())
+                live = witness_mask * valid & ~phi_mask
+                for idx in range(len(gamma)):
                     if not live:
-                        continue
-                    for idx in range(len(gamma)):
-                        live &= compiled[idx](interp, const_vals, fun_tables, ())
-                        if not live:
-                            break
-                    if not live:
-                        continue
-                    hit = (live & -live).bit_length() - 1
-                    model = _materialize_masks(seq, nodes, frame, m, const_vals,
-                                               fun_tables, rel_specs, rel_choice, eqs)
-                    validate_model(model)
-                    *premises, conclusion = world_masks(model, gamma + [seq.phi])
-                    assert all(g >> hit & 1 for g in premises) \
-                        and not conclusion >> hit & 1
-                    w = model.worlds[hit]
-                    return SearchResult(model, w, False, tuple(seq.notes), stats)
+                        break
+                    live &= compiled[idx](interp, const_vals, fun_tables, ())
+                if not live:
+                    stats["interpretations"] += valid.bit_count()
+                    continue
+                low = (live & -live).bit_length() - 1
+                stats["interpretations"] += (valid & ((2 << low) - 1)).bit_count()
+                lane, hit = divmod(low, width)
+                rel_choice, eqs = choice(qs, lane)
+                model = _materialize_masks(seq, nodes, frame, m, const_vals,
+                                           fun_tables, rel_specs, rel_choice, eqs)
+                validate_model(model)
+                *premises, conclusion = world_masks(model, gamma + [seq.phi])
+                assert all(g >> hit & 1 for g in premises) \
+                    and not conclusion >> hit & 1
+                w = model.worlds[hit]
+                return SearchResult(model, w, False, tuple(seq.notes), stats)
     return None
+
+
+def _repeat(x, span, n):
+    """``n`` copies of ``x`` at ``span``-bit spacing; ``_repeat(1, width,
+    lanes)`` sets bit 0 of every lane, and times a one-lane mask repeats it
+    in every lane."""
+    out = shift = 0
+    while True:
+        if n & 1:
+            out |= x << shift
+            shift += span
+        n >>= 1
+        if not n:
+            return out
+        x |= x << span
+        span *= 2
+
+
+def _lane_layout(radices):
+    """How the product of the digits with these radices, the last varying
+    fastest, is cut into blocks of at most ``_LANES`` lanes.  Returns the
+    lanes per block and one (stride, chunk) per digit: digit d takes value
+    ``q_d * chunk + lane // stride % chunk`` in the lanes of block
+    ``(q_0, q_1, ...)``.  The innermost digits lie whole in a block
+    (``chunk`` is the radix), the next one may be split into chunks, and the
+    outer ones are fixed per block (``chunk = 1``).  Block order then is
+    product order."""
+    lanes, layout = 1, []
+    for radix in reversed(radices):
+        chunk = max(1, min(radix, _LANES // lanes))
+        layout.append((lanes, chunk))
+        lanes *= chunk
+    return lanes, layout[::-1]
+
+
+def _lane_words(values, chunk, stride, lanes, width):
+    """One lane-packed word per row: lane j holds row r of
+    ``values[j // stride % chunk]``, or 0 past the end of ``values``."""
+    span = stride * width
+    starts, period, copies = _repeat(1, width, stride), chunk * span, lanes // (chunk * stride)
+    words = []
+    for row in zip(*values):
+        word = 0
+        for i, mask in enumerate(row):
+            word |= mask << i * span
+        words.append(_repeat(word * starts, period, copies))
+    return tuple(words)
 
 
 def _exts_at(a, rel_specs, rel_choice):
     """Relation extensions (name -> (arity, tuples)) at world ``a`` of a
     mask-encoded interpretation."""
     return {r: (ar, frozenset(t for t, mask in zip(tuples, masks) if mask >> a & 1))
-            for (r, ar, tuples, _), masks in zip(rel_specs, rel_choice)}
+            for (r, ar, tuples), masks in zip(rel_specs, rel_choice)}
 
 
 def _materialize_masks(seq, nodes, frame, m, const_vals, fun_tables, rel_specs,
@@ -814,8 +923,8 @@ def _materialize_masks(seq, nodes, frame, m, const_vals, fun_tables, rel_specs,
     worlds = tuple(f"w{a}" for a in nodes)
     edges = frozenset((worlds[a], worlds[b]) for (a, b) in frame)
     exts = [_exts_at(a, rel_specs, rel_choice) for a in nodes]
-    rels = {r: {worlds[a]: exts[a][r][1] for a in nodes} for r, _, _, _ in rel_specs}
-    rel_arity = {r: ar for r, ar, _, _ in rel_specs}
+    rels = {r: {worlds[a]: exts[a][r][1] for a in nodes} for r, _, _ in rel_specs}
+    rel_arity = {r: ar for r, ar, _ in rel_specs}
     if eqs is not None:
         rels["="] = {worlds[a]: frozenset(eqs[a]) for a in nodes}
         rel_arity["="] = 2

@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 
 from bqlcd.kripke import (
     SearchBounds, add_chain, check_intersection_config, countermodel_search,
@@ -109,13 +110,19 @@ def test_criterion_6_soundness_battery():
     eligible = [t for t in corpus if len(open_assumptions(t)) <= 3]
     t0 = time.perf_counter()
     violations = 0
+    counters = Counter()
     for t in eligible:
         res = countermodel_search(sorted(open_assumptions(t), key=pretty),
                                   t.conclusion, SearchBounds(3, 2))
         if res.found:
             violations += 1
+        counters.update(res.stats)
     elapsed = time.perf_counter() - t0
     assert violations == 0
+    # every interpretation in the bounds is decided once: a lane counted
+    # twice or skipped changes the sum
+    assert (counters["frames"], counters["frames_unrooted"], counters["const_vectors"],
+            counters["interpretations"]) == (4995, 11322, 5115, 536785)
     ok(6, f"no countermodel against any of {len(eligible)} checked sequents "
           f"({elapsed:.0f} s)")
 

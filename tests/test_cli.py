@@ -4,12 +4,18 @@ import os
 import pytest
 
 from bqlcd.cli import MAX_NESTING, main
+from bqlcd.kripke import SearchBounds, countermodel_search
+from bqlcd.syntax import parse_inferring
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def data(name):
     return os.path.join(DATA, name)
+
+
+def parse(text):
+    return parse_inferring(text)[0]
 
 
 def run(capsys, *argv):
@@ -142,6 +148,21 @@ def test_countermodel_identity_modes(capsys):
                         "--conclusion", "c = d | (c = d -> false)",
                         "--mode", "congruence", "--max-worlds", "2")
     assert code == 0 and payload["found"]
+
+
+def test_countermodel_stats_print_one_json_line_to_stderr(capsys):
+    argv = ["countermodel", "--premises", "p -> q", "q -> r", "--conclusion", "p -> r"]
+    code = main(argv)
+    plain = capsys.readouterr()
+    assert main(argv + ["--stats"]) == code == 1
+    shown = capsys.readouterr()
+    assert shown.out == plain.out and plain.err == ""
+    assert shown.err.endswith("\n") and shown.err.count("\n") == 1
+    stats = json.loads(shown.err)
+    assert list(stats) == sorted(stats)
+    assert stats == countermodel_search([parse("p -> q"), parse("q -> r")], parse("p -> r"),
+                                        SearchBounds(3, 2)).stats
+    assert 0 < stats["passes"] <= stats["interpretations"]
 
 
 DEEP_GUARD = "true -> " * 400 + "p"

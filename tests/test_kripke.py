@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from bqlcd import kripke
 from bqlcd.kripke import (
     MODES, IntersectionConfigError, KripkeModel, ModelError, SearchBounds,
     add_chain, check_intersection_config, check_persistence, countermodel_search,
@@ -13,9 +14,9 @@ from bqlcd.kripke import (
 from bqlcd.proofgen import random_sentence
 from bqlcd.syntax import (
     And, Atom, Const, Fn, Imp, Or, Param, TOP, BOTTOM, Var, box, free_vars,
-    parse_inferring, pretty, sig,
+    parse_inferring, pretty, sig, subformulas,
 )
-from oracle import oracle_sat
+from oracle import oracle_sat, reference_search
 
 
 def parse(text):
@@ -340,6 +341,64 @@ def test_search_stats_count_rooted_frames_and_constant_vectors():
         assert res.stats["frames"] == frames
 
 
+def _differential_cases():
+    """Seeded random sequents in every mode with their bounds, and sequents
+    whose congruence filter rejects interpretations: of functions, binary
+    relations and unary ones."""
+    cases = [(["P(c)"], "P(d)", "congruence", (2, 2)),
+             ([], "f(c) = c | (f(c) = c -> false)", "congruence", (2, 2)),
+             (["R(c, d)"], "R(d, c)", "congruence", (2, 2)),
+             ([], "c = d | (c = d -> false)", "congruence", (3, 2)),
+             ([], "c = d | (c = d -> false)", "strict", (3, 2))]
+    for i, mode in enumerate(MODES):
+        rng = random.Random(700 + i)
+        for _ in range(10):
+            prem = [pretty(random_sentence(rng, 3)) for _ in range(rng.randrange(3))]
+            cases.append((prem, pretty(random_sentence(rng, 3)), mode,
+                          rng.choice([(2, 2), (3, 1), (3, 2)])))
+    return cases
+
+
+@pytest.mark.parametrize("lanes", [kripke._LANES, 3])
+def test_lane_search_matches_the_reference_loop(monkeypatch, lanes):
+    # at 3 lanes most frames take several blocks, and the identity digit
+    # of a 3-world frame has more values than a block has lanes
+    monkeypatch.setattr(kripke, "_LANES", lanes)
+    found = later = 0
+    for prem, concl, mode, bounds in _differential_cases():
+        gamma, phi = [parse(f) for f in prem], parse(concl)
+        got = countermodel_search(gamma, phi, SearchBounds(*bounds), mode)
+        want = reference_search(gamma, phi, SearchBounds(*bounds), mode)
+        case = (prem, concl, mode, bounds)
+        assert (got.found, got.exhausted, got.witness, got.notes) == \
+            (want.found, want.exhausted, want.witness, want.notes), case
+        if got.found:
+            assert model_to_json(got.model) == model_to_json(want.model), case
+        assert got.stats.pop("passes") > 0
+        assert got.stats == {k: v for k, v in want.stats.items() if k != "passes"}, case
+        found += got.found
+        later += got.found and got.stats["interpretations"] > lanes
+    assert found >= 15
+    assert lanes > 3 or later >= 10
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 16])
+def test_lane_layout_enumerates_the_product_in_order(monkeypatch, lanes):
+    monkeypatch.setattr(kripke, "_LANES", lanes)
+    for radices in ([], [5], [2, 3], [4, 1, 7], [3, 3, 3], [17, 2], [2, 2, 2, 2, 2]):
+        block, layout = kripke._lane_layout(radices)
+        assert block <= lanes
+        seen = []
+        for qs in itertools.product(*(range(-(-r // chunk))
+                                      for r, (_, chunk) in zip(radices, layout))):
+            for lane in range(block):
+                digits = tuple(q * chunk + lane // stride % chunk
+                               for q, (stride, chunk) in zip(qs, layout))
+                if all(d < r for d, r in zip(digits, radices)):
+                    seen.append(digits)
+        assert seen == list(itertools.product(*map(range, radices)))
+
+
 def test_search_result_equality_ignores_stats():
     a = countermodel_search([], parse("p -> p"), SearchBounds(1, 1))
     b = countermodel_search([], parse("p -> p"), SearchBounds(1, 1))
@@ -441,3 +500,65 @@ def test_world_masks_match_oracle(model, phi):
         (mask,) = world_masks(model, [phi], asg)
         for i, w in enumerate(model.worlds):
             assert bool(mask >> i & 1) == oracle_sat(model, w, phi, asg)
+
+
+@st.composite
+def lane_packs(draw):
+    """A random frame on at most 4 worlds, where the last world may see
+    nothing, a domain of at most 2 elements, a value for c, and L persistent
+    interpretations of p and P on that frame, L in {1, 3, 7, 64}."""
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    dead_end = draw(st.booleans())
+    edges = {(a, b) for a in range(k) for b in range(k)
+             if not (dead_end and a == k - 1) and draw(st.booleans())}
+    worlds = [f"w{a}" for a in range(k)]
+    edges = kripke.transitive_closure({(worlds[a], worlds[b]) for a, b in edges}, worlds)
+    c = draw(st.integers(0, m - 1))
+    lanes = draw(st.sampled_from([1, 3, 7, 64]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    models = []
+    for _ in range(lanes):
+        rels = {}
+        for name, ar in (("p", 0), ("P", 1)):
+            per = {w: set() for w in worlds}
+            for t in itertools.product(range(m), repeat=ar):
+                for w in worlds:
+                    if rng.random() < 0.3:
+                        per[w].add(t)
+                        for (x, u) in edges:
+                            if x == w:
+                                per[u].add(t)
+            rels[name] = per
+        models.append(make_model(worlds, edges, m, consts={"c": c}, rels=rels,
+                                 rel_arity={"p": 0, "P": 1}))
+    return models
+
+
+@settings(max_examples=80, deadline=None)
+@given(lane_packs(), sentences())
+def test_lane_packed_evaluation_matches_oracle(models, phi):
+    # every subformula, open ones under every assignment, in one pass each
+    assume(not free_vars(phi))
+    first, lanes = models[0], len(models)
+    k, m, width = len(first.worlds), first.domain_size, len(first.worlds) + 1
+    bit = {w: 1 << a for a, w in enumerate(first.worlds)}
+    interp = tuple(
+        tuple(sum(bit[w] << lane * width for lane, model in enumerate(models)
+                  for w in first.worlds if t in model.rels[r][w])
+              for t in itertools.product(range(m), repeat=ar))
+        for r, ar in (("p", 0), ("P", 1)))
+    subs = sorted(set(subformulas(phi)), key=pretty)
+    runs, set_frame, _ = kripke._compile_sequent(subs, {"p": 0, "P": 1}, {"c": 0}, {})
+    set_frame(m, tuple((sum(bit[u] for u in first.successors(w)), bit[w])
+                       for w in first.worlds), lanes)
+    for sub, run in zip(subs, runs):
+        fvs = sorted(free_vars(sub))
+        for combo in itertools.product(range(m), repeat=len(fvs)):
+            env = tuple(zip(fvs, combo))
+            mask = run(interp, (first.consts["c"],), (), env)
+            assert mask >> lanes * width == 0
+            for lane, model in enumerate(models):
+                assert not mask >> lane * width + k & 1
+                for a, w in enumerate(model.worlds):
+                    assert bool(mask >> lane * width + a & 1) == \
+                        oracle_sat(model, w, sub, dict(env)), (pretty(sub), env, lane, w)

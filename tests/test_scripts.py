@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ["search_demo.py"],
     ["curry_demo.py"],
     ["reduction_stats.py", "--size", "20"],
+    ["battery.py", "--bounds", "2", "1"],
 ])
 def test_script_runs(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
