@@ -425,7 +425,10 @@ class SearchResult:
         return self.model is not None
 
 
-MODES = ("bqlcd_r", "bqlcd", "strict", "congruence")
+# search mode -> (identity mode, whether the witness world must be reflexive)
+_MODES = {"bqlcd_r": ("absent", True), "bqlcd": ("absent", False),
+          "strict": ("strict", True), "congruence": ("congruence", True)}
+MODES = tuple(_MODES)
 
 _FUN_TABLE_CAP = 4096
 _REL_SPACE_CAP = 1 << 18
@@ -540,7 +543,7 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
     if mode not in MODES:
         raise ValueError(f"unknown search mode {mode!r}")
     gamma = list(gamma)
-    identity = {"strict": "strict", "congruence": "congruence"}.get(mode, "absent")
+    identity, reflexive_witness = _MODES[mode]
     sig = infer_signature(gamma + [phi], identity_mode=identity)
     params = set()
     for f in gamma + [phi]:
@@ -570,8 +573,8 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
                 # a countermodel refuted at a non-root w restricts to the
                 # submodel generated by w, which has fewer worlds and was
                 # searched before, so the first countermodel has a root witness
-                witnesses = roots if mode == "bqlcd" else \
-                    tuple(a for a in roots if (a, a) in frame)
+                witnesses = tuple(a for a in roots if (a, a) in frame) \
+                    if reflexive_witness else roots
                 if not witnesses:
                     seq.stats["frames_unrooted"] += 1
                     continue

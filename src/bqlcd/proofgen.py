@@ -72,15 +72,10 @@ class ProofGenerator:
         self._accept(assume(_f("exists x. P(x)")))
         self._accept(assume(_f("forall x. P(x) | q")))
         self._accept(assume(_f("forall y. P(y)")))
-        for text in ["p -> p", "p -> (q -> p)", "p & q -> p",
-                     "(p -> q) & (q -> r) -> (p -> r)"]:
-            self._accept(nd_axiom_proof(self._schema_for(text), _f(text)))
-
-    @staticmethod
-    def _schema_for(text):
-        return {"p -> p": "identity", "p -> (q -> p)": "weakening",
-                "p & q -> p": "and_elim_l",
-                "(p -> q) & (q -> r) -> (p -> r)": "transitivity"}[text]
+        for schema, text in [("identity", "p -> p"), ("weakening", "p -> (q -> p)"),
+                             ("and_elim_l", "p & q -> p"),
+                             ("transitivity", "(p -> q) & (q -> r) -> (p -> r)")]:
+            self._accept(nd_axiom_proof(schema, _f(text)))
 
     def _pick(self, pred=None):
         items = [t for t in self.pool if pred is None or pred(t)]

@@ -19,9 +19,11 @@ ponens), ``nbqlcd[n]`` (right premises of modus ponens capped at stratum
 n-1), the axiomatic systems ``bd+``, ``djd+``, ``tjd+``, ``tjkd+``, ``tjk+``,
 and identity variants ``<nd system>+eq`` / ``<nd system>+eqxm``.
 
-Thirteen rules each internalise an axiom schema read as a rule;
-``INTERNALISED`` lists them, and the checker, the axiom templates and both
-translations read it.
+Each axiom schema is written once, as a formula over metavariables, in the
+table ``SCHEMAS``.  ``match_schema`` reads it for the checker and
+``schema_instance`` for the translations.  Thirteen rules each internalise
+an axiom schema read as a rule; ``INTERNALISED`` lists them, and the
+checker, the axiom templates and both translations read it.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ import json
 from dataclasses import dataclass, replace
 
 from .syntax import (
-    And, Atom, Bottom, Exists, Fn, Forall, Imp, Or, Param, TOP,
+    And, Atom, BINARY, Bottom, Exists, Fn, Forall, Imp, Or, Param, QUANT, TOP,
     Formula, formula_params, free_vars, infer_signature, is_sentence,
-    is_closed_term, match_instantiation, parameters_of, parse_formula, pretty,
-    replace_param,
+    is_closed_term, match_instantiation, parameters_of, parse_formula,
+    parse_inferring, pretty, replace_param,
 )
 
 
@@ -237,168 +239,75 @@ def stratum(t: Proof) -> int:
 # axiom schemas
 # ---------------------------------------------------------------------------
 
-def _m_identity(f):
-    if isinstance(f, Imp) and f.left == f.right:
-        return {"phi": f.left}
+# Each schema is written once, over the formula metavariables A, B, C and
+# the variable metavariable x.  In ``forall_inst`` and ``exists_int`` the
+# formula B must moreover be A with a closed term put for x.
+SCHEMAS = {name: parse_inferring(text)[0] for name, text in {
+    "identity": "A -> A",
+    "imp_top": "A -> true",
+    "ex_falso": "false -> A",
+    "and_comp": "(A -> B) & (A -> C) -> (A -> B & C)",
+    "and_elim_l": "A & B -> A",
+    "and_elim_r": "A & B -> B",
+    "or_int_l": "A -> A | B",
+    "or_int_r": "B -> A | B",
+    "or_comp": "(A -> C) & (B -> C) -> (A | B -> C)",
+    "distribution": "A & (B | C) -> A & B | A & C",
+    "forall_imp": "(forall x. A -> B) -> (A -> (forall x. B))",
+    "forall_inst": "(forall x. A) -> B",
+    "exists_int": "B -> (exists x. A)",
+    "exists_imp": "(forall x. A -> B) -> ((exists x. A) -> B)",
+    "cd": "(forall x. A | B) -> A | (forall x. B)",
+    "inf_distribution": "A & (exists x. B) -> (exists x. A & B)",
+    "transitivity": "(A -> B) & (B -> C) -> (A -> C)",
+    "suffixing": "(A -> B) -> ((B -> C) -> (A -> C))",
+    "prefixing": "(A -> B) -> ((C -> A) -> (C -> B))",
+    "weakening": "A -> (B -> A)",
+}.items()}
+
+_INSTANTIATING = frozenset({"forall_inst", "exists_int"})
 
 
-def _m_imp_top(f):
-    if isinstance(f, Imp) and f.right == TOP:
-        return {"phi": f.left}
+def match_schema(name: str, f: Formula):
+    """The metavariable bindings under which ``f`` instantiates the schema,
+    or None; a repeated metavariable binds equal parts of ``f``."""
+    bindings: dict = {}
+    if not _bind(SCHEMAS[name], f, bindings):
+        return None
+    if name in _INSTANTIATING and not match_instantiation(
+            bindings["A"], bindings["x"], bindings["B"])[0]:
+        return None
+    return bindings
 
 
-def _m_ex_falso(f):
-    if isinstance(f, Imp) and isinstance(f.left, Bottom):
-        return {"phi": f.right}
+def _bind(pat, f, bindings):
+    if isinstance(pat, Atom):
+        got = bindings.setdefault(pat.rel, f)
+        return got is f or got == f
+    if type(pat) is not type(f):
+        return False
+    if isinstance(pat, QUANT):
+        return (bindings.setdefault(pat.var, f.var) == f.var
+                and _bind(pat.body, f.body, bindings))
+    if isinstance(pat, BINARY):
+        return _bind(pat.left, f.left, bindings) and _bind(pat.right, f.right, bindings)
+    return True
 
 
-def _m_and_comp(f):
-    if (isinstance(f, Imp) and isinstance(f.left, And)
-            and isinstance(f.left.left, Imp) and isinstance(f.left.right, Imp)
-            and isinstance(f.right, Imp) and isinstance(f.right.right, And)
-            and f.left.left.left == f.left.right.left == f.right.left
-            and f.left.left.right == f.right.right.left
-            and f.left.right.right == f.right.right.right):
-        return {"chi": f.right.left, "phi": f.right.right.left, "psi": f.right.right.right}
+def schema_instance(name: str, **bindings) -> Formula:
+    """The schema with every metavariable replaced by its binding."""
+    return _fill(SCHEMAS[name], bindings)
 
 
-def _m_and_elim_l(f):
-    if isinstance(f, Imp) and isinstance(f.left, And) and f.left.left == f.right:
-        return {"phi": f.left.left, "psi": f.left.right}
+def _fill(pat, bindings):
+    if isinstance(pat, Atom):
+        return bindings[pat.rel]
+    if isinstance(pat, QUANT):
+        return type(pat)(bindings[pat.var], _fill(pat.body, bindings))
+    if isinstance(pat, BINARY):
+        return type(pat)(_fill(pat.left, bindings), _fill(pat.right, bindings))
+    return pat
 
-
-def _m_and_elim_r(f):
-    if isinstance(f, Imp) and isinstance(f.left, And) and f.left.right == f.right:
-        return {"phi": f.left.left, "psi": f.left.right}
-
-
-def _m_or_int_l(f):
-    if isinstance(f, Imp) and isinstance(f.right, Or) and f.right.left == f.left:
-        return {"phi": f.right.left, "psi": f.right.right}
-
-
-def _m_or_int_r(f):
-    if isinstance(f, Imp) and isinstance(f.right, Or) and f.right.right == f.left:
-        return {"phi": f.right.left, "psi": f.right.right}
-
-
-def _m_or_comp(f):
-    if (isinstance(f, Imp) and isinstance(f.left, And)
-            and isinstance(f.left.left, Imp) and isinstance(f.left.right, Imp)
-            and isinstance(f.right, Imp) and isinstance(f.right.left, Or)
-            and f.left.left.right == f.left.right.right == f.right.right
-            and f.right.left.left == f.left.left.left
-            and f.right.left.right == f.left.right.left):
-        return {"phi": f.right.left.left, "psi": f.right.left.right, "chi": f.right.right}
-
-
-def _m_distribution(f):
-    if (isinstance(f, Imp) and isinstance(f.left, And) and isinstance(f.left.right, Or)
-            and isinstance(f.right, Or)
-            and isinstance(f.right.left, And) and isinstance(f.right.right, And)
-            and f.right.left.left == f.left.left == f.right.right.left
-            and f.right.left.right == f.left.right.left
-            and f.right.right.right == f.left.right.right):
-        return {"phi": f.left.left, "psi": f.left.right.left, "chi": f.left.right.right}
-
-
-def _m_forall_imp(f):
-    if (isinstance(f, Imp) and isinstance(f.left, Forall)
-            and isinstance(f.left.body, Imp) and isinstance(f.right, Imp)
-            and isinstance(f.right.right, Forall)
-            and f.left.var == f.right.right.var
-            and f.left.body.left == f.right.left
-            and f.left.body.right == f.right.right.body):
-        return {"v": f.left.var, "phi": f.right.left, "psi": f.right.right.body}
-
-
-def _m_forall_inst(f):
-    if isinstance(f, Imp) and isinstance(f.left, Forall):
-        ok, t = match_instantiation(f.left.body, f.left.var, f.right)
-        if ok:
-            return {"v": f.left.var, "phi": f.left.body, "t": t}
-
-
-def _m_exists_int(f):
-    if isinstance(f, Imp) and isinstance(f.right, Exists):
-        ok, t = match_instantiation(f.right.body, f.right.var, f.left)
-        if ok:
-            return {"v": f.right.var, "phi": f.right.body, "t": t}
-
-
-def _m_exists_imp(f):
-    if (isinstance(f, Imp) and isinstance(f.left, Forall)
-            and isinstance(f.left.body, Imp) and isinstance(f.right, Imp)
-            and isinstance(f.right.left, Exists)
-            and f.left.var == f.right.left.var
-            and f.left.body.left == f.right.left.body
-            and f.left.body.right == f.right.right):
-        return {"v": f.left.var, "phi": f.right.left.body, "psi": f.right.right}
-
-
-def _m_cd(f):
-    if (isinstance(f, Imp) and isinstance(f.left, Forall)
-            and isinstance(f.left.body, Or) and isinstance(f.right, Or)
-            and isinstance(f.right.right, Forall)
-            and f.left.var == f.right.right.var
-            and f.left.body.left == f.right.left
-            and f.left.body.right == f.right.right.body):
-        return {"v": f.left.var, "phi": f.right.left, "psi": f.right.right.body}
-
-
-def _m_inf_distribution(f):
-    if (isinstance(f, Imp) and isinstance(f.left, And)
-            and isinstance(f.left.right, Exists) and isinstance(f.right, Exists)
-            and isinstance(f.right.body, And)
-            and f.left.right.var == f.right.var
-            and f.right.body.left == f.left.left
-            and f.right.body.right == f.left.right.body):
-        return {"v": f.right.var, "phi": f.left.left, "psi": f.left.right.body}
-
-
-def _m_transitivity(f):
-    if (isinstance(f, Imp) and isinstance(f.left, And)
-            and isinstance(f.left.left, Imp) and isinstance(f.left.right, Imp)
-            and isinstance(f.right, Imp)
-            and f.left.left.right == f.left.right.left
-            and f.right.left == f.left.left.left
-            and f.right.right == f.left.right.right):
-        return {"phi": f.left.left.left, "psi": f.left.left.right, "chi": f.left.right.right}
-
-
-def _m_suffixing(f):
-    if (isinstance(f, Imp) and isinstance(f.left, Imp) and isinstance(f.right, Imp)
-            and isinstance(f.right.left, Imp) and isinstance(f.right.right, Imp)
-            and f.left.left == f.right.right.left
-            and f.left.right == f.right.left.left
-            and f.right.left.right == f.right.right.right):
-        return {"phi": f.left.left, "psi": f.left.right, "chi": f.right.left.right}
-
-
-def _m_prefixing(f):
-    if (isinstance(f, Imp) and isinstance(f.left, Imp) and isinstance(f.right, Imp)
-            and isinstance(f.right.left, Imp) and isinstance(f.right.right, Imp)
-            and f.right.left.left == f.right.right.left
-            and f.right.left.right == f.left.left
-            and f.right.right.right == f.left.right):
-        return {"phi": f.left.left, "psi": f.left.right, "chi": f.right.left.left}
-
-
-def _m_weakening(f):
-    if isinstance(f, Imp) and isinstance(f.right, Imp) and f.left == f.right.right:
-        return {"phi": f.left, "psi": f.right.left}
-
-
-AXIOM_MATCHERS = {
-    "identity": _m_identity, "imp_top": _m_imp_top, "ex_falso": _m_ex_falso,
-    "and_comp": _m_and_comp, "and_elim_l": _m_and_elim_l, "and_elim_r": _m_and_elim_r,
-    "or_int_l": _m_or_int_l, "or_int_r": _m_or_int_r, "or_comp": _m_or_comp,
-    "distribution": _m_distribution, "forall_imp": _m_forall_imp,
-    "forall_inst": _m_forall_inst, "exists_int": _m_exists_int,
-    "exists_imp": _m_exists_imp, "cd": _m_cd, "inf_distribution": _m_inf_distribution,
-    "transitivity": _m_transitivity, "suffixing": _m_suffixing,
-    "prefixing": _m_prefixing, "weakening": _m_weakening,
-}
 
 BASE_AXIOMS = frozenset({
     "identity", "imp_top", "ex_falso", "and_comp", "and_elim_l", "and_elim_r",
@@ -453,12 +362,18 @@ class System:
     @property
     def name(self):
         if self.kind == "ax":
-            return {"b": "bd+", "dj": "djd+", "tj": "tjd+",
-                    "tjk": "tjkd+" if self.exists_elim else "tjk+"}[self.level]
+            return _AX_NAMES[self.level, self.exists_elim]
         base = "nbqlcd_r" if self.stratum_bound is None else (
             "nbqlcd" if self.stratum_bound == -1 else f"nbqlcd[{self.stratum_bound}]")
-        suffix = {"absent": "", "congruence": "+eq", "strict": "+eqxm"}[self.identity]
-        return base + suffix
+        return base + IDENTITY_SUFFIXES[self.identity]
+
+
+# axiomatic system name -> (axiom level, whether witness elimination is a rule)
+AX_SYSTEMS = {"bd+": ("b", True), "djd+": ("dj", True), "tjd+": ("tj", True),
+              "tjkd+": ("tjk", True), "tjk+": ("tjk", False)}
+_AX_NAMES = {v: k for k, v in AX_SYSTEMS.items()}
+# identity mode -> suffix of the nd system name
+IDENTITY_SUFFIXES = {"absent": "", "congruence": "+eq", "strict": "+eqxm"}
 
 
 NBQLCD_R = System("nd", None)
@@ -469,17 +384,13 @@ def parse_system(s) -> System:
     if isinstance(s, System):
         return s
     text = s.strip().lower()
-    identity = "absent"
-    if text.endswith("+eqxm"):
-        identity, text = "strict", text[:-5]
-    elif text.endswith("+eq"):
-        identity, text = "congruence", text[:-3]
-    ax = {"bd+": ("b", True), "djd+": ("dj", True), "tjd+": ("tj", True),
-          "tjkd+": ("tjk", True), "tjk+": ("tjk", False)}
-    if text in ax:
+    identity = next((mode for mode, suffix in IDENTITY_SUFFIXES.items()
+                     if suffix and text.endswith(suffix)), "absent")
+    text = text[:len(text) - len(IDENTITY_SUFFIXES[identity])]
+    if text in AX_SYSTEMS:
         if identity != "absent":
             raise ValueError("identity rules are only wired into the nd systems")
-        level, ee = ax[text]
+        level, ee = AX_SYSTEMS[text]
         return System("ax", level=level, exists_elim=ee)
     if text == "nbqlcd_r":
         return System("nd", None, identity)
@@ -582,14 +493,13 @@ def _check_axiom_node(nd, schema, system, bad):
     if nd.children or nd.discharges:
         bad("rule", "axiom nodes take no premises")
         return
-    matcher = AXIOM_MATCHERS.get(schema)
-    if matcher is None:
+    if schema not in SCHEMAS:
         bad("rule", f"unknown axiom schema {schema!r}")
         return
     if schema not in AXIOMS_BY_LEVEL[system.level]:
         bad("system", f"axiom {schema} is not available in {system.name}")
         return
-    if matcher(nd.conclusion) is None:
+    if match_schema(schema, nd.conclusion) is None:
         bad("rule", f"conclusion does not instantiate {schema}: {pretty(nd.conclusion)}")
 
 
@@ -668,7 +578,7 @@ def _check_shape(nd, path, an, system, bad):
         bad("rule", "conclusion is not existentially quantified")
     elif rule in INTERNALISED:
         schema, message = INTERNALISED[rule]
-        if AXIOM_MATCHERS[schema](internal_instance(kids, concl)) is None:
+        if match_schema(schema, internal_instance(kids, concl)) is None:
             bad("rule", message)
     elif rule == "top_int":
         if concl != TOP:

@@ -175,24 +175,15 @@ def term_free_vars(t: Term) -> frozenset:
     return frozenset(s.name for s in subterms(t) if isinstance(s, Var))
 
 
-_FREE_CACHE: dict = {}
-
-
 def free_vars(phi: Formula) -> frozenset:
-    got = _FREE_CACHE.get(phi)
-    if got is not None:
-        return got
-    if isinstance(phi, (Top, Bottom)):
-        out = frozenset()
-    elif isinstance(phi, Atom):
-        out = frozenset(s.name for a in phi.args for s in subterms(a)
-                        if isinstance(s, Var))
-    elif isinstance(phi, BINARY):
-        out = free_vars(phi.left) | free_vars(phi.right)
-    else:
-        out = free_vars(phi.body) - {phi.var}
-    _FREE_CACHE[phi] = out
-    return out
+    if isinstance(phi, Atom):
+        return frozenset(s.name for a in phi.args for s in subterms(a)
+                         if isinstance(s, Var))
+    if isinstance(phi, BINARY):
+        return free_vars(phi.left) | free_vars(phi.right)
+    if isinstance(phi, QUANT):
+        return free_vars(phi.body) - {phi.var}
+    return frozenset()
 
 
 def is_sentence(phi: Formula) -> bool:

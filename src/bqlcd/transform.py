@@ -20,7 +20,7 @@ from .proofkernel import (
     AX_RULES, CHILD_COUNT, IDENTITY_RULES, INTERNALISED, ND_RULES, Judgment,
     Proof, analyze, assume, canonical_leaf_ids, check_judgment, check_proof,
     eigenparameter, internal_instance, node, open_assumptions, relabel_leaves,
-    rename_eigenvariables, stratum,
+    rename_eigenvariables, schema_instance, stratum,
 )
 from .syntax import (
     And, Exists, Forall, Imp, Or, Param, TOP, Formula, big_conj, box,
@@ -708,8 +708,8 @@ def _ax2nd(t: Proof) -> Proof:
 # the reverse direction: guard-free proofs into the axiomatic system
 # ---------------------------------------------------------------------------
 
-def ax_axiom(schema: str, concl: Formula) -> Proof:
-    return node(f"axiom:{schema}", concl)
+def ax_axiom(schema: str, **bindings) -> Proof:
+    return node(f"axiom:{schema}", schema_instance(schema, **bindings))
 
 
 def ax_mp(p_minor: Proof, p_major: Proof) -> Proof:
@@ -726,7 +726,7 @@ def ax_compose(p_ab: Proof, p_bc: Proof) -> Proof:
             and a_b.right == b_c.left):
         raise TransformError("composition premises do not chain")
     conj = node("and_int", And(a_b, b_c), [p_ab, p_bc])
-    ax = ax_axiom("transitivity", Imp(And(a_b, b_c), Imp(a_b.left, b_c.right)))
+    ax = ax_axiom("transitivity", A=a_b.left, B=a_b.right, C=b_c.right)
     return ax_mp(conj, ax)
 
 
@@ -736,8 +736,7 @@ def ax_pair(p_sa: Proof, p_sb: Proof) -> Proof:
     if not (isinstance(sa, Imp) and isinstance(sb, Imp) and sa.left == sb.left):
         raise TransformError("pairing premises do not share an antecedent")
     conj = node("and_int", And(sa, sb), [p_sa, p_sb])
-    ax = ax_axiom("and_comp",
-                  Imp(And(sa, sb), Imp(sa.left, And(sa.right, sb.right))))
+    ax = ax_axiom("and_comp", A=sa.left, B=sa.right, C=sb.right)
     return ax_mp(conj, ax)
 
 
@@ -745,7 +744,7 @@ def ax_conj_imp(source: Formula, target: Formula) -> Proof:
     """Axiomatic proof of source -> target with the target assembled from
     pieces of the source conjunction tree."""
     if target == source:
-        return ax_axiom("identity", Imp(source, source))
+        return ax_axiom("identity", A=source)
     comp = _conj_components(source)
     if target in comp:
         cur = source
@@ -753,12 +752,12 @@ def ax_conj_imp(source: Formula, target: Formula) -> Proof:
         for step in comp[target]:
             nxt = cur.left if step == "l" else cur.right
             ax = ax_axiom("and_elim_l" if step == "l" else "and_elim_r",
-                          Imp(cur, nxt))
+                          A=cur.left, B=cur.right)
             out = ax if out is None else ax_compose(out, ax)
             cur = nxt
         return out
     if target == TOP:
-        return ax_axiom("imp_top", Imp(source, TOP))
+        return ax_axiom("imp_top", A=source)
     if isinstance(target, And):
         return ax_pair(ax_conj_imp(source, target.left),
                        ax_conj_imp(source, target.right))
@@ -774,17 +773,14 @@ def ax_release(p: Proof) -> Proof:
         raise TransformError("release needs a conjunctive antecedent")
     phi, psi = fml.left.left, fml.left.right
     chi = fml.right
-    wk1 = ax_axiom("weakening", Imp(phi, Imp(psi, phi)))
-    idd = ax_axiom("identity", Imp(psi, psi))
-    wk2 = ax_axiom("weakening", Imp(Imp(psi, psi), Imp(phi, Imp(psi, psi))))
+    wk1 = ax_axiom("weakening", A=phi, B=psi)
+    idd = ax_axiom("identity", A=psi)
+    wk2 = ax_axiom("weakening", A=Imp(psi, psi), B=phi)
     d_psi = ax_mp(idd, wk2)
     paired = ax_pair(wk1, d_psi)
-    inner_comp = ax_axiom(
-        "and_comp", Imp(And(Imp(psi, phi), Imp(psi, psi)),
-                        Imp(psi, And(phi, psi))))
+    inner_comp = ax_axiom("and_comp", A=psi, B=phi, C=psi)
     d1 = ax_compose(paired, inner_comp)
-    pre = ax_axiom("prefixing",
-                   Imp(fml, Imp(Imp(psi, fml.left), Imp(psi, chi))))
+    pre = ax_axiom("prefixing", A=fml.left, B=chi, C=psi)
     d2 = ax_mp(p, pre)
     return ax_compose(d1, d2)
 
@@ -800,9 +796,6 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
     if not report.valid:
         msgs = "; ".join(v.message for v in report.violations)
         raise TransformError(f"input is not a guard-free proof: {msgs}")
-    for p, nd_ in sorted(analyze(t).paths.items()):
-        if nd_.rule in ("eq_int", "eq_elim", "id_xm"):
-            raise TransformError("identity rules have no axiomatic counterpart here")
     if gamma is None:
         gamma = ordered_opens(t)
     else:
@@ -840,13 +833,14 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
         if rule == "assume":
             return ax_conj_imp(s, concl)
         if rule == "top_int":
-            return ax_axiom("imp_top", Imp(s, TOP))
+            return ax_axiom("imp_top", A=s)
         if rule == "and_int":
             return ax_pair(sub(0), sub(1))
         if rule in INTERNALISED:
             subs = [sub(i) for i in range(len(nd_.children))]
             kids = [c.conclusion for c in nd_.children]
-            step = ax_axiom(INTERNALISED[rule][0], internal_instance(kids, concl))
+            step = node(f"axiom:{INTERNALISED[rule][0]}",
+                        internal_instance(kids, concl))
             return ax_compose(subs[0] if len(subs) == 1 else ax_pair(*subs), step)
         if rule == "imp_int":
             return ax_release(sub(0, And(s, concl.left)))
@@ -858,19 +852,16 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
             branches = node("and_int",
                             And(lifted_l.conclusion, lifted_r.conclusion),
                             [lifted_l, lifted_r])
-            orc = ax_axiom("or_comp", Imp(
-                And(lifted_l.conclusion, lifted_r.conclusion),
-                Imp(Or(And(s, disj.left), And(s, disj.right)), concl)))
+            orc = ax_axiom("or_comp", A=And(s, disj.left), B=And(s, disj.right),
+                           C=concl)
             joined = ax_mp(branches, orc)
-            dist = ax_axiom("distribution", Imp(
-                And(s, disj), Or(And(s, disj.left), And(s, disj.right))))
+            dist = ax_axiom("distribution", A=s, B=disj.left, C=disj.right)
             body = ax_compose(dist, joined)
-            pair = ax_pair(ax_axiom("identity", Imp(s, s)), la)
+            pair = ax_pair(ax_axiom("identity", A=s), la)
             return ax_compose(pair, body)
         if rule == "forall_int":
             gen = node("forall_int", Forall(concl.var, Imp(s, concl.body)), [sub(0)])
-            step = ax_axiom("forall_imp",
-                            Imp(gen.conclusion, Imp(s, concl)))
+            step = ax_axiom("forall_imp", x=concl.var, A=s, B=concl.body)
             return ax_mp(gen, step)
         if rule == "exists_elim":
             ex = nd_.children[0].conclusion
@@ -883,13 +874,11 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
             lifted = sub(1, And(s, xi))
             gen = node("forall_int",
                        Forall(v, Imp(And(s, matrix), concl)), [lifted])
-            step = ax_axiom("exists_imp", Imp(
-                gen.conclusion, Imp(Exists(v, And(s, matrix)), concl)))
+            step = ax_axiom("exists_imp", x=v, A=And(s, matrix), B=concl)
             ex_imp = ax_mp(gen, step)
-            dist = ax_axiom("inf_distribution",
-                            Imp(And(s, ex), Exists(v, And(s, matrix))))
+            dist = ax_axiom("inf_distribution", A=s, x=v, B=matrix)
             body = ax_compose(dist, ex_imp)
-            pair = ax_pair(ax_axiom("identity", Imp(s, s)), la)
+            pair = ax_pair(ax_axiom("identity", A=s), la)
             return ax_compose(pair, body)
         raise TransformError(f"rule {rule} has no axiomatic compilation")
 

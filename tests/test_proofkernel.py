@@ -1,16 +1,20 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bqlcd.proofgen import random_sentence
 from bqlcd.proofkernel import (
-    Judgment, Proof, assume, canonical_leaf_ids, check_judgment, check_proof,
-    node, open_assumptions, parse_system, proof_from_json, proof_to_json,
-    proofs_equal, rename_eigenvariables, split_assumptions, stratum,
-    unsafe_leaves,
+    AX_SYSTEMS, AXIOMS_BY_LEVEL, IDENTITY_SUFFIXES, INTERNALISED, SCHEMAS,
+    Judgment, Proof, Violation, assume, canonical_leaf_ids, check_judgment,
+    check_proof, match_schema, node, open_assumptions, parse_system,
+    proof_from_json, proof_to_json, proofs_equal, rename_eigenvariables,
+    schema_instance, split_assumptions, stratum, unsafe_leaves,
 )
 from bqlcd.syntax import (
-    And, Atom, Const, Forall, Imp, Or, Param, TOP, BOTTOM, parse_inferring,
-    parameters_of,
+    And, Atom, Const, Exists, Forall, Imp, Or, Param, TOP, BOTTOM, Var,
+    map_terms, parse_inferring, parameters_of, pretty, substitute,
 )
 from proofcases import (
     curry_derivation, curry_half, display_one, display_two, f,
@@ -362,6 +366,77 @@ def test_axiom_instance_mismatch():
     t = node("axiom:weakening", f("p -> (q -> r)"))
     report = invalid(t, "tjkd+")
     assert any(v.constraint == "rule" for v in report.violations)
+
+
+def _occurrences(pat, path=()):
+    """(path, name) of every metavariable occurrence in a schema; the
+    variable metavariable sits at the path of its quantifier."""
+    if isinstance(pat, Atom):
+        yield path, pat.rel
+    elif isinstance(pat, (And, Or, Imp)):
+        yield from _occurrences(pat.left, path + ("left",))
+        yield from _occurrences(pat.right, path + ("right",))
+    elif isinstance(pat, (Forall, Exists)):
+        yield path, pat.var
+        yield from _occurrences(pat.body, path + ("body",))
+
+
+def _replace_at(phi, path, part):
+    """``phi`` with ``part(old)`` put for its part ``old`` at ``path``."""
+    if not path:
+        return part(phi)
+    inner = _replace_at(getattr(phi, path[0]), path[1:], part)
+    return dataclasses.replace(phi, **{path[0]: inner})
+
+
+def _random_bindings(name, rng):
+    """Random sentences for the schema's formula metavariables; in
+    ``forall_inst`` and ``exists_int`` B is A with the constant c for x."""
+    b = {"x": "x", "A": random_sentence(rng), "B": random_sentence(rng),
+         "C": random_sentence(rng)}
+    if name in ("forall_inst", "exists_int"):
+        b["A"] = map_terms(b["A"], lambda s: Var("x") if s == Const("c") else s)
+        b["B"] = substitute(b["A"], "x", Const("c"))
+    names = {n for _, n in _occurrences(SCHEMAS[name])}
+    return {k: v for k, v in b.items() if k in names}
+
+
+def test_schema_table_names_every_axiom_in_use():
+    assert set().union(*AXIOMS_BY_LEVEL.values()) <= set(SCHEMAS)
+    assert {schema for schema, _ in INTERNALISED.values()} <= set(SCHEMAS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_schema_instances_match_and_check_at_their_levels(rng):
+    systems = {level: name for name, (level, ee) in AX_SYSTEMS.items() if ee}
+    for name in SCHEMAS:
+        b = _random_bindings(name, rng)
+        phi = schema_instance(name, **b)
+        assert match_schema(name, phi) == b
+        t = node(f"axiom:{name}", phi)
+        for level, system in systems.items():
+            assert check_proof(t, system).valid == (name in AXIOMS_BY_LEVEL[level])
+        # one occurrence of a repeated metavariable made different
+        occurrences = list(_occurrences(SCHEMAS[name]))
+        for path, meta in occurrences:
+            if [n for _, n in occurrences].count(meta) < 2:
+                continue
+            if meta == "x":
+                mutant = _replace_at(phi, path, lambda q: dataclasses.replace(q, var="y"))
+            else:
+                mutant = _replace_at(phi, path, lambda _: Atom("fresh"))
+            report = check_proof(node(f"axiom:{name}", mutant), "tjkd+")
+            assert report.violations == [Violation(
+                "r", "rule", f"conclusion does not instantiate {name}: {pretty(mutant)}")]
+
+
+def test_system_names_round_trip():
+    names = list(AX_SYSTEMS) + [base + suffix
+                                for base in ("nbqlcd_r", "nbqlcd", "nbqlcd[0]", "nbqlcd[2]")
+                                for suffix in IDENTITY_SUFFIXES.values()]
+    for name in names:
+        assert parse_system(name).name == name
 
 
 def test_affixing_rule():

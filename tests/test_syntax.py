@@ -115,6 +115,12 @@ def test_box():
     assert box(3, p) == box(1, box(2, p))
 
 
+def test_free_vars_of_equal_deep_formulas_built_apart():
+    first, second = box(400, Atom("p")), box(400, Atom("p"))
+    assert first is not second
+    assert free_vars(first) == free_vars(second) == frozenset()
+
+
 def test_big_conj():
     p, q, r = Atom("p"), Atom("q"), Atom("r")
     assert big_conj([]) == TOP

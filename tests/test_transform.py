@@ -441,6 +441,14 @@ def test_nd_to_axiomatic_quantifiers():
     assert out2.conclusion == Imp(f("forall y. P(y)"), f("forall x. P(x)"))
 
 
+def test_nd_to_axiomatic_rejects_identity_rules_as_outside_nbqlcd():
+    t = node("eq_int", f("c = c"))
+    with pytest.raises(TransformError) as err:
+        nd_to_axiomatic(t)
+    assert str(err.value) == (
+        "input is not a guard-free proof: rule eq_int is not part of nbqlcd")
+
+
 def test_round_trip_axiomatic_nd_axiomatic():
     wk = node("axiom:weakening", f("p -> (q -> p)"))
     prem = assume(f("p"), "a")
