@@ -17,6 +17,9 @@ CASES = [
      "strict", (3, 2)),
     ("identity excluded middle, congruence", [], "c = d | (c = d -> false)",
      "congruence", (2, 2)),
+    ("relations under congruence",
+     ["((exists x. R(x, c)) -> (R(c, d) -> P(d)))", "R(d, c)"],
+     "((exists x. R(x, c)) | ((true & p) -> (R(d, c) -> R(c, d))))", "congruence", (3, 2)),
 ]
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 
 from .syntax import (
     And, Atom, Bottom, Const, Exists, Fn, Forall, Imp, Or, Param, Signature,
-    Top, Var, formula_params, free_vars, infer_signature, pretty, subformulas,
-    subterms,
+    Top, Var, big_conj, formula_params, free_vars, infer_signature, pretty,
+    subformulas, subterms,
 )
 
 
@@ -523,6 +523,9 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
     ``_compile_sequent``); the outer digits pick the block, in product order
     too.  The lowest set bit of the refuting lanes' witness mask is then the
     first refuting world of the first refuting model, which is returned.
+    In mode ``congruence`` a lane counts only if the sentences of
+    ``_congruence_sentences``, compiled with the sequent, hold at its first
+    witness, a reflexive root, whose implications range over every world.
     Two rules prune the order without changing that first model:
 
     - Root rule: the witness must be a root, a world that sees every other
@@ -564,9 +567,10 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
     rel_index = _index(rel_names)
     if identity != "absent":
         rel_index["="] = len(rel_names)
+    congruence = _congruence_sentences(sig, rel_names) if identity == "congruence" else []
     seq = _Sequent(gamma, phi, const_names, rel_names, fun_names, sig, identity,
-                   *_compile_sequent(gamma + [phi], rel_index, _index(const_names),
-                                     _index(fun_names))[:2])
+                   *_compile_sequent(gamma + congruence + [phi], rel_index,
+                                     _index(const_names), _index(fun_names))[:2])
     for k in range(1, bounds.max_worlds + 1):
         for m in range(1, max_domain + 1):
             for frame, succ, upsets, roots in _frames(k):
@@ -585,6 +589,24 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
     return SearchResult(None, None, True, tuple(seq.notes), seq.stats)
 
 
+def _congruence_sentences(sig, rel_names):
+    """The sentences that hold at a reflexive root iff '=' is a congruence at
+    every world: ``forall xs ys. (xs = ys -> f(xs) = f(ys))`` for each
+    function f and ``forall xs ys. (xs = ys & R(xs) -> R(ys))`` for each
+    relation R of arity >= 1, ``xs = ys`` standing for pointwise equations."""
+    out = []
+    for name in sorted(sig.functions) + [r for r in rel_names if sig.relations[r]]:
+        ar = sig.functions.get(name) or sig.relations[name]
+        xs, ys = (tuple(Var(f"{v}{i}") for i in range(ar)) for v in "xy")
+        eqs = [Atom("=", pair) for pair in zip(xs, ys)]
+        body = Imp(big_conj(eqs), Atom("=", (Fn(name, xs), Fn(name, ys)))) \
+            if name in sig.functions else Imp(big_conj(eqs + [Atom(name, xs)]), Atom(name, ys))
+        for v in reversed(xs + ys):
+            body = Forall(v.name, body)
+        out.append(body)
+    return out
+
+
 @dataclass
 class _Sequent:
     """What one search fixes: the sentences, the signature's names in index
@@ -597,7 +619,7 @@ class _Sequent:
     fun_names: list
     sig: Signature
     identity: str
-    compiled: list          # one closure per sentence, the conclusion last
+    compiled: list          # premises, congruence conditions, conclusion
     set_frame: object
     notes: list = field(default_factory=list)
     stats: dict = field(default_factory=lambda: {
@@ -804,13 +826,6 @@ def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
              for values, (stride, chunk) in zip(digits, layout)]
     full = _repeat(1, width, lanes)
 
-    def choice(qs, lane):
-        """The relation rows and the identity relation of a lane."""
-        *rows, eq = [q * chunk + lane // stride % chunk
-                     for q, (stride, chunk) in zip(qs, layout)]
-        rows = [upset_masks[i] for i in rows]
-        return tuple(tuple(rows[a:b]) for a, b in row_bounds[:-1]), eq_assignments[eq]
-
     groups = tuple((sum(1 << b for b in succ[a]), 1 << a) for a in nodes)
     witness_mask = sum(1 << a for a in witnesses)
 
@@ -828,20 +843,15 @@ def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
             # tables change: each change starts a pass of this loop, and
             # setting the frame clears them
             seq.set_frame(m, groups, lanes)
-            funs = {f: (sig.functions[f], table)
-                    for f, table in zip(seq.fun_names, fun_tables)}
             for qs in itertools.product(*(range(len(w)) for w in words)):
                 flat = [x for w, q in zip(words, qs) for x in w[q][0]]
                 interp = tuple(tuple(flat[a:b]) for a, b in row_bounds)
                 real = min(w[q][1] for w, q in zip(words, qs))
                 valid = full if real == lanes else _repeat(1, width, real)
-                if identity == "congruence":
-                    for lane in range(real):
-                        rel_choice, eqs = choice(qs, lane)
-                        if any(_congruence_fault(eqs[a], m, funs,
-                                                 _exts_at(a, rel_specs, rel_choice))
-                               for a in nodes):
-                            valid ^= 1 << lane * width
+                # a lane is a congruence model iff the congruence sentences
+                # hold at its first witness, a reflexive root
+                for run in compiled[len(gamma):-1]:
+                    valid &= run(interp, const_vals, fun_tables, ()) >> witnesses[0]
                 stats["passes"] += 1
                 phi_mask = compiled[-1](interp, const_vals, fun_tables, ())
                 live = witness_mask * valid & ~phi_mask
@@ -855,9 +865,12 @@ def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
                 low = (live & -live).bit_length() - 1
                 stats["interpretations"] += (valid & ((2 << low) - 1)).bit_count()
                 lane, hit = divmod(low, width)
-                rel_choice, eqs = choice(qs, lane)
-                model = _materialize_masks(seq, nodes, frame, m, const_vals,
-                                           fun_tables, rel_specs, rel_choice, eqs)
+                *rows, eq = [q * chunk + lane // stride % chunk
+                             for q, (stride, chunk) in zip(qs, layout)]
+                rows = [upset_masks[i] for i in rows]
+                model = _materialize_masks(
+                    seq, nodes, frame, m, const_vals, fun_tables, rel_specs,
+                    [rows[a:b] for a, b in row_bounds[:-1]], eq_assignments[eq])
                 validate_model(model)
                 *premises, conclusion = world_masks(model, gamma + [seq.phi])
                 assert all(g >> hit & 1 for g in premises) \

@@ -47,15 +47,17 @@ def random_sentence(rng, depth=2):
     return (Forall if rng.random() < 0.5 else Exists)("x", body)
 
 
+_MAX_DEPTH = 6          # deeper proofs stay out of the generator's pool
+
+
 class ProofGenerator:
-    def __init__(self, seed=0, max_depth=6):
+    def __init__(self, seed=0):
         self.rng = random.Random(seed)
-        self.max_depth = max_depth
         self.pool: list = []
         self._seed_pool()
 
     def _accept(self, t):
-        if t is None or proof_depth(t) > self.max_depth:
+        if t is None or proof_depth(t) > _MAX_DEPTH:
             return None
         if len(open_assumptions(t)) > 4:
             return None
@@ -244,9 +246,9 @@ class ProofGenerator:
             return None
 
 
-def generate_corpus(seed=0, size=200, max_depth=6):
+def generate_corpus(seed=0, size=200):
     """At least ``size`` distinct valid proofs, canonical leaf ids."""
-    gen = ProofGenerator(seed=seed, max_depth=max_depth)
+    gen = ProofGenerator(seed=seed)
     out, seen = [], set()
     guard = 0
     while len(out) < size and guard < size * 200:
@@ -289,7 +291,7 @@ _THEOREM_TEXTS = [
 ]
 
 
-def closed_theorem_corpus(size=20):
+def closed_theorem_corpus():
     """Closed theorems with full-system proofs at strata -1, 0 and 1."""
     out = []
     for i, (schema, text) in enumerate(_THEOREM_TEXTS):
@@ -299,7 +301,7 @@ def closed_theorem_corpus(size=20):
         elif i % 3 == 2:
             base = unbox(boxn(unbox(pad_box(base, 0, 1), 1), 1), 1)  # stratum 1
         out.append(canonical_leaf_ids(base))
-    return out[:size]
+    return out
 
 
 def axiomatic_corpus():
@@ -333,7 +335,7 @@ def axiomatic_corpus():
                     [node("and_int", _f("(p -> q) & (q -> r)"),
                           [assume(_f("p -> q"), "b1"), assume(_f("q -> r"), "b2")]),
                      ax("transitivity", "(p -> q) & (q -> r) -> (p -> r)")]))
-    return [canonical_leaf_ids(t) for t in out][:20]
+    return [canonical_leaf_ids(t) for t in out]
 
 
 # ---------------------------------------------------------------------------

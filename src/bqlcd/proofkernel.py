@@ -227,12 +227,10 @@ def _split_open(an):
 def stratum(t: Proof) -> int:
     """-1 without modus ponens; otherwise one more than the right-premise
     stratum, maximised over the tree."""
-    best = -1
-    for c in t.children:
-        best = max(best, stratum(c))
+    strata = [stratum(c) for c in t.children]
     if t.rule == "imp_elim":
-        best = max(best, stratum(t.children[1]) + 1)
-    return best
+        strata.append(strata[1] + 1)
+    return max(strata, default=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +374,6 @@ _AX_NAMES = {v: k for k, v in AX_SYSTEMS.items()}
 IDENTITY_SUFFIXES = {"absent": "", "congruence": "+eq", "strict": "+eqxm"}
 
 
-NBQLCD_R = System("nd", None)
-NBQLCD = System("nd", -1)
-
-
 def parse_system(s) -> System:
     if isinstance(s, System):
         return s
@@ -433,8 +427,9 @@ def check_proof(t: Proof, system) -> CheckReport:
     system = parse_system(system)
     an = analyze(t)
     out = [Violation(path_str(p), kind, msg) for kind, p, msg in an.problems]
+    allowed = _allowed_rules(system)
     for path, nd in sorted(an.paths.items()):
-        _check_node(nd, path, an, system, out)
+        _check_node(nd, path, an, system, allowed, out)
     return CheckReport(not out, out, stratum(t), _open_formulas(an), *_split_open(an))
 
 
@@ -454,7 +449,7 @@ def _allowed_rules(system: System):
     return rules
 
 
-def _check_node(nd, path, an, system, out):
+def _check_node(nd, path, an, system, allowed, out):
     def bad(constraint, message):
         out.append(Violation(path_str(path), constraint, message))
 
@@ -470,7 +465,6 @@ def _check_node(nd, path, an, system, out):
     if rule.startswith("axiom:"):
         _check_axiom_node(nd, rule[6:], system, bad)
         return
-    allowed = _allowed_rules(system)
     if rule not in allowed:
         if rule in ND_RULES | IDENTITY_RULES | AX_RULES:
             bad("system", f"rule {rule} is not part of {system.name}")
@@ -730,17 +724,12 @@ class Judgment:
     conclusion: Formula
 
 
-def system_for_claim(claim, identity="absent") -> System:
-    if claim == "r":
-        return System("nd", None, identity)
-    return System("nd", int(claim), identity)
-
-
 def check_judgment(j: Judgment, t: Proof, identity="absent"):
     """True iff the proof checks in the claimed system, concludes the stated
     sentence, its open assumptions fall inside both contexts together, and
     its unsafely-occurring open assumptions fall inside the left context."""
-    report = check_proof(t, system_for_claim(j.stratum_claim, identity))
+    bound = None if j.stratum_claim == "r" else int(j.stratum_claim)
+    report = check_proof(t, System("nd", bound, identity))
     if not report.valid or t.conclusion != j.conclusion:
         return False, report
     allowed = set(j.gamma) | set(j.sigma)

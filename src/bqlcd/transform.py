@@ -290,8 +290,7 @@ def or_join(n, a, b, c, p_ac, p_bc) -> Proof:
 # relative deduction
 # ---------------------------------------------------------------------------
 
-def relative_deduction(t: Proof, gamma, sigma, n: int, identity="absent",
-                       skip_check=False) -> Proof:
+def relative_deduction(t: Proof, gamma, sigma, n: int, identity="absent") -> Proof:
     """Rewrite a stratum-n proof into a guard-free proof of the guarded
     conditional: from unsafe context only, conclude box^n of (the side
     context conjoined) -> conclusion."""
@@ -299,12 +298,11 @@ def relative_deduction(t: Proof, gamma, sigma, n: int, identity="absent",
     sigma = list(sigma)
     if n < 0:
         raise TransformError("the rewrite is defined for depth >= 0")
-    if not skip_check:
-        ok, report = check_judgment(
-            Judgment(tuple(gamma), tuple(sigma), n, t.conclusion), t, identity)
-        if not ok:
-            msgs = "; ".join(v.message for v in report.violations) or "context mismatch"
-            raise TransformError(f"judgment does not hold: {msgs}")
+    ok, report = check_judgment(
+        Judgment(tuple(gamma), tuple(sigma), n, t.conclusion), t, identity)
+    if not ok:
+        msgs = "; ".join(v.message for v in report.violations) or "context mismatch"
+        raise TransformError(f"judgment does not hold: {msgs}")
     out = _rd(t, gamma, sigma, n)
     return canonical_leaf_ids(out)
 
@@ -328,7 +326,7 @@ def _rd(t: Proof, gamma, sigma, n: int) -> Proof:
         return _rd_imp_elim(t, gamma, sigma, n)
     if rule == "exists_elim":
         return _rd_exists_elim(t, gamma, sigma, n)
-    if rule == "forall_int" and _pinned_eigenparam(t) is not None:
+    if rule == "forall_int" and eigenparameter(t) is not None:
         return _rd_forall_int(t, gamma, sigma, n)
 
     # every other natural-deduction rule is rewritten by its premise count;
@@ -356,12 +354,6 @@ def _rd(t: Proof, gamma, sigma, n: int) -> Proof:
         return chain_imp(n, s_conj, ab, concl, paired, boxn(tmpl, n))
 
     raise TransformError(f"rule {rule} has no rewrite case")
-
-
-def _pinned_eigenparam(t: Proof):
-    if t.rule in ("forall_int", "exists_elim"):
-        return eigenparameter(t)
-    return None
 
 
 def _sub_contexts(sub: Proof, gamma, sigma, exclude=()):
@@ -469,7 +461,7 @@ def _rd_exists_elim(t, gamma, sigma, n):
     ex = major.conclusion
     v, matrix = ex.var, ex.body
     concl = t.conclusion
-    i = _pinned_eigenparam(t)
+    i = eigenparameter(t)
     if i is None:
         i = _fresh_param(t, *gamma, *sigma)
     xi = substitute(matrix, v, Param(i))

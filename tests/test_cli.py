@@ -165,6 +165,20 @@ def test_countermodel_stats_print_one_json_line_to_stderr(capsys):
     assert 0 < stats["passes"] <= stats["interpretations"]
 
 
+def test_countermodel_congruence_with_relations_exhausts(capsys):
+    # 736,726 congruence interpretations over a binary and a unary relation:
+    # the congruence conditions are decided a block of lanes at a time
+    code = main(["countermodel",
+                 "--premises", "((exists x. R(x, c)) -> (R(c, d) -> P(d)))", "R(d, c)",
+                 "--conclusion", "((exists x. R(x, c)) | ((true & p) -> (R(d, c) -> R(c, d))))",
+                 "--mode", "congruence", "--max-worlds", "3", "--max-domain", "2", "--stats"])
+    shown = capsys.readouterr()
+    assert code == 1
+    assert shown.out == '{\n  "found": false,\n  "exhausted": true,\n  "notes": []\n}\n'
+    assert shown.err == ('{"const_vectors": 45, "frames": 30, "frames_unrooted": 68, '
+                         '"interpretations": 736726, "passes": 929}\n')
+
+
 DEEP_GUARD = "true -> " * 400 + "p"
 
 

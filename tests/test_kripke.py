@@ -343,11 +343,12 @@ def test_search_stats_count_rooted_frames_and_constant_vectors():
 
 def _differential_cases():
     """Seeded random sequents in every mode with their bounds, and sequents
-    whose congruence filter rejects interpretations: of functions, binary
-    relations and unary ones."""
+    whose congruence conditions reject interpretations: of functions, binary
+    relations and unary ones, and of both relations under a quantifier."""
     cases = [(["P(c)"], "P(d)", "congruence", (2, 2)),
              ([], "f(c) = c | (f(c) = c -> false)", "congruence", (2, 2)),
              (["R(c, d)"], "R(d, c)", "congruence", (2, 2)),
+             (["forall x. (R(x, c) -> P(x))", "R(d, c)"], "P(d)", "congruence", (2, 2)),
              ([], "c = d | (c = d -> false)", "congruence", (3, 2)),
              ([], "c = d | (c = d -> false)", "strict", (3, 2))]
     for i, mode in enumerate(MODES):

@@ -159,6 +159,21 @@ def test_stratum_nested_example():
     assert any(v.constraint == "system" for v in report.violations)
 
 
+def test_stratum_of_a_deep_right_nested_chain():
+    # each modus ponens takes its conditional from the next one up, so the
+    # right premises nest 40 deep; computing a child's stratum twice per
+    # level would cost 2 ** 40 visits
+    p, concl = f("p"), f("q")
+    conds = [concl]
+    for _ in range(40):
+        conds.append(Imp(p, conds[-1]))
+    t = assume(conds[-1], "c")
+    for i in range(39, -1, -1):
+        t = node("imp_elim", conds[i], [assume(p, f"a{i}"), t])
+    assert stratum(t) == 39
+    assert valid(t).stratum == 39
+
+
 # --- judgments -------------------------------------------------------------------
 
 def test_check_judgment_mp():
