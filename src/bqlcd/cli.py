@@ -25,7 +25,7 @@ from .proofkernel import (
     proof_size, proof_to_json, stratum,
 )
 from .syntax import (
-    BINARY, QUANT, And, Exists, Forall, Imp, Or, ParseError,
+    BINARY, QUANT, And, Exists, Forall, Imp, Or, ParseError, Signature,
     free_vars, infer_signature, parse_formula, parse_inferring, pretty,
 )
 
@@ -148,17 +148,16 @@ def cmd_sat(args) -> int:
 
 def cmd_countermodel(args) -> int:
     try:
-        premises = []
+        premises, sig = [], Signature()
         for text in args.premises or []:
-            premises.append(parse_inferring(text)[0])
-        conclusion = parse_inferring(args.conclusion)[0]
+            phi, sig = parse_inferring(text, sig)
+            premises.append(phi)
+        conclusion = parse_inferring(args.conclusion, sig)[0]
         _check_nesting(premises + [conclusion])
         bounds = SearchBounds(args.max_worlds, args.max_domain)
         for phi in premises + [conclusion]:
             if free_vars(phi):
                 raise ParseError("premises and conclusion must be closed")
-        # parsed one by one, so a symbol may still be used two ways
-        infer_signature(premises + [conclusion])
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

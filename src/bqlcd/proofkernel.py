@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 
 from .syntax import (
     And, Atom, BINARY, Bottom, Exists, Fn, Forall, Imp, Or, Param, QUANT, TOP,
-    Formula, formula_params, free_vars, infer_signature, is_sentence,
-    is_closed_term, match_instantiation, parameters_of, parse_formula,
+    Formula, ParseError, Signature, Symbols, formula_params, free_vars,
+    is_sentence, is_closed_term, match_instantiation, parameters_of,
     parse_inferring, pretty, replace_param,
 )
 
@@ -224,13 +224,17 @@ def _split_open(an):
     return unsafe, _open_formulas(an) - unsafe
 
 
-def stratum(t: Proof) -> int:
+def stratum(t: Proof, strata=None) -> int:
     """-1 without modus ponens; otherwise one more than the right-premise
-    stratum, maximised over the tree."""
-    strata = [stratum(c) for c in t.children]
-    if t.rule == "imp_elim":
-        strata.append(strata[1] + 1)
-    return max(strata, default=-1)
+    stratum, maximised over the tree.  ``strata``, when given, receives the
+    stratum of every subtree, keyed by the subtree's ``id``."""
+    values = [stratum(c, strata) for c in t.children]
+    if t.rule == "imp_elim" and len(values) > 1:
+        values.append(values[1] + 1)
+    out = max(values, default=-1)
+    if strata is not None:
+        strata[id(t)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +432,11 @@ def check_proof(t: Proof, system) -> CheckReport:
     an = analyze(t)
     out = [Violation(path_str(p), kind, msg) for kind, p, msg in an.problems]
     allowed = _allowed_rules(system)
+    strata = {}
+    top = stratum(t, strata)
     for path, nd in sorted(an.paths.items()):
-        _check_node(nd, path, an, system, allowed, out)
-    return CheckReport(not out, out, stratum(t), _open_formulas(an), *_split_open(an))
+        _check_node(nd, path, an, system, allowed, strata, out)
+    return CheckReport(not out, out, top, _open_formulas(an), *_split_open(an))
 
 
 def _allowed_rules(system: System):
@@ -449,7 +455,7 @@ def _allowed_rules(system: System):
     return rules
 
 
-def _check_node(nd, path, an, system, allowed, out):
+def _check_node(nd, path, an, system, allowed, strata, out):
     def bad(constraint, message):
         out.append(Violation(path_str(path), constraint, message))
 
@@ -477,7 +483,7 @@ def _check_node(nd, path, an, system, allowed, out):
         return
     if nd.discharges and rule not in DISCHARGING:
         bad("discharge", f"rule {rule} cannot discharge assumptions")
-    _check_shape(nd, path, an, system, bad)
+    _check_shape(nd, path, an, system, strata, bad)
 
 
 def _check_axiom_node(nd, schema, system, bad):
@@ -562,7 +568,7 @@ def _eigenparam_for_exists(nd, an, path):
     return t.index, xi, None
 
 
-def _check_shape(nd, path, an, system, bad):
+def _check_shape(nd, path, an, system, strata, bad):
     rule, concl = nd.rule, nd.conclusion
     kids = [c.conclusion for c in nd.children]
 
@@ -607,7 +613,7 @@ def _check_shape(nd, path, an, system, bad):
             return
         if system.kind == "nd" and system.stratum_bound is not None \
                 and system.stratum_bound >= 0:
-            got = stratum(nd.children[1])
+            got = strata[id(nd.children[1])]
             if got >= system.stratum_bound:
                 bad("system",
                     f"right premise has stratum {got}, needs < {system.stratum_bound}")
@@ -838,44 +844,37 @@ def proof_to_json(t: Proof) -> dict:
     return out
 
 
-def _collect_texts(data, texts):
-    if not isinstance(data, dict):
-        raise ProofJsonError(f"proof nodes must be objects, got {type(data).__name__}")
-    if "assume" in data:
-        texts.append(data["assume"])
-        return
-    if "conclusion" not in data or "rule" not in data:
-        raise ProofJsonError("proof node needs 'rule' and 'conclusion'")
-    texts.append(data["conclusion"])
-    for c in data.get("children", ()):
-        _collect_texts(c, texts)
-
-
 def proof_from_json(data) -> Proof:
-    texts: list = []
-    _collect_texts(data, texts)
-    try:
-        sig = infer_signature(texts)
-    except ValueError as exc:
-        raise ProofJsonError(str(exc)) from exc
+    """Build a proof from its JSON form, parsing each formula text once
+    against a signature inferred as the texts are read."""
+    symbols = Symbols(Signature(), infer=True)
     counter = itertools.count()
 
-    def build(d):
-        try:
-            if "assume" in d:
-                phi = parse_formula(d["assume"], sig)
-                lid = str(d.get("id") or f"L{next(counter)}")
-                return Proof(ASSUME, phi, leaf_id=lid)
-            phi = parse_formula(d["conclusion"], sig)
-            children = tuple(build(c) for c in d.get("children", ()))
-            discharges = frozenset(str(x) for x in d.get("discharges", ()))
-            return Proof(str(d["rule"]), phi, children, discharges)
-        except ProofJsonError:
-            raise
-        except ValueError as exc:
-            raise ProofJsonError(str(exc)) from exc
+    def entry(d, key, kind, default=None):
+        value = d.get(key, default)
+        if not isinstance(value, kind):
+            raise ProofJsonError(f"proof node field {key!r} must be a "
+                                 f"{kind.__name__}, got {type(value).__name__}")
+        return value
 
-    return build(data)
+    def build(d):
+        if not isinstance(d, dict):
+            raise ProofJsonError(f"proof nodes must be objects, got {type(d).__name__}")
+        if "assume" in d:
+            phi = symbols.parse(entry(d, "assume", str))
+            lid = str(d.get("id") or f"L{next(counter)}")
+            return Proof(ASSUME, phi, leaf_id=lid)
+        if "conclusion" not in d or "rule" not in d:
+            raise ProofJsonError("proof node needs 'rule' and 'conclusion'")
+        phi = symbols.parse(entry(d, "conclusion", str))
+        children = tuple(build(c) for c in entry(d, "children", list, []))
+        discharges = frozenset(str(x) for x in entry(d, "discharges", list, []))
+        return Proof(str(d["rule"]), phi, children, discharges)
+
+    try:
+        return build(data)
+    except ParseError as exc:
+        raise ProofJsonError(str(exc)) from exc
 
 
 def load_proof(path) -> Proof:

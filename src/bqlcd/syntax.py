@@ -6,6 +6,14 @@ objects inside derivations and never collide with user constants.
 
 Every rewrite of the terms in a formula (substitution, renaming and
 generalising parameters) goes through ``map_terms``.
+
+The parser gives each name the kind its place gives it, with no lookahead:
+the head of an atom is a relation unless ``=`` follows it; inside a term a
+name with arguments is a function, a bound (or given free) name a variable
+and any other name a constant.  A bound name heads an atom only if already
+a relation; against a fixed signature, a head not known as a relation is
+read as a term.  ``Symbols.note`` checks every use of a name, in texts and
+formula objects alike, and adds fresh names only when inferring.
 """
 
 from __future__ import annotations
@@ -356,6 +364,14 @@ _UNICODE = {
 
 _TOKEN_RE = re.compile(r"\s*(->|<->|[()&|=.,]|#\d+|[A-Za-z_][A-Za-z0-9_]*)")
 
+_KEYWORDS = ("true", "false", "forall", "exists")
+
+# the binary connectives, weakest first
+_BINARY_LEVELS = (("->", Imp), ("|", Or), ("&", And))
+
+# each kind of name in messages; sorted kinds put "term" first
+_KIND_WORDS = {"const": "term", "fn": "function", "rel": "relation"}
+
 
 def _tokenize(text: str):
     for uni, ascii_ in _UNICODE.items():
@@ -374,21 +390,90 @@ def _tokenize(text: str):
     return out
 
 
+def _is_name(tok) -> bool:
+    return tok is not None and (tok[0].isalpha() or tok[0] == "_")
+
+
+class Symbols:
+    """The names of a signature, each with its kind (``"const"``, ``"fn"``
+    or ``"rel"``) and arity.  ``note`` checks every use of a name, in texts
+    and in formula objects alike; a fresh name is added when ``infer`` is
+    set and is an error otherwise."""
+
+    def __init__(self, sig: Signature, infer: bool):
+        self.infer = infer
+        self.kinds = {name: ("const", 0) for name in sig.constants}
+        self.kinds.update((name, ("fn", n)) for name, n in sig.functions.items())
+        self.kinds.update((name, ("rel", n)) for name, n in sig.relations.items())
+
+    def note(self, kind, name, arity, pos=None):
+        known = self.kinds.get(name)
+        if known == (kind, arity):
+            return
+        if known is None:
+            if self.infer:
+                self.kinds[name] = (kind, arity)
+                return
+            what = "symbol" if kind == "const" else _KIND_WORDS[kind]
+            raise ParseError(f"unknown {what} {name!r}", pos)
+        if known[0] == kind:
+            raise ParseError(f"{_KIND_WORDS[kind]} {name} used with arity "
+                             f"{arity}, expected {known[1]}", pos)
+        first, second = sorted((kind, known[0]))
+        raise ParseError(f"{name!r} used both as {_KIND_WORDS[first]} and "
+                         f"{_KIND_WORDS[second]}", pos)
+
+    def parse(self, text: str, free_vars=()) -> Formula:
+        """Parse ``text``, reading ``free_vars`` names as free variables."""
+        p = _Parser(_tokenize(text), self, free_vars)
+        out = p.formula()
+        tok, pos = p.toks[p.i]
+        if tok is not None:
+            raise ParseError(f"trailing input {tok!r}", pos)
+        return out
+
+    def read(self, phi: Formula) -> None:
+        """Note every symbol of the formula object ``phi``."""
+        stack = [phi]
+        try:
+            while stack:
+                x = stack.pop()
+                if isinstance(x, Atom):
+                    self.note("rel", x.rel, len(x.args))
+                    stack.extend(reversed(x.args))
+                elif isinstance(x, Fn):
+                    self.note("fn", x.name, len(x.args))
+                    stack.extend(reversed(x.args))
+                elif isinstance(x, Const):
+                    self.note("const", x.name, 0)
+                elif isinstance(x, BINARY):
+                    stack += (x.right, x.left)
+                elif isinstance(x, QUANT):
+                    stack.append(x.body)
+        except ParseError as exc:
+            raise SignatureError(str(exc)) from None
+
+    def signature(self, identity_mode="absent") -> Signature:
+        tables = {"const": {}, "fn": {}, "rel": {}}
+        for name, (kind, arity) in self.kinds.items():
+            tables[kind][name] = arity
+        if identity_mode != "absent":
+            tables["rel"]["="] = 2
+        return Signature(frozenset(tables["const"]), tables["fn"], tables["rel"],
+                         identity_mode)
+
+
 class _Parser:
     """Recursive descent over the grammar; `->` is right-associative and
-    weakest, `&` binds tighter than `|`, quantifiers take maximal scope."""
+    weakest, `&` binds tighter than `|`, quantifiers take maximal scope.
+    Names get their kinds by position, as the module docstring says."""
 
-    def __init__(self, tokens, sig, infer, free_names):
+    def __init__(self, tokens, symbols, free_names):
         self.toks = tokens
         self.i = 0
-        self.sig = sig
-        self.infer = infer
-        self.free_names = set(free_names)
-        self.bound: list[str] = []
-        # grow-only tables used in inference mode
-        self.constants = set(sig.constants) if sig else set()
-        self.functions = dict(sig.functions) if sig else {}
-        self.relations = dict(sig.relations) if sig else {}
+        self.symbols = symbols
+        # the free names act as bound around the whole text
+        self.bound: list[str] = list(free_names)
 
     def peek(self):
         return self.toks[self.i][0]
@@ -403,37 +488,27 @@ class _Parser:
         if tok != what:
             raise ParseError(f"expected {what!r}, found {tok!r}", pos)
 
-    def fail(self, msg):
-        raise ParseError(msg, self.toks[self.i][1])
-
     def formula(self):
-        left = self.imp()
+        left = self.binary()
         if self.peek() == "<->":
             self.next()
-            right = self.imp()
+            right = self.binary()
             return And(Imp(left, right), Imp(right, left))
         return left
 
-    def imp(self):
-        left = self.disj()
-        if self.peek() == "->":
+    def binary(self, level=0):
+        """The operands of ``_BINARY_LEVELS[level]``, folded to the right by
+        a loop, so a long chain costs no recursion.  The operands of the
+        last level, ``&``, are units."""
+        op, cls = _BINARY_LEVELS[level]
+        parts = [self.binary(level + 1) if level < 2 else self.unit()]
+        while self.peek() == op:
             self.next()
-            return Imp(left, self.imp())
-        return left
-
-    def disj(self):
-        left = self.conj()
-        if self.peek() == "|":
-            self.next()
-            return Or(left, self.disj())
-        return left
-
-    def conj(self):
-        left = self.unit()
-        if self.peek() == "&":
-            self.next()
-            return And(left, self.conj())
-        return left
+            parts.append(self.binary(level + 1) if level < 2 else self.unit())
+        out = parts.pop()
+        while parts:
+            out = cls(parts.pop(), out)
+        return out
 
     def unit(self):
         tok, pos = self.toks[self.i]
@@ -442,17 +517,13 @@ class _Parser:
             out = self.formula()
             self.expect(")")
             return out
-        if tok == "true":
+        if tok in ("true", "false"):
             self.next()
-            return TOP
-        if tok == "false":
-            self.next()
-            return BOTTOM
+            return TOP if tok == "true" else BOTTOM
         if tok in ("forall", "exists"):
             self.next()
             var, vpos = self.next()
-            if (var is None or var in ("true", "false", "forall", "exists")
-                    or not (var[0].isalpha() or var[0] == "_")):
+            if not _is_name(var) or var in _KEYWORDS:
                 raise ParseError("expected a variable after quantifier", vpos)
             self.expect(".")
             self.bound.append(var)
@@ -461,94 +532,38 @@ class _Parser:
             return (Forall if tok == "forall" else Exists)(var, body)
         if tok is None:
             raise ParseError("unexpected end of input", pos)
-        return self.atom_or_identity()
+        return self.atom()
 
-    def atom_or_identity(self):
+    def atom(self):
         tok, pos = self.toks[self.i]
-        # relation applications are recognised up front; anything else is a
-        # term, which must then continue as an identity atom or stand alone
-        # as a propositional letter
-        if tok is not None and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            if self._is_relation(tok):
-                return self.relation_atom()
-        t = self.term()
-        if self.peek() == "=":
+        symbols = self.symbols
+        # a head is a relation, unless "=" follows and makes it a term
+        if _is_name(tok) and (symbols.kinds.get(tok, ("",))[0] == "rel" or
+                              symbols.infer and tok not in self.bound):
             self.next()
-            t2 = self.term()
-            self._note_relation("=", 2, pos)
-            self._register_term_constants(t)
-            self._register_term_constants(t2)
-            return Atom("=", (t, t2))
-        # bare name in formula position: propositional letter
-        if isinstance(t, Const) and t.name not in self.constants:
-            self._note_relation(t.name, 0, pos)
-            return Atom(t.name)
-        raise ParseError(f"term {pretty_term(t)} is not a formula", pos)
+            args = self.args() if self.peek() == "(" else ()
+            if self.peek() != "=":
+                symbols.note("rel", tok, len(args), pos)
+                return Atom(tok, args)
+            symbols.note("fn" if args else "const", tok, len(args), pos)
+            left = Fn(tok, args) if args else Const(tok)
+        else:
+            left = self.term()
+            if self.peek() != "=":
+                raise ParseError(f"term {pretty_term(left)} is not a formula", pos)
+        self.next()
+        right = self.term()
+        symbols.note("rel", "=", 2, pos)
+        return Atom("=", (left, right))
 
-    def _is_relation(self, name):
-        if name in self.relations:
-            return True
-        if self.infer:
-            # a known constant/function is never a relation; fresh names in
-            # formula position become relations unless an identity sign
-            # puts them in term position
-            if name in self.constants or name in self.functions:
-                return False
-            if name in self.bound or name in self.free_names:
-                return False
-            j = self.i + 1
-            if self.toks[j][0] == "(":
-                depth, k = 0, j
-                while self.toks[k][0] is not None:
-                    tok = self.toks[k][0]
-                    if tok == "(":
-                        depth += 1
-                    elif tok == ")":
-                        depth -= 1
-                        if depth == 0:
-                            return self.toks[k + 1][0] != "="
-                    k += 1
-                return True
-            return self.toks[j][0] != "="
-        return False
-
-    def _register_term_constants(self, t):
-        # inference mode: fresh names that really sit in term position
-        if not self.infer:
-            return
-        if isinstance(t, Const) and t.name not in self.constants \
-                and t.name not in self.functions and t.name not in self.relations:
-            self.constants.add(t.name)
-        elif isinstance(t, Fn):
-            for a in t.args:
-                self._register_term_constants(a)
-
-    def _note_relation(self, name, arity, pos):
-        known = self.relations.get(name)
-        if known is not None:
-            if known != arity:
-                raise ParseError(f"relation {name} used with arity {arity}, expected {known}", pos)
-            return
-        if not self.infer:
-            raise ParseError(f"unknown relation {name!r}", pos)
-        if name in self.constants or name in self.functions:
-            raise ParseError(f"{name!r} used both as term and relation", pos)
-        self.relations[name] = arity
-
-    def relation_atom(self):
-        name, pos = self.next()
-        args = ()
-        if self.peek() == "(":
+    def args(self):
+        self.next()
+        out = [self.term()]
+        while self.peek() == ",":
             self.next()
-            args = (self.term(),)
-            while self.peek() == ",":
-                self.next()
-                args += (self.term(),)
-            self.expect(")")
-        self._note_relation(name, len(args), pos)
-        for a in args:
-            self._register_term_constants(a)
-        return Atom(name, args)
+            out.append(self.term())
+        self.expect(")")
+        return tuple(out)
 
     def term(self):
         tok, pos = self.next()
@@ -556,40 +571,18 @@ class _Parser:
             raise ParseError("unexpected end of input", pos)
         if tok.startswith("#"):
             return Param(int(tok[1:]))
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+        if not _is_name(tok):
             raise ParseError(f"expected a term, found {tok!r}", pos)
-        if tok in ("true", "false", "forall", "exists"):
+        if tok in _KEYWORDS:
             raise ParseError(f"keyword {tok!r} is not a term", pos)
         if self.peek() == "(":
-            self.next()
-            args = (self.term(),)
-            while self.peek() == ",":
-                self.next()
-                args += (self.term(),)
-            self.expect(")")
-            known = self.functions.get(tok)
-            if known is None:
-                if not self.infer:
-                    raise ParseError(f"unknown function {tok!r}", pos)
-                if tok in self.constants or tok in self.relations:
-                    raise ParseError(f"{tok!r} used inconsistently", pos)
-                self.functions[tok] = len(args)
-            elif known != len(args):
-                raise ParseError(f"function {tok} used with arity {len(args)}, expected {known}", pos)
+            args = self.args()
+            self.symbols.note("fn", tok, len(args), pos)
             return Fn(tok, args)
         if tok in self.bound:
             return Var(tok)
-        if tok in self.free_names:
-            return Var(tok)
-        if tok in self.constants:
-            return Const(tok)
-        if tok in self.functions or tok in self.relations:
-            raise ParseError(f"{tok!r} used both as term and "
-                             f"{'function' if tok in self.functions else 'relation'}", pos)
-        if self.infer:
-            # classification of fresh names is finished by the caller
-            return Const(tok)
-        raise ParseError(f"unknown symbol {tok!r}", pos)
+        self.symbols.note("const", tok, 0, pos)
+        return Const(tok)
 
 
 def parse_formula(text: str, sig: Signature, free_vars=()) -> Formula:
@@ -597,69 +590,30 @@ def parse_formula(text: str, sig: Signature, free_vars=()) -> Formula:
 
     ``free_vars`` names are read as free variables (for open formulas).
     """
-    p = _Parser(_tokenize(text), sig, infer=False, free_names=free_vars)
-    out = p.formula()
-    tok, pos = p.toks[p.i]
-    if tok is not None:
-        raise ParseError(f"trailing input {tok!r}", pos)
-    return out
+    return Symbols(sig, infer=False).parse(text, free_vars)
 
 
 def parse_inferring(text: str, seed: Signature | None = None, free_vars=()):
-    """Parse with signature inference: fresh names in formula position become
-    relations, fresh names in term position constants.  Returns
-    ``(formula, signature)``."""
+    """Parse with signature inference: each fresh name gets the kind its
+    place gives it.  Returns ``(formula, signature)``, the signature being
+    ``seed`` grown by the fresh names."""
     base = seed or Signature()
-    p = _Parser(_tokenize(text), base, infer=True, free_names=free_vars)
-    out = p.formula()
-    tok, pos = p.toks[p.i]
-    if tok is not None:
-        raise ParseError(f"trailing input {tok!r}", pos)
-    inferred = Signature(frozenset(p.constants), dict(p.functions),
-                         dict(p.relations), base.identity_mode)
-    return out, inferred
+    symbols = Symbols(base, infer=True)
+    out = symbols.parse(text, free_vars)
+    return out, symbols.signature(base.identity_mode)
 
 
 def infer_signature(texts_or_formulas, identity_mode="absent") -> Signature:
-    """Join signature over parsed texts and/or formula objects."""
-    constants, functions, relations = set(), {}, {}
-    cur = Signature()
-    formulas = []
+    """Join signature over texts and/or formula objects, read in order into
+    one growing table.  A clash raises ``ParseError`` in a text and
+    ``SignatureError`` in a formula object."""
+    symbols = Symbols(Signature(), infer=True)
     for item in texts_or_formulas:
         if isinstance(item, str):
-            phi, cur = parse_inferring(item, seed=cur)
-            formulas.append(phi)
+            symbols.parse(item)
         else:
-            formulas.append(item)
-    constants |= set(cur.constants)
-    functions.update(cur.functions)
-    relations.update(cur.relations)
-    for phi in formulas:
-        _collect_symbols(phi, constants, functions, relations)
-    if identity_mode != "absent":
-        relations["="] = 2
-    return Signature(frozenset(constants), functions, relations, identity_mode)
-
-
-def _collect_symbols(phi, constants, functions, relations):
-    if isinstance(phi, Atom):
-        prev = relations.get(phi.rel)
-        if prev is not None and prev != len(phi.args):
-            raise SignatureError(f"relation {phi.rel} used with two arities")
-        relations[phi.rel] = len(phi.args)
-        for t in (s for a in phi.args for s in subterms(a)):
-            if isinstance(t, Const):
-                constants.add(t.name)
-            elif isinstance(t, Fn):
-                prev = functions.get(t.name)
-                if prev is not None and prev != len(t.args):
-                    raise SignatureError(f"function {t.name} used with two arities")
-                functions[t.name] = len(t.args)
-    elif isinstance(phi, BINARY):
-        _collect_symbols(phi.left, constants, functions, relations)
-        _collect_symbols(phi.right, constants, functions, relations)
-    elif isinstance(phi, QUANT):
-        _collect_symbols(phi.body, constants, functions, relations)
+            symbols.read(item)
+    return symbols.signature(identity_mode)
 
 
 # ---------------------------------------------------------------------------

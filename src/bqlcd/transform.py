@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 
 from .proofkernel import (
     AX_RULES, CHILD_COUNT, IDENTITY_RULES, INTERNALISED, ND_RULES, Judgment,
-    Proof, analyze, assume, canonical_leaf_ids, check_judgment, check_proof,
-    eigenparameter, internal_instance, node, open_assumptions, relabel_leaves,
-    rename_eigenvariables, schema_instance, stratum,
+    Proof, System, analyze, assume, canonical_leaf_ids, check_judgment,
+    check_proof, eigenparameter, internal_instance, node, open_assumptions,
+    relabel_leaves, rename_eigenvariables, schema_instance, stratum,
 )
 from .syntax import (
     And, Exists, Forall, Imp, Or, Param, TOP, Formula, big_conj, box,
@@ -512,9 +512,7 @@ class ReductionResult:
 def reduce_proof(t: Proof, identity="absent") -> ReductionResult:
     """Eliminate modus ponens: a stratum-s proof of phi becomes a guard-free
     proof of box(s + 1, phi) from the same open assumptions."""
-    system = {"absent": "nbqlcd_r", "congruence": "nbqlcd_r+eq",
-              "strict": "nbqlcd_r+eqxm"}[identity]
-    report = check_proof(t, system)
+    report = check_proof(t, System("nd", None, identity))
     if not report.valid:
         msgs = "; ".join(v.message for v in report.violations)
         raise TransformError(f"input does not check: {msgs}")

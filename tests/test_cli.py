@@ -43,6 +43,22 @@ def test_check_malformed_json_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("blob", [
+    {"assume": 3},
+    {"rule": "top_int", "conclusion": 5},
+    {"rule": "top_int", "conclusion": "true", "children": 3},
+    {"rule": "top_int", "conclusion": "true", "discharges": 3},
+])
+def test_proof_fields_of_the_wrong_type_exit_2(capsys, tmp_path, blob):
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps(blob))
+    for command in ("check", "reduce"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_check_unknown_system_exits_2(capsys):
     code = main(["check", data("top_proof.json"), "--system", "nope"])
     assert code == 2
@@ -231,6 +247,12 @@ def test_countermodel_signature_clash_exits_2(capsys, premise, conclusion):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_countermodel_signature_clash_names_its_position(capsys):
+    assert main(["countermodel", "--premises", "P(c)",
+                 "--conclusion", "c"]) == 2
+    assert "(at position 0)" in capsys.readouterr().err
 
 
 def test_brady_curry(capsys):

@@ -159,19 +159,40 @@ def test_stratum_nested_example():
     assert any(v.constraint == "system" for v in report.violations)
 
 
-def test_stratum_of_a_deep_right_nested_chain():
-    # each modus ponens takes its conditional from the next one up, so the
-    # right premises nest 40 deep; computing a child's stratum twice per
-    # level would cost 2 ** 40 visits
+def right_nested_chain(n):
+    """n modus ponens, each taking its conditional from the next one up, so
+    the right premises nest n deep."""
     p, concl = f("p"), f("q")
     conds = [concl]
-    for _ in range(40):
+    for _ in range(n):
         conds.append(Imp(p, conds[-1]))
     t = assume(conds[-1], "c")
-    for i in range(39, -1, -1):
+    for i in range(n - 1, -1, -1):
         t = node("imp_elim", conds[i], [assume(p, f"a{i}"), t])
+    return t
+
+
+def test_stratum_of_a_deep_right_nested_chain():
+    # computing a child's stratum twice per level would cost 2 ** 40 visits
+    t = right_nested_chain(40)
     assert stratum(t) == 39
     assert valid(t).stratum == 39
+
+
+def test_bounded_system_reads_each_stratum_once():
+    # a stratum recomputed at every modus ponens is quadratic in the depth
+    t = right_nested_chain(300)
+    valid(t, "nbqlcd[299]")
+    report = invalid(t, "nbqlcd[298]")
+    assert [(v.node, v.message) for v in report.violations] == [
+        ("r", "right premise has stratum 298, needs < 298")]
+
+
+def test_modus_ponens_with_one_premise_is_reported_not_raised():
+    p = f("p")
+    report = invalid(node("imp_elim", p, [assume(p, "a")]))
+    assert [v.message for v in report.violations] == [
+        "imp_elim expects 2 premises, got 1"]
 
 
 # --- judgments -------------------------------------------------------------------

@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from bqlcd.syntax import (
     And, Atom, Bottom, Const, Exists, Fn, Forall, Imp, Or, Param, ParseError,
-    Signature, Top, TOP, BOTTOM, Var, _subst, big_conj, box, formula_params,
+    Signature, SignatureError, Top, TOP, BOTTOM, Var, _subst, big_conj, box,
+    formula_params,
     free_vars, generalize_param, infer_signature, is_sentence,
     match_instantiation, parameters_of, parse_formula, parse_inferring, pretty,
     replace_param, sig, substitute,
@@ -92,6 +93,25 @@ def test_parse_inferring_seed_rejects_a_bare_function_or_relation():
         parse_inferring("P(p)", s)
 
 
+@pytest.mark.parametrize("text", ["y(y)", "c(c) = #0"])
+def test_a_name_is_not_applied_to_itself(text):
+    with pytest.raises(ParseError, match="used both as term and"):
+        parse_inferring(text)
+
+
+def test_long_guard_chain_parses_without_recursion():
+    phi, _ = parse_inferring("true -> " * 5000 + "p")
+    for _ in range(5000):
+        assert isinstance(phi, Imp) and phi.left == TOP
+        phi = phi.right
+    assert phi == Atom("p")
+
+
+def test_infer_signature_rejects_a_constant_used_as_a_relation():
+    with pytest.raises(SignatureError):
+        infer_signature([Atom("P", (Const("c"),)), Atom("c")])
+
+
 def test_substitute_basic():
     P_x = Atom("P", (Var("x"),))
     assert substitute(P_x, "x", Const("c")) == Atom("P", (Const("c"),))
@@ -158,6 +178,7 @@ def formulas(max_depth=6):
         st.sampled_from([TOP, BOTTOM, Atom("p"), Atom("q"), Atom("Q")]),
         st.builds(lambda t: Atom("P", (t,)), terms),
         st.builds(lambda a, b: Atom("R", (a, b)), terms, terms),
+        st.builds(lambda a, b: Atom("=", (a, b)), terms, terms),
     )
 
     def extend(children):
@@ -179,6 +200,12 @@ def formulas(max_depth=6):
 def test_parse_pretty_roundtrip(phi):
     text = pretty(phi)
     assert parse_formula(text, SIG, free_vars=free_vars(phi)) == phi
+
+
+@settings(max_examples=200)
+@given(formulas())
+def test_text_and_formula_object_infer_one_signature(phi):
+    assert parse_inferring(pretty(phi)) == (phi, infer_signature([phi]))
 
 
 @settings(max_examples=60)
