@@ -2,8 +2,10 @@
 ``generate_corpus(seed=0, size=200)`` with at most 3 open assumptions (the
 open assumptions as premises) in mode ``bqlcd_r``, and prints one JSON line
 with the bounds, the sequent count, the countermodels found (0 when the
-search agrees with the proof kernel), the wall time of the searches and the
-search counters summed over the battery.
+search agrees with the proof kernel), the wall time of the searches, the
+search counters summed over the battery and the number of frame plans the
+searches built (``frame_plans``; each is built once per process and shared
+by every search that visits its frame with the same relation shapes).
 
     PYTHONPATH=src python scripts/battery.py --bounds 3 2
 """
@@ -13,6 +15,7 @@ import json
 import time
 from collections import Counter
 
+from bqlcd import kripke
 from bqlcd.kripke import SearchBounds, countermodel_search
 from bqlcd.proofgen import generate_corpus
 from bqlcd.proofkernel import open_assumptions
@@ -36,7 +39,8 @@ def main():
         counters.update(res.stats)
     elapsed = time.perf_counter() - t0
     print(json.dumps({"bounds": list(args.bounds), "sequents": len(sequents),
-                      "found": found, "seconds": round(elapsed, 2), **counters}))
+                      "found": found, "seconds": round(elapsed, 2), **counters,
+                      "frame_plans": kripke._frame_plan.cache_info().misses}))
 
 
 if __name__ == "__main__":

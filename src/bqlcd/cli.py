@@ -11,6 +11,7 @@ and ``--seed``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -290,7 +291,10 @@ def cmd_selftest(args) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing fills a
+    fresh namespace each time and leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="bqlcd",
         description="workbench for constant domain basic logic with a "

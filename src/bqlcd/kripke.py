@@ -442,8 +442,9 @@ _frame_cache: dict = {}
 
 def _frames(k: int):
     """Canonical transitive frames on k labelled worlds, isomorphism-pruned,
-    each as (relation, successors, upsets, roots).  A root sees every other
-    world."""
+    each as (relation, successors, upsets, roots): ``succ[a]`` lists the
+    worlds a sees, and ``upsets`` the sets closed under succ.  A root sees
+    every other world."""
     got = _frame_cache.get(k)
     if got is not None:
         return got
@@ -472,11 +473,11 @@ def _frames(k: int):
     frames.sort(key=lambda rel: (len(rel), tuple(sorted(rel))))
     out = []
     for rel in frames:
-        succ = {a: tuple(b for b in nodes if (a, b) in rel) for a in nodes}
-        upsets = [frozenset(s) for r in range(k + 1)
-                  for s in itertools.combinations(nodes, r)
-                  if all(b in s for a in s for b in succ[a])]
-        upsets.sort(key=lambda s: (len(s), tuple(sorted(s))))
+        succ = tuple(tuple(b for b in nodes if (a, b) in rel) for a in nodes)
+        upsets = tuple(sorted((frozenset(s) for r in range(k + 1)
+                               for s in itertools.combinations(nodes, r)
+                               if all(b in s for a in s for b in succ[a])),
+                              key=lambda s: (len(s), tuple(sorted(s)))))
         roots = tuple(a for a in nodes if all(b in succ[a] for b in nodes if b != a))
         out.append((rel, succ, upsets, roots))
     _frame_cache[k] = out
@@ -484,7 +485,8 @@ def _frames(k: int):
 
 
 def _eq_assignments(frame_succ, nodes, m):
-    """Persistent per-world equivalence relations over domain size m."""
+    """Persistent per-world equivalence relations over domain size m, each
+    as a tuple indexed by world."""
     # all equivalence relations on a tiny domain, built from set partitions
     def partitions(elems):
         if not elems:
@@ -503,14 +505,20 @@ def _eq_assignments(frame_succ, nodes, m):
     for combo in itertools.product(rels, repeat=len(nodes)):
         ok = all(combo[a] <= combo[b] for a in nodes for b in frame_succ[a])
         if ok:
-            yield {a: combo[a] for a in nodes}
+            yield combo
 
 
 def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> SearchResult:
     """Exhaustive bounded search for a model refuting ``gamma |= phi``.
 
-    The sentences are compiled once per search; each frame only sets the
-    domain size and the successor groups that the compiled closures read.
+    Set-up is built once, as widely shared as it can be.  Once per process:
+    the frames of each world count (``_frames``) and each frame's plan
+    (``_frame_plan``), which depends on the frame, the relations' row
+    counts, the identity mode and the lane count, never on the sentences,
+    so searches share it.  Once per search: the compiled sentences, and the
+    relation, function-table and constant spaces of each domain size
+    (``_Sequent.cell``).  Once per frame: the size caps are checked, the
+    plan is looked up and the frame is set on the compiled closures.
 
     Deterministic: models are enumerated in a fixed order, world count k
     outermost, then domain size, then the frames of ``_frames(k)``, then
@@ -610,8 +618,8 @@ def _congruence_sentences(sig, rel_names):
 @dataclass
 class _Sequent:
     """What one search fixes: the sentences, the signature's names in index
-    order, the compiled sentences with their frame setter, and the notes and
-    counters of the result."""
+    order, the compiled sentences with their frame setter, the notes and
+    counters of the result, and the spaces of each domain size."""
     gamma: list
     phi: object
     const_names: list
@@ -625,6 +633,27 @@ class _Sequent:
     stats: dict = field(default_factory=lambda: {
         "frames": 0, "frames_unrooted": 0, "const_vectors": 0, "interpretations": 0,
         "passes": 0})
+    cells: dict = field(default_factory=dict)
+
+    def cell(self, m):
+        """The spaces of domain size m, built once per search: the relations
+        as (name, arity, argument tuples), each function's tables and the
+        constant vectors."""
+        got = self.cells.get(m)
+        if got is None:
+            sig, dom = self.sig, range(m)
+            rel_specs = tuple((r, sig.relations[r],
+                               tuple(itertools.product(dom, repeat=sig.relations[r])))
+                              for r in self.rel_names)
+            fun_spaces = tuple(tuple(itertools.product(dom, repeat=m ** sig.functions[f]))
+                               for f in self.fun_names)
+            # swapping the first constant's value with 0 in the domain maps
+            # any countermodel on a frame to one with c0 = 0, and product
+            # order tries those vectors first, so the first model found is kept
+            const_space = tuple((0,) + rest for rest in itertools.product(
+                dom, repeat=len(self.const_names) - 1)) if self.const_names else ((),)
+            got = self.cells[m] = rel_specs, fun_spaces, const_space
+        return got
 
 
 def _compile_sequent(sentences, rel_index, const_index, fun_index):
@@ -766,7 +795,6 @@ def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
     gamma, compiled, identity, sig = seq.gamma, seq.compiled, seq.identity, seq.sig
     stats = seq.stats
     nodes = tuple(range(k))
-    upset_masks = [sum(1 << a for a in s) for s in upsets]
 
     def skip(note):
         if note not in seq.notes:
@@ -781,7 +809,7 @@ def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
             return skip(f"skipped k={k} m={m}: function {f} has {count} tables")
         total *= count
     for r in seq.rel_names:
-        count = len(upset_masks) ** (m ** sig.relations[r])
+        count = len(upsets) ** (m ** sig.relations[r])
         if count > _REL_SPACE_CAP:
             return skip(f"skipped k={k} m={m}: relation {r} has {count} interpretations")
         total *= count
@@ -789,52 +817,13 @@ def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
         return skip(f"skipped k={k} m={m}: {total} interpretations of the "
                     f"relations and functions together")
 
-    fun_spaces = [list(itertools.product(range(m), repeat=m ** sig.functions[f]))
-                  for f in seq.fun_names]
-    rel_specs = []          # (name, arity, tuples)
-    for r in seq.rel_names:
-        ar = sig.relations[r]
-        rel_specs.append((r, ar, list(itertools.product(range(m), repeat=ar))))
-
-    eq_assignments = [None]
-    if identity != "absent":
-        if identity == "strict":
-            diag = frozenset((a, a) for a in range(m))
-            eq_assignments = [{a: diag for a in nodes}]
-        else:
-            eq_assignments = list(_eq_assignments(succ, nodes, m))
-
-    # The interpretations are the product of one digit per relation row,
-    # relation by relation and tuple by tuple, then the identity digit, the
-    # last varying fastest.  A digit's values are the masks it gives its
-    # rows: an upset to a relation row, the m * m world masks to '=' (none
-    # without identity, so interp[-1] is then empty).
-    pairs = list(itertools.product(range(m), repeat=2))
-    digits = [[(u,) for u in upset_masks] for _, _, tuples in rel_specs for _ in tuples]
-    digits.append([() if eqs is None else
-                   tuple(sum(1 << a for a in nodes if pair in eqs[a]) for pair in pairs)
-                   for eqs in eq_assignments])
-    ends = list(itertools.accumulate([len(t) for _, _, t in rel_specs] + [len(digits[-1][0])]))
-    row_bounds = list(zip([0] + ends, ends))
+    rel_specs, fun_spaces, const_space = seq.cell(m)
+    upset_masks, eq_assignments, layout, words, row_bounds, lanes, full, groups = \
+        _frame_plan(succ, upsets, tuple(len(t) for _, _, t in rel_specs), identity,
+                    None if identity == "absent" else m, _LANES)
     width = k + 1
-    lanes, layout = _lane_layout([len(values) for values in digits])
-    # words[d][q]: the lane-packed masks digit d gives its rows in the
-    # blocks with outer index q, and how many leading lanes are real
-    words = [[(_lane_words(values[q * chunk:(q + 1) * chunk], chunk, stride, lanes, width),
-               lanes if (q + 1) * chunk <= len(values) else (len(values) - q * chunk) * stride)
-              for q in range(-(-len(values) // chunk))]
-             for values, (stride, chunk) in zip(digits, layout)]
-    full = _repeat(1, width, lanes)
-
-    groups = tuple((sum(1 << b for b in succ[a]), 1 << a) for a in nodes)
     witness_mask = sum(1 << a for a in witnesses)
 
-    # swapping the first constant's value with 0 in the domain maps any
-    # countermodel on this frame to one with c0 = 0, and product order tries
-    # those vectors first, so the first model found is kept
-    const_space = [(0,) + rest for rest in
-                   itertools.product(range(m), repeat=len(seq.const_names) - 1)] \
-        if seq.const_names else [()]
     for const_vals in const_space:
         stats["const_vectors"] += 1
         for fun_tables in itertools.product(*fun_spaces) if fun_spaces else [()]:
@@ -880,6 +869,65 @@ def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
     return None
 
 
+# Frame plans kept per process.  A plan depends on the frame and the
+# signature's shape, not on the sentences, so searches share them: the
+# ``search`` benchmark workload's round of 100 operations uses 197.
+_FRAME_PLANS = 1024
+
+
+@functools.lru_cache(maxsize=_FRAME_PLANS)
+def _frame_plan(succ, upsets, rows, identity, m, max_lanes):
+    """What ``_search_frame`` needs of a frame, given its successors and
+    upsets (from ``_frames``), the number of rows of each relation, the
+    identity mode, the domain size m where identity is not absent (else
+    None), and the most lanes a block may have.  Returns, all as tuples:
+
+    - ``upset_masks``: the upsets as world masks;
+    - ``eq_assignments``: the identity digit's values, the per-world '='
+      relations (one ``None`` without identity);
+    - ``layout``, ``lanes``: the digits' layout and the lanes per block (see
+      ``_lane_layout``);
+    - ``words``: per digit and outer index q, the lane-packed masks the
+      digit gives its rows in the blocks with outer index q, and how many
+      leading lanes are real;
+    - ``row_bounds``: the slice of the flat rows that each relation, then
+      '=', takes;
+    - ``full``: bit 0 of every lane;
+    - ``groups``: (successor mask, world bit) per world, for ``set_frame``.
+
+    The interpretations are the product of one digit per relation row,
+    relation by relation and tuple by tuple, then the identity digit, the
+    last varying fastest.  A digit's values are the masks it gives its
+    rows: an upset to a relation row, the m * m world masks to '=' (none
+    without identity, so interp[-1] is then empty)."""
+    nodes = range(len(succ))
+    upset_masks = tuple(sum(1 << a for a in s) for s in upsets)
+    if identity == "absent":
+        eq_assignments, pairs = (None,), ()
+    else:
+        pairs = tuple(itertools.product(range(m), repeat=2))
+        diag = frozenset((a, a) for a in range(m))
+        eq_assignments = ((diag,) * len(succ),) if identity == "strict" \
+            else tuple(_eq_assignments(succ, nodes, m))
+    digits = [[(u,) for u in upset_masks]] * sum(rows)
+    digits.append([() if eqs is None else
+                   tuple(sum(1 << a for a in nodes if pair in eqs[a]) for pair in pairs)
+                   for eqs in eq_assignments])
+    ends = tuple(itertools.accumulate(rows + (len(pairs),)))
+    row_bounds = tuple(zip((0,) + ends, ends))
+    width = len(succ) + 1
+    lanes, layout = _lane_layout([len(values) for values in digits], max_lanes)
+    words = tuple(tuple((_lane_words(values[q * chunk:(q + 1) * chunk], chunk, stride, lanes,
+                                     width),
+                         lanes if (q + 1) * chunk <= len(values)
+                         else (len(values) - q * chunk) * stride)
+                        for q in range(-(-len(values) // chunk)))
+                  for values, (stride, chunk) in zip(digits, layout))
+    groups = tuple((sum(1 << b for b in succ[a]), 1 << a) for a in nodes)
+    return (upset_masks, eq_assignments, layout, words, row_bounds, lanes,
+            _repeat(1, width, lanes), groups)
+
+
 def _repeat(x, span, n):
     """``n`` copies of ``x`` at ``span``-bit spacing; ``_repeat(1, width,
     lanes)`` sets bit 0 of every lane, and times a one-lane mask repeats it
@@ -896,9 +944,9 @@ def _repeat(x, span, n):
         span *= 2
 
 
-def _lane_layout(radices):
+def _lane_layout(radices, max_lanes):
     """How the product of the digits with these radices, the last varying
-    fastest, is cut into blocks of at most ``_LANES`` lanes.  Returns the
+    fastest, is cut into blocks of at most ``max_lanes`` lanes.  Returns the
     lanes per block and one (stride, chunk) per digit: digit d takes value
     ``q_d * chunk + lane // stride % chunk`` in the lanes of block
     ``(q_0, q_1, ...)``.  The innermost digits lie whole in a block
@@ -907,10 +955,10 @@ def _lane_layout(radices):
     product order."""
     lanes, layout = 1, []
     for radix in reversed(radices):
-        chunk = max(1, min(radix, _LANES // lanes))
+        chunk = max(1, min(radix, max_lanes // lanes))
         layout.append((lanes, chunk))
         lanes *= chunk
-    return lanes, layout[::-1]
+    return lanes, tuple(layout[::-1])
 
 
 def _lane_words(values, chunk, stride, lanes, width):

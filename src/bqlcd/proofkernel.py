@@ -361,6 +361,11 @@ class System:
     level: str = "tjk"              # ax only
     exists_elim: bool = True        # ax only
 
+    def __post_init__(self):
+        if self.identity not in IDENTITY_SUFFIXES:
+            raise ValueError(f"unknown identity mode {self.identity!r}, expected one of "
+                             f"{', '.join(IDENTITY_SUFFIXES)}")
+
     @property
     def name(self):
         if self.kind == "ax":
@@ -861,6 +866,8 @@ def proof_from_json(data) -> Proof:
         if not isinstance(d, dict):
             raise ProofJsonError(f"proof nodes must be objects, got {type(d).__name__}")
         if "assume" in d:
+            if d.get("children") or d.get("discharges"):
+                raise ProofJsonError("assumption leaves have no children or discharges")
             phi = symbols.parse(entry(d, "assume", str))
             lid = str(d.get("id") or f"L{next(counter)}")
             return Proof(ASSUME, phi, leaf_id=lid)

@@ -48,6 +48,8 @@ def test_check_malformed_json_exits_2(capsys):
     {"rule": "top_int", "conclusion": 5},
     {"rule": "top_int", "conclusion": "true", "children": 3},
     {"rule": "top_int", "conclusion": "true", "discharges": 3},
+    {"assume": "p", "children": [{"rule": "nonsense", "conclusion": 3}]},
+    {"assume": "p", "discharges": ["x"]},
 ])
 def test_proof_fields_of_the_wrong_type_exit_2(capsys, tmp_path, blob):
     path = tmp_path / "proof.json"
@@ -153,6 +155,17 @@ def test_countermodel_repeated_premises_flag_extends(capsys):
     code, payload = run(capsys, "countermodel", "--premises", "p",
                         "--premises", "p -> q", "--conclusion", "q")
     assert code == 1 and payload["found"] is False and payload["exhausted"]
+
+
+def test_successive_calls_share_no_arguments(capsys):
+    # the parser is built once per process; each call parses afresh
+    assert main(["countermodel", "--premises", "p", "--premises", "p -> q",
+                 "--conclusion", "q", "--stats"]) == 1
+    assert capsys.readouterr().err
+    assert main(["countermodel", "--conclusion", "q"]) == 0
+    shown = capsys.readouterr()
+    assert shown.err == ""
+    assert json.loads(shown.out)["model"]["rels"] == {"q": {"w0": []}}
 
 
 def test_countermodel_identity_modes(capsys):

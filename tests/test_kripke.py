@@ -383,11 +383,38 @@ def test_lane_search_matches_the_reference_loop(monkeypatch, lanes):
     assert lanes > 3 or later >= 10
 
 
+def test_frame_plans_leave_results_unchanged(monkeypatch):
+    # plans are shared by searches and keyed on the lane count, so a warm
+    # cache, or one filled at another lane count, gives what a cold one does
+    assert kripke._frame_plan.cache_info().maxsize is not None
+
+    def results():
+        out = []
+        for prem, concl, mode, bounds in _differential_cases():
+            res = countermodel_search([parse(f) for f in prem], parse(concl),
+                                      SearchBounds(*bounds), mode)
+            out.append((res.found, res.exhausted, res.witness, res.notes,
+                        res.found and model_to_json(res.model), res.stats))
+        return out
+
+    kripke._frame_plan.cache_clear()
+    cold = results()
+    assert results() == cold
+    assert kripke._frame_plan.cache_info().hits > 0
+    monkeypatch.setattr(kripke, "_LANES", 3)
+    after = results()
+    kripke._frame_plan.cache_clear()
+    assert results() == after
+    # only the number of passes depends on the lanes
+    for one, other in zip(cold, after):
+        assert one[:5] == other[:5]
+        assert {**one[5], "passes": 0} == {**other[5], "passes": 0}
+
+
 @pytest.mark.parametrize("lanes", [1, 3, 16])
-def test_lane_layout_enumerates_the_product_in_order(monkeypatch, lanes):
-    monkeypatch.setattr(kripke, "_LANES", lanes)
+def test_lane_layout_enumerates_the_product_in_order(lanes):
     for radices in ([], [5], [2, 3], [4, 1, 7], [3, 3, 3], [17, 2], [2, 2, 2, 2, 2]):
-        block, layout = kripke._lane_layout(radices)
+        block, layout = kripke._lane_layout(radices, lanes)
         assert block <= lanes
         seen = []
         for qs in itertools.product(*(range(-(-r // chunk))

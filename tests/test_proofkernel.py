@@ -4,10 +4,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bqlcd import transform
 from bqlcd.proofgen import random_sentence
 from bqlcd.proofkernel import (
     AX_SYSTEMS, AXIOMS_BY_LEVEL, IDENTITY_SUFFIXES, INTERNALISED, SCHEMAS,
-    Judgment, Proof, Violation, assume, canonical_leaf_ids, check_judgment,
+    Judgment, Proof, System, Violation, assume, canonical_leaf_ids, check_judgment,
     check_proof, match_schema, node, open_assumptions, parse_system,
     proof_from_json, proof_to_json, proofs_equal, rename_eigenvariables,
     schema_instance, split_assumptions, stratum, unsafe_leaves,
@@ -473,6 +474,14 @@ def test_system_names_round_trip():
                                 for suffix in IDENTITY_SUFFIXES.values()]
     for name in names:
         assert parse_system(name).name == name
+
+
+def test_unknown_identity_mode_is_refused_up_front():
+    t = node("top_int", TOP, [])
+    with pytest.raises(ValueError, match="unknown identity mode 'bogus'.*absent"):
+        check_proof(t, System("nd", None, "bogus"))
+    with pytest.raises(ValueError, match="unknown identity mode 'bogus'"):
+        transform.reduce_proof(t, identity="bogus")
 
 
 def test_affixing_rule():
