@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 
 from .syntax import (
@@ -663,45 +664,40 @@ def _compile_sequent(sentences, rel_index, const_index, fun_index):
     argument tuple, row-major, and ``env`` the assignment as sorted (name,
     value) pairs.  Equal subformulas share one closure.
 
-    Also returns ``set_frame(m, groups, lanes=1)``, which fixes the domain
-    size and the frame as (successor mask, world bits) pairs and clears the
-    caches, and ``implies(left, right)``, the implication clause on two
-    masks.  Implications and quantifiers cache on the relations they read
-    plus ``env``, so callers set the frame again when constants or functions
-    change.
+    Also returns ``set_frame(m, groups, packed=None)``, which fixes the
+    domain size and the frame as (successor mask, world bits) pairs and
+    clears the caches, and ``implies(left, right)``, the implication clause
+    on two masks.  Implications and quantifiers cache on the relations they
+    read plus ``env``, so callers set the frame again when constants or
+    functions change.
 
-    With ``lanes=L`` every mask holds L interpretations of the frame side by
+    With ``packed``, every mask holds L interpretations of the frame side by
     side (SWAR): lane j is the ``width`` bits from ``j * width``, where
     ``width`` is one bit more than the frame's mask, and the lane's top bit
-    is a guard that stays 0.  ``interp`` then holds lane-packed masks,
-    ``Top`` is the frame's mask in every lane, and ``implies`` decides every
-    lane at once: a lane of ``t = bad & succ`` that is not 0 carries into its
-    guard bit when the lane's low bits, all ones, are added.  Constants,
-    functions and assignments are shared by all lanes.
+    is a guard that stays 0.  The groups are then (successor mask, world
+    bits, one-lane world bits) in every lane, ``packed`` is the frame's mask
+    in every lane, the guard bits and ``width - 1``, and ``interp`` holds
+    lane-packed masks.  ``implies`` decides every lane at once: a lane of
+    ``t = bad & succ`` that is not 0 carries into its guard bit when the
+    lane's low bits, all ones, are added.  Constants, functions and
+    assignments are shared by all lanes.
     """
-    m = full_mask = None
+    m = full_mask = guard = shift = None
     groups = ()
-    multi = False
-    low = guard = shift = 0
     caches = []
 
-    def set_frame(m_, groups_, lanes=1):
-        nonlocal m, groups, full_mask, multi, low, guard, shift
-        m, groups, full_mask, multi = m_, groups_, 0, lanes > 1
-        for _, bits in groups_:
-            full_mask |= bits
-        if multi:
-            shift = full_mask.bit_length()
-            rep = _repeat(1, shift + 1, lanes)
-            low, guard, full_mask = ((1 << shift) - 1) * rep, rep << shift, full_mask * rep
-            groups = tuple((succ * rep, bits * rep, bits) for succ, bits in groups_)
+    def set_frame(m_, groups_, packed=None):
+        nonlocal m, groups, full_mask, guard, shift
+        m, groups = m_, groups_
+        full_mask, guard, shift = packed or (
+            functools.reduce(operator.or_, (bits for _, bits in groups_), 0), 0, 0)
         for cache in caches:
             cache.clear()
 
     def implies(left, right):
         bad = left & ~right
         got = 0
-        if not multi:
+        if not guard:           # one lane
             for succ, bits in groups:
                 if not succ & bad:
                     got |= bits
@@ -712,7 +708,7 @@ def _compile_sequent(sentences, rel_index, const_index, fun_index):
                 got |= bits
             else:
                 # a lane of t that is not 0 carries into its guard bit
-                got |= ((guard & ~(t + low)) >> shift) * lane_bits
+                got |= ((guard & ~(t + full_mask)) >> shift) * lane_bits
         return got
 
     def term_val(t, env, const_vals, fun_tables):
@@ -818,7 +814,7 @@ def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
                     f"relations and functions together")
 
     rel_specs, fun_spaces, const_space = seq.cell(m)
-    upset_masks, eq_assignments, layout, words, row_bounds, lanes, full, groups = \
+    upset_masks, eq_assignments, layout, words, row_bounds, lanes, full, groups, packed = \
         _frame_plan(succ, upsets, tuple(len(t) for _, _, t in rel_specs), identity,
                     None if identity == "absent" else m, _LANES)
     width = k + 1
@@ -831,7 +827,7 @@ def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
             # are cleared whenever the frame, the constants or the function
             # tables change: each change starts a pass of this loop, and
             # setting the frame clears them
-            seq.set_frame(m, groups, lanes)
+            seq.set_frame(m, groups, packed)
             for qs in itertools.product(*(range(len(w)) for w in words)):
                 flat = [x for w, q in zip(words, qs) for x in w[q][0]]
                 interp = tuple(tuple(flat[a:b]) for a, b in row_bounds)
@@ -893,7 +889,7 @@ def _frame_plan(succ, upsets, rows, identity, m, max_lanes):
     - ``row_bounds``: the slice of the flat rows that each relation, then
       '=', takes;
     - ``full``: bit 0 of every lane;
-    - ``groups``: (successor mask, world bit) per world, for ``set_frame``.
+    - ``groups``, ``packed``: the frame for ``set_frame``, in every lane.
 
     The interpretations are the product of one digit per relation row,
     relation by relation and tuple by tuple, then the identity digit, the
@@ -923,9 +919,11 @@ def _frame_plan(succ, upsets, rows, identity, m, max_lanes):
                          else (len(values) - q * chunk) * stride)
                         for q in range(-(-len(values) // chunk)))
                   for values, (stride, chunk) in zip(digits, layout))
-    groups = tuple((sum(1 << b for b in succ[a]), 1 << a) for a in nodes)
-    return (upset_masks, eq_assignments, layout, words, row_bounds, lanes,
-            _repeat(1, width, lanes), groups)
+    full, k = _repeat(1, width, lanes), len(succ)
+    groups = tuple((sum(1 << b for b in succ[a]) * full, (1 << a) * full, 1 << a)
+                   for a in nodes)
+    return (upset_masks, eq_assignments, layout, words, row_bounds, lanes, full, groups,
+            (((1 << k) - 1) * full, full << k, k))
 
 
 def _repeat(x, span, n):

@@ -54,17 +54,20 @@ class ProofGenerator:
     def __init__(self, seed=0):
         self.rng = random.Random(seed)
         self.pool: list = []
+        self.parameterised: list = []  # pooled (proof, conclusion's parameters), if any
         self._seed_pool()
 
     def _accept(self, t):
         if t is None or proof_depth(t) > _MAX_DEPTH:
             return None
-        if len(open_assumptions(t)) > 4:
+        report = check_proof(t, "nbqlcd_r")
+        if not report.valid or len(report.open_assumptions) > 4:
             return None
-        if check_proof(t, "nbqlcd_r").valid:
-            self.pool.append(t)
-            return t
-        return None
+        self.pool.append(t)
+        params = formula_params(t.conclusion)
+        if params:
+            self.parameterised.append((t, params))
+        return t
 
     def _seed_pool(self):
         rng = self.rng
@@ -161,11 +164,10 @@ class ProofGenerator:
             return node("forall_elim", concl, [t])
 
     def _move_forall_int(self):
-        t = self._pick(lambda x: formula_params(x.conclusion))
-        if not t:
+        if not self.parameterised:
             return None
-        idx = sorted(formula_params(t.conclusion))[0]
-        body = generalize_param(t.conclusion, idx, "x")
+        t, params = self.rng.choice(self.parameterised)
+        body = generalize_param(t.conclusion, min(params), "x")
         return node("forall_int", Forall("x", body), [t])
 
     def _move_exists_int(self):

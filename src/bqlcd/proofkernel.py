@@ -28,6 +28,7 @@ checker, the axiom templates and both translations read it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from dataclasses import dataclass, replace
@@ -105,12 +106,48 @@ def node(rule: str, conclusion: Formula, children=(), discharges=()) -> Proof:
     return Proof(rule, conclusion, tuple(children), frozenset(discharges))
 
 
+def _preorder(t: Proof):
+    """The nodes of ``t`` in pre-order, children left to right, and the
+    indices of each node's children."""
+    nodes, kids, stack = [], [], [(t, -1)]
+    while stack:
+        nd, parent = stack.pop()
+        i = len(nodes)
+        if parent >= 0:
+            kids[parent].append(i)
+        if nd.children:
+            stack += [(c, i) for c in reversed(nd.children)]
+        nodes.append(nd)
+        kids.append([])
+    return nodes, kids
+
+
+def fold(t: Proof, f):
+    """``f(node, values)`` at every node, ``values`` being ``f``'s results
+    at the node's children, in post-order with children left to right, as
+    in a recursion over the tree; returns the result at the root."""
+    values, stack = [], [(t, False)]
+    while stack:
+        nd, ready = stack.pop()
+        if ready:
+            first = len(values) - len(nd.children)
+            got = f(nd, values[first:])
+            del values[first:]
+            values.append(got)
+        elif nd.children:
+            stack.append((nd, True))
+            stack += [(c, False) for c in reversed(nd.children)]
+        else:
+            values.append(f(nd, []))
+    return values[0]
+
+
 def proof_size(t: Proof) -> int:
-    return 1 + sum(proof_size(c) for c in t.children)
+    return len(_preorder(t)[0])
 
 
 def proof_depth(t: Proof) -> int:
-    return 0 if not t.children else 1 + max(proof_depth(c) for c in t.children)
+    return fold(t, lambda nd, depths: max(depths, default=-1) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -119,122 +156,109 @@ def proof_depth(t: Proof) -> int:
 
 @dataclass
 class Analysis:
-    paths: dict            # path tuple -> Proof
-    leaf_path: dict        # leaf id -> path
+    """One pass over a proof.  Node i is the i-th node in pre-order, and its
+    subtree is nodes ``i .. end[i] - 1``."""
+    nodes: list            # index -> Proof
+    kids: list             # index -> indices of the children
+    end: list              # index -> one past the last node of its subtree
+    strata: list           # index -> stratum of its subtree
+    right_of: list         # index -> nearest modus ponens with it in its right premise, or -1
+    leaf_node: dict        # leaf id -> index
     leaf_formula: dict     # leaf id -> Formula
-    discharged_by: dict    # leaf id -> path of discharging node
-    imp_elims: tuple       # paths of imp_elim nodes
-    problems: list         # structural issues found during indexing
+    discharged_by: dict    # leaf id -> index of the discharging node
+    problems: list         # (kind, index, message): structural issues
 
-    def in_subtree(self, leaf_id, path):
-        lp = self.leaf_path[leaf_id]
-        return lp[:len(path)] == path
+    def in_subtree(self, leaf_id, i):
+        return i <= self.leaf_node[leaf_id] < self.end[i]
 
-    def open_in(self, leaf_id, path):
-        """Open within the subtree at ``path``: not discharged by a node
-        lying inside that subtree."""
-        d = self.discharged_by.get(leaf_id)
-        return d is None or d[:len(path)] != path
+    def open_leaves_in(self, i):
+        """Leaves in the subtree at i not discharged by a node inside it."""
+        end = self.end[i]
+        return [lid for lid, j in self.leaf_node.items() if i <= j < end
+                and not i <= self.discharged_by.get(lid, -1) < end]
 
-    def open_leaves_in(self, path):
-        return [lid for lid, lp in self.leaf_path.items()
-                if lp[:len(path)] == path and self.open_in(lid, path)]
+    def unsafe_for(self, leaf_id, i=0):
+        """Some modus ponens inside the subtree at i, which holds the leaf,
+        has the leaf in its right (conditional-premise) subtree."""
+        return self.right_of[self.leaf_node[leaf_id]] >= i
 
-    def unsafe_for(self, leaf_id, path=()):
-        """Some modus ponens inside the subtree at ``path`` has this leaf in
-        its right (conditional-premise) subtree."""
-        lp = self.leaf_path[leaf_id]
-        for pe in self.imp_elims:
-            if pe[:len(path)] != path:
-                continue
-            right = pe + (1,)
-            if lp[:len(right)] == right:
-                return True
-        return False
+    def name(self, i):
+        """``r``, then the child positions on the way down to node i."""
+        out, j = "r", 0
+        while j != i:
+            pos = bisect.bisect_right(self.kids[j], i) - 1
+            out += f".{pos}"
+            j = self.kids[j][pos]
+        return out
 
 
 def analyze(t: Proof) -> Analysis:
-    paths, leaf_path, leaf_formula, discharged_by = {}, {}, {}, {}
-    imp_elims = []
-    problems = []
-    pending_discharges = []
-
-    def walk(nd, path):
-        paths[path] = nd
+    nodes, kids = _preorder(t)
+    end, strata = list(range(1, len(nodes) + 1)), [-1] * len(nodes)
+    for i in reversed(range(len(nodes))):
+        ks = kids[i]
+        if ks:
+            end[i] = end[ks[-1]]
+            strata[i] = max(strata[k] for k in ks)
+            if nodes[i].rule == "imp_elim" and len(ks) > 1:
+                strata[i] = max(strata[i], strata[ks[1]] + 1)
+    leaf_node, leaf_formula, discharged_by, problems = {}, {}, {}, []
+    right_of = [-1] * len(nodes)
+    for i, nd in enumerate(nodes):
         if nd.is_assumption():
-            if nd.leaf_id in leaf_path:
-                problems.append(("discharge", path, f"duplicate leaf id {nd.leaf_id!r}"))
-            leaf_path[nd.leaf_id] = path
+            if nd.leaf_id in leaf_node:
+                problems.append(("discharge", i, f"duplicate leaf id {nd.leaf_id!r}"))
+            leaf_node[nd.leaf_id] = i
             leaf_formula[nd.leaf_id] = nd.conclusion
-        if nd.discharges:
-            pending_discharges.append((path, nd.discharges))
-        for i, c in enumerate(nd.children):
-            walk(c, path + (i,))
-
-    walk(t, ())
-    for path, ids in pending_discharges:
-        for lid in sorted(ids):
-            if lid not in leaf_path:
-                problems.append(("discharge", path, f"discharge of unknown leaf {lid!r}"))
-                continue
-            lp = leaf_path[lid]
-            if lp[:len(path)] != path or lp == path:
-                problems.append(("discharge", path,
+        for k in kids[i]:
+            right_of[k] = right_of[i]
+        if nd.rule == "imp_elim" and len(kids[i]) > 1:
+            right_of[kids[i][1]] = i
+    for i, nd in enumerate(nodes):
+        for lid in sorted(nd.discharges):
+            if lid not in leaf_node:
+                problems.append(("discharge", i, f"discharge of unknown leaf {lid!r}"))
+            elif not i < leaf_node[lid] < end[i]:
+                problems.append(("discharge", i,
                                  f"leaf {lid!r} is not in the subtree it is discharged from"))
-                continue
-            if lid in discharged_by:
-                problems.append(("discharge", path, f"leaf {lid!r} discharged twice"))
-                continue
-            discharged_by[lid] = path
-    for path, nd in paths.items():
-        if nd.rule == "imp_elim":
-            imp_elims.append(path)
-    return Analysis(paths, leaf_path, leaf_formula, discharged_by,
-                    tuple(imp_elims), problems)
-
-
-def path_str(path) -> str:
-    return "r" + "".join(f".{i}" for i in path)
+            elif lid in discharged_by:
+                problems.append(("discharge", i, f"leaf {lid!r} discharged twice"))
+            else:
+                discharged_by[lid] = i
+    return Analysis(nodes, kids, end, strata, right_of, leaf_node, leaf_formula,
+                    discharged_by, problems)
 
 
 def unsafe_leaves(t: Proof) -> frozenset:
     """Leaf ids (open or discharged) lying in the right subtree of some
     modus ponens application."""
     an = analyze(t)
-    return frozenset(lid for lid in an.leaf_path if an.unsafe_for(lid))
+    return frozenset(lid for lid in an.leaf_node if an.unsafe_for(lid))
 
 
 def open_assumptions(t: Proof) -> frozenset:
-    return _open_formulas(analyze(t))
-
-
-def _open_formulas(an):
-    return frozenset(an.leaf_formula[lid] for lid in an.open_leaves_in(()))
+    return _opens(analyze(t))[0]
 
 
 def split_assumptions(t: Proof):
     """(unsafe_open, safe_only_open) sentence sets; the first is the minimal
     left component of a split-context reading of the proof."""
-    return _split_open(analyze(t))
+    return _opens(analyze(t))[1:]
 
 
-def _split_open(an):
-    unsafe = frozenset(an.leaf_formula[lid] for lid in an.open_leaves_in(())
-                       if an.unsafe_for(lid))
-    return unsafe, _open_formulas(an) - unsafe
+def _opens(an):
+    """The open assumption sentences, those of them with an unsafe
+    occurrence, and the rest."""
+    lids = an.open_leaves_in(0)
+    unsafe = frozenset(an.leaf_formula[lid] for lid in lids if an.unsafe_for(lid))
+    opens = frozenset(an.leaf_formula[lid] for lid in lids)
+    return opens, unsafe, opens - unsafe
 
 
-def stratum(t: Proof, strata=None) -> int:
+def stratum(t: Proof) -> int:
     """-1 without modus ponens; otherwise one more than the right-premise
-    stratum, maximised over the tree.  ``strata``, when given, receives the
-    stratum of every subtree, keyed by the subtree's ``id``."""
-    values = [stratum(c, strata) for c in t.children]
-    if t.rule == "imp_elim" and len(values) > 1:
-        values.append(values[1] + 1)
-    out = max(values, default=-1)
-    if strata is not None:
-        strata[id(t)] = out
-    return out
+    stratum, maximised over the tree."""
+    return analyze(t).strata[0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +457,21 @@ class CheckReport:
 
 
 def check_proof(t: Proof, system) -> CheckReport:
+    """Check ``t`` in ``system`` (a ``System`` or its name).  The report lists
+    the analysis' structural problems, then each node's violations, nodes in
+    pre-order.  A node is named by its child positions from the root:
+    ``r.2.0`` is the first premise of the root's third premise."""
+    return check_analysis(analyze(t), system)
+
+
+def check_analysis(an: Analysis, system) -> CheckReport:
+    """``check_proof`` of the proof that ``an`` analyses."""
     system = parse_system(system)
-    an = analyze(t)
-    out = [Violation(path_str(p), kind, msg) for kind, p, msg in an.problems]
+    out = [Violation(an.name(i), kind, msg) for kind, i, msg in an.problems]
     allowed = _allowed_rules(system)
-    strata = {}
-    top = stratum(t, strata)
-    for path, nd in sorted(an.paths.items()):
-        _check_node(nd, path, an, system, allowed, strata, out)
-    return CheckReport(not out, out, top, _open_formulas(an), *_split_open(an))
+    for i, nd in enumerate(an.nodes):
+        _check_node(nd, i, an, system, allowed, out)
+    return CheckReport(not out, out, an.strata[0], *_opens(an))
 
 
 def _allowed_rules(system: System):
@@ -460,9 +490,9 @@ def _allowed_rules(system: System):
     return rules
 
 
-def _check_node(nd, path, an, system, allowed, strata, out):
+def _check_node(nd, i, an, system, allowed, out):
     def bad(constraint, message):
-        out.append(Violation(path_str(path), constraint, message))
+        out.append(Violation(an.name(i), constraint, message))
 
     if not is_sentence(nd.conclusion):
         bad("C1", f"label is not a sentence: {pretty(nd.conclusion)}")
@@ -488,7 +518,7 @@ def _check_node(nd, path, an, system, allowed, strata, out):
         return
     if nd.discharges and rule not in DISCHARGING:
         bad("discharge", f"rule {rule} cannot discharge assumptions")
-    _check_shape(nd, path, an, system, strata, bad)
+    _check_shape(nd, i, an, system, bad)
 
 
 def _check_axiom_node(nd, schema, system, bad):
@@ -508,28 +538,21 @@ def _check_axiom_node(nd, schema, system, bad):
         bad("rule", f"conclusion does not instantiate {schema}: {pretty(nd.conclusion)}")
 
 
-def _check_discharges(nd, path, an, bad, slots, enforce_c5):
+def _check_discharges(nd, i, an, bad, slots, enforce_c5):
     """``slots``: list of (child_index, required_formula).  Every discharged
     leaf must be an open occurrence of a slot formula inside the matching
     child; in the simplified systems it must additionally be safe there
     (C5).  The axiomatic systems discharge unrestrictedly."""
     for lid in sorted(nd.discharges):
-        if lid not in an.leaf_path:
-            continue  # already reported during indexing
-        if an.discharged_by.get(lid) != path:
-            continue
-        placed = False
-        for idx, want in slots:
-            sub = path + (idx,)
-            if an.in_subtree(lid, sub) and an.leaf_formula[lid] == want:
-                placed = True
-                break
-        if not placed:
+        if an.discharged_by.get(lid) != i:
+            continue  # unknown or misplaced, reported during the analysis
+        if not any(an.in_subtree(lid, an.kids[i][pos]) and an.leaf_formula[lid] == want
+                   for pos, want in slots):
             bad("discharge",
                 f"leaf {lid!r} ({pretty(an.leaf_formula[lid])}) does not match "
                 f"a dischargeable assumption of this rule")
             continue
-        if enforce_c5 and an.unsafe_for(lid, path):
+        if enforce_c5 and an.unsafe_for(lid, i):
             bad("C5", f"leaf {lid!r} occurs unsafely and may not be discharged")
 
 
@@ -551,7 +574,7 @@ def _eigenparam_for_forall(nd):
     return t.index, None
 
 
-def _eigenparam_for_exists(nd, an, path):
+def _eigenparam_for_exists(nd, an):
     """(index or None, witness_formula or None, error)."""
     major, body_node = nd.children
     ex = major.conclusion
@@ -573,7 +596,7 @@ def _eigenparam_for_exists(nd, an, path):
     return t.index, xi, None
 
 
-def _check_shape(nd, path, an, system, strata, bad):
+def _check_shape(nd, i, an, system, bad):
     rule, concl = nd.rule, nd.conclusion
     kids = [c.conclusion for c in nd.children]
 
@@ -599,7 +622,7 @@ def _check_shape(nd, path, an, system, strata, bad):
         if kids[1] != concl or kids[2] != concl:
             bad("rule", "branches must conclude the main conclusion")
             return
-        _check_discharges(nd, path, an, bad,
+        _check_discharges(nd, i, an, bad,
                           [(1, major.left), (2, major.right)],
                           system.kind == "nd")
     elif rule == "imp_int":
@@ -609,7 +632,7 @@ def _check_shape(nd, path, an, system, strata, bad):
         if kids[0] != concl.right:
             bad("rule", "premise must be the consequent of the conclusion")
             return
-        _check_discharges(nd, path, an, bad, [(0, concl.left)],
+        _check_discharges(nd, i, an, bad, [(0, concl.left)],
                           system.kind == "nd")
     elif rule == "imp_elim":
         if not (isinstance(kids[1], Imp) and kids[1].left == kids[0]
@@ -618,7 +641,7 @@ def _check_shape(nd, path, an, system, strata, bad):
             return
         if system.kind == "nd" and system.stratum_bound is not None \
                 and system.stratum_bound >= 0:
-            got = strata[id(nd.children[1])]
+            got = an.strata[an.kids[i][1]]
             if got >= system.stratum_bound:
                 bad("system",
                     f"right premise has stratum {got}, needs < {system.stratum_bound}")
@@ -630,7 +653,7 @@ def _check_shape(nd, path, an, system, strata, bad):
         if idx is not None:
             if idx in formula_params(concl.body):
                 bad("C2", f"parameter #{idx} occurs in the generalised formula")
-            for lid in an.open_leaves_in(path + (0,)):
+            for lid in an.open_leaves_in(an.kids[i][0]):
                 if idx in formula_params(an.leaf_formula[lid]):
                     bad("C2", f"parameter #{idx} occurs in open assumption "
                               f"{pretty(an.leaf_formula[lid])}")
@@ -638,17 +661,17 @@ def _check_shape(nd, path, an, system, strata, bad):
         if kids[1] != concl:
             bad("rule", "body must conclude the main conclusion")
             return
-        idx, xi, err = _eigenparam_for_exists(nd, an, path)
+        idx, xi, err = _eigenparam_for_exists(nd, an)
         if err:
             bad("rule", err)
             return
         major = kids[0]
-        body_path = path + (1,)
+        body = an.kids[i][1]
         if xi is not None:
-            _check_discharges(nd, path, an, bad, [(1, xi)],
+            _check_discharges(nd, i, an, bad, [(1, xi)],
                               system.kind == "nd")
             # C4: every open occurrence of the witness inside the body is closed here
-            for lid in an.open_leaves_in(body_path):
+            for lid in an.open_leaves_in(body):
                 if an.leaf_formula[lid] == xi and lid not in nd.discharges:
                     bad("C4", f"open witness occurrence {lid!r} is not discharged")
         if idx is not None:
@@ -656,7 +679,7 @@ def _check_shape(nd, path, an, system, strata, bad):
                 bad("C3", f"parameter #{idx} occurs in the quantified matrix")
             if idx in formula_params(concl):
                 bad("C3", f"parameter #{idx} occurs in the conclusion")
-            for lid in an.open_leaves_in(body_path):
+            for lid in an.open_leaves_in(body):
                 if lid in nd.discharges:
                     continue
                 if idx in formula_params(an.leaf_formula[lid]):
@@ -756,9 +779,8 @@ def check_judgment(j: Judgment, t: Proof, identity="absent"):
 # ---------------------------------------------------------------------------
 
 def _rename_params_in_tree(t: Proof, old: int, new: int) -> Proof:
-    concl = replace_param(t.conclusion, old, new)
-    children = tuple(_rename_params_in_tree(c, old, new) for c in t.children)
-    return replace(t, conclusion=concl, children=children)
+    return fold(t, lambda nd, kids: replace(
+        nd, conclusion=replace_param(nd.conclusion, old, new), children=tuple(kids)))
 
 
 def eigenparameter(nd: Proof) -> int | None:
@@ -767,8 +789,7 @@ def eigenparameter(nd: Proof) -> int | None:
         idx, _ = _eigenparam_for_forall(nd)
         return idx
     if nd.rule == "exists_elim":
-        an = analyze(nd)
-        idx, _, _ = _eigenparam_for_exists(nd, an, ())
+        idx, _, _ = _eigenparam_for_exists(nd, analyze(nd))
         return idx
     return None
 
@@ -784,15 +805,11 @@ def rename_eigenvariables(t: Proof, avoid) -> Proof:
     used = set(parameters_of(t)) | avoid
     counter = itertools.count(max(used) + 1 if used else 0)
 
-    def fresh():
-        return next(counter)
-
-    def go(nd):
-        children = tuple(go(c) for c in nd.children)
-        nd = replace(nd, children=children)
+    def go(nd, kids):
+        nd = replace(nd, children=tuple(kids))
         idx = eigenparameter(nd)
         if idx is not None and idx in avoid:
-            new = fresh()
+            new = next(counter)
             if nd.rule == "forall_int":
                 sub = _rename_params_in_tree(nd.children[0], idx, new)
                 nd = replace(nd, children=(sub,))
@@ -801,7 +818,7 @@ def rename_eigenvariables(t: Proof, avoid) -> Proof:
                 nd = replace(nd, children=(nd.children[0], body))
         return nd
 
-    return go(t)
+    return fold(t, go)
 
 
 # ---------------------------------------------------------------------------
@@ -812,23 +829,13 @@ def relabel_leaves(t: Proof, name) -> Proof:
     """Copy with the i-th distinct leaf id, in depth-first order, renamed
     to ``name(i)``; discharges of ids with no leaf are dropped."""
     mapping = {}
-
-    def collect(nd):
+    for nd in _preorder(t)[0]:
         if nd.is_assumption() and nd.leaf_id not in mapping:
             mapping[nd.leaf_id] = name(len(mapping))
-        for c in nd.children:
-            collect(c)
-
-    collect(t)
-
-    def rebuild(nd):
-        children = tuple(rebuild(c) for c in nd.children)
-        return replace(nd, children=children,
-                       discharges=frozenset(mapping[x] for x in nd.discharges
-                                            if x in mapping),
-                       leaf_id=mapping.get(nd.leaf_id) if nd.leaf_id else None)
-
-    return rebuild(t)
+    return fold(t, lambda nd, kids: Proof(
+        nd.rule, nd.conclusion, tuple(kids),
+        frozenset(mapping[x] for x in nd.discharges if x in mapping),
+        mapping.get(nd.leaf_id) if nd.leaf_id else None))
 
 
 def canonical_leaf_ids(t: Proof) -> Proof:
@@ -840,12 +847,15 @@ def proofs_equal(a: Proof, b: Proof) -> bool:
 
 
 def proof_to_json(t: Proof) -> dict:
-    if t.is_assumption():
-        return {"assume": pretty(t.conclusion), "id": t.leaf_id}
-    out = {"rule": t.rule, "conclusion": pretty(t.conclusion),
-           "children": [proof_to_json(c) for c in t.children]}
-    if t.discharges:
-        out["discharges"] = sorted(t.discharges)
+    return fold(t, _node_json)
+
+
+def _node_json(nd, children):
+    if nd.is_assumption():
+        return {"assume": pretty(nd.conclusion), "id": nd.leaf_id}
+    out = {"rule": nd.rule, "conclusion": pretty(nd.conclusion), "children": children}
+    if nd.discharges:
+        out["discharges"] = sorted(nd.discharges)
     return out
 
 

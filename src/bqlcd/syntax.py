@@ -218,11 +218,9 @@ def formula_params(phi: Formula) -> frozenset:
 
 
 def parameters_of(x) -> frozenset:
-    """Exact set of parameter indices occurring in a formula or proof tree.
-
-    Anything with ``conclusion``/``children``/``formula`` attributes (proof
-    nodes) is walked structurally.
-    """
+    """Exact set of parameter indices occurring in a term, a formula or a
+    proof tree: anything else is walked through its ``conclusion`` and
+    ``children`` attributes."""
     if isinstance(x, (Top, Bottom, Atom, And, Or, Imp, Forall, Exists)):
         return formula_params(x)
     if isinstance(x, (Var, Const, Param, Fn)):

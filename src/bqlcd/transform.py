@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 from .proofkernel import (
     AX_RULES, CHILD_COUNT, IDENTITY_RULES, INTERNALISED, ND_RULES, Judgment,
-    Proof, System, analyze, assume, canonical_leaf_ids, check_judgment,
-    check_proof, eigenparameter, internal_instance, node, open_assumptions,
+    Proof, System, analyze, assume, canonical_leaf_ids, check_analysis, check_judgment,
+    check_proof, eigenparameter, fold, internal_instance, node, open_assumptions,
     relabel_leaves, rename_eigenvariables, schema_instance, stratum,
 )
 from .syntax import (
@@ -54,7 +54,7 @@ def _safe_opens(p: Proof, phi: Formula) -> set:
     """Ids of the open occurrences of ``phi`` in ``p`` that lie in the right
     premise of no modus ponens, which a node on top of ``p`` may discharge."""
     an = analyze(p)
-    return {lid for lid in an.open_leaves_in(())
+    return {lid for lid in an.open_leaves_in(0)
             if an.leaf_formula[lid] == phi and not an.unsafe_for(lid)}
 
 
@@ -83,27 +83,25 @@ def graft(host: Proof, replacements: dict) -> Proof:
         avoid |= set(formula_params(f_)) | set(parameters_of(p_))
     host = rename_eigenvariables(host, avoid)
     an = analyze(host)
-    open_ids = {lid for lid in an.open_leaves_in(())
+    open_ids = {lid for lid in an.open_leaves_in(0)
                 if an.leaf_formula[lid] in replacements}
 
-    def go(nd):
+    def go(nd, kids):
         if nd.is_assumption() and nd.leaf_id in open_ids:
             return relabel_fresh(replacements[nd.conclusion])
-        if not nd.children:
-            return nd
-        return replace(nd, children=tuple(go(c) for c in nd.children))
+        return replace(nd, children=tuple(kids)) if kids else nd
 
-    return go(host)
+    return fold(host, go)
 
 
 def ordered_opens(p: Proof) -> list:
     """Distinct open assumption sentences in first-occurrence order."""
-    return _ordered_opens(analyze(p), ())
+    return _ordered_opens(analyze(p), 0)
 
 
-def _ordered_opens(an, path) -> list:
-    """The same for the subtree at ``path`` of an analysed proof."""
-    lids = sorted(an.open_leaves_in(path), key=an.leaf_path.__getitem__)
+def _ordered_opens(an, i) -> list:
+    """The same for the subtree at node i of an analysed proof."""
+    lids = sorted(an.open_leaves_in(i), key=an.leaf_node.__getitem__)
     return list(dict.fromkeys(an.leaf_formula[lid] for lid in lids))
 
 
@@ -782,23 +780,17 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
     Never touches the existential elimination rule of the target system, so
     the output also checks with that rule removed.
     """
-    report = check_proof(t, "nbqlcd")
+    an = analyze(t)
+    report = check_analysis(an, "nbqlcd")
     if not report.valid:
         msgs = "; ".join(v.message for v in report.violations)
         raise TransformError(f"input is not a guard-free proof: {msgs}")
-    if gamma is None:
-        gamma = ordered_opens(t)
-    else:
-        gamma = list(gamma)
-    if not set(open_assumptions(t)) <= set(gamma):
+    gamma = _ordered_opens(an, 0) if gamma is None else list(gamma)
+    if not report.open_assumptions <= set(gamma):
         raise TransformError("premise list does not cover the open assumptions")
     avoid = set()
-    for f_ in gamma:
-        avoid |= set(formula_params(f_))
-    an0 = analyze(t)
-    for lid, f_ in an0.leaf_formula.items():
-        avoid |= set(formula_params(f_))
-    avoid |= set(formula_params(t.conclusion))
+    for f_ in [*gamma, *an.leaf_formula.values(), t.conclusion]:
+        avoid |= formula_params(f_)
     t = rename_eigenvariables(t, avoid)
     an = analyze(t)
 
@@ -809,16 +801,16 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
             return p
         return ax_compose(ax_conj_imp(target_conj, src), p)
 
-    def go(nd_, path):
-        s = big_conj(_ordered_opens(an, path))
+    def go(i):
+        s = big_conj(_ordered_opens(an, i))
+        nd_ = an.nodes[i]
         concl = nd_.conclusion
         rule = nd_.rule
 
-        def sub(i, target=s):
-            """target -> premise i, from the compiled subproof of premise i."""
-            sub_path = path + (i,)
-            inner = go(nd_.children[i], sub_path)
-            return lift(target, _ordered_opens(an, sub_path), inner)
+        def sub(pos, target=s):
+            """target -> premise pos, from its compiled subproof."""
+            j = an.kids[i][pos]
+            return lift(target, _ordered_opens(an, j), go(j))
 
         if rule == "assume":
             return ax_conj_imp(s, concl)
@@ -827,7 +819,7 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
         if rule == "and_int":
             return ax_pair(sub(0), sub(1))
         if rule in INTERNALISED:
-            subs = [sub(i) for i in range(len(nd_.children))]
+            subs = [sub(pos) for pos in range(len(nd_.children))]
             kids = [c.conclusion for c in nd_.children]
             step = node(f"axiom:{INTERNALISED[rule][0]}",
                         internal_instance(kids, concl))
@@ -872,8 +864,8 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
             return ax_compose(pair, body)
         raise TransformError(f"rule {rule} has no axiomatic compilation")
 
-    core = go(t, ())
-    out = lift(big_conj(gamma), _ordered_opens(an, ()), core)
+    core = go(0)
+    out = lift(big_conj(gamma), _ordered_opens(an, 0), core)
     final = check_proof(out, "tjk+")
     if not final.valid:
         raise TransformError("internal: compiled proof does not check")

@@ -577,8 +577,9 @@ def test_lane_packed_evaluation_matches_oracle(models, phi):
         for r, ar in (("p", 0), ("P", 1)))
     subs = sorted(set(subformulas(phi)), key=pretty)
     runs, set_frame, _ = kripke._compile_sequent(subs, {"p": 0, "P": 1}, {"c": 0}, {})
-    set_frame(m, tuple((sum(bit[u] for u in first.successors(w)), bit[w])
-                       for w in first.worlds), lanes)
+    full = kripke._repeat(1, width, lanes)
+    set_frame(m, tuple((sum(bit[u] for u in first.successors(w)) * full, bit[w] * full, bit[w])
+                       for w in first.worlds), (((1 << k) - 1) * full, full << k, k))
     for sub, run in zip(subs, runs):
         fvs = sorted(free_vars(sub))
         for combo in itertools.product(range(m), repeat=len(fvs)):

@@ -10,7 +10,8 @@ from bqlcd.proofkernel import (
     AX_SYSTEMS, AXIOMS_BY_LEVEL, IDENTITY_SUFFIXES, INTERNALISED, SCHEMAS,
     Judgment, Proof, System, Violation, assume, canonical_leaf_ids, check_judgment,
     check_proof, match_schema, node, open_assumptions, parse_system,
-    proof_from_json, proof_to_json, proofs_equal, rename_eigenvariables,
+    proof_depth, proof_from_json, proof_size, proof_to_json, proofs_equal,
+    rename_eigenvariables,
     schema_instance, split_assumptions, stratum, unsafe_leaves,
 )
 from bqlcd.syntax import (
@@ -187,6 +188,55 @@ def test_bounded_system_reads_each_stratum_once():
     report = invalid(t, "nbqlcd[298]")
     assert [(v.node, v.message) for v in report.violations] == [
         ("r", "right premise has stratum 298, needs < 298")]
+
+
+def deep_and_chain(rounds):
+    """``p`` carried through ``rounds`` conjunctions with a fresh ``q`` leaf,
+    each taken apart again: 3 * rounds + 1 nodes, 2 * rounds deep, with
+    conclusions no deeper than ``p & q``."""
+    p, q = f("p"), f("q")
+    t = assume(p, "p")
+    for i in range(rounds):
+        t = node("and_elim_l", p, [node("and_int", And(p, q), [t, assume(q, f"q{i}")])])
+    return t
+
+
+def test_a_proof_10000_deep_is_analysed_without_recursion():
+    t = deep_and_chain(5000)
+    report = valid(t)
+    assert report.stratum == -1
+    assert report.open_assumptions == {f("p"), f("q")}
+    assert stratum(t) == -1
+    assert open_assumptions(t) == {f("p"), f("q")}
+    assert split_assumptions(t) == (frozenset(), frozenset({f("p"), f("q")}))
+    assert unsafe_leaves(t) == frozenset()
+    assert (proof_size(t), proof_depth(t)) == (15001, 10000)
+    data, depth = proof_to_json(t), 0
+    while "children" in data:
+        data, depth = data["children"][0], depth + 1
+    assert (depth, data) == (10000, {"assume": "p", "id": "p"})
+    c, ids = canonical_leaf_ids(t), []
+    while c.children:
+        ids.append(c.children[-1].leaf_id)
+        c = c.children[0]
+    assert c.leaf_id == "a0"
+    assert [i for i in ids if i] == [f"a{i}" for i in range(5000, 0, -1)]
+
+
+def test_violations_are_named_by_child_positions_in_preorder():
+    p, q, r, s = f("p"), f("q"), f("r"), f("s")
+    left = node("imp_elim", r, [node("and_elim_l", s, [assume(And(p, q), "x")]),
+                                assume(Imp(s, r), "y")])
+    inner = node("and_int", And(r, s), [assume(r, "z"), node("top_int", q)])
+    right = node("and_elim_l", r, [inner])
+    t = node("or_elim", r, [assume(Or(p, q), "m"), left, right], {"w"})
+    report = invalid(t)
+    assert [(v.node, v.constraint, v.message) for v in report.violations] == [
+        ("r", "discharge", "discharge of unknown leaf 'w'"),
+        ("r.1.0", "rule", "conclusion is not the left conjunct of the premise"),
+        ("r.2.0", "rule", "conclusion is not the conjunction of the premises"),
+        ("r.2.0.1", "rule", "the truth constant is the only conclusion here"),
+    ]
 
 
 def test_modus_ponens_with_one_premise_is_reported_not_raised():
