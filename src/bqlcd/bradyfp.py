@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from .kripke import KripkeModel, _compile_sequent
 from .syntax import (
     And, Atom, Const, Fn, Imp, Param,
-    Formula, Signature, is_sentence, parse_inferring, pretty, subformulas,
+    Formula, Signature, parse_inferring, pretty, subformulas,
 )
 
 
@@ -110,12 +110,12 @@ def make_universe(texts, codes, domain_size) -> SentenceUniverse:
     if any(v < 0 or v >= domain_size for v in values):
         raise UniverseError("codes must lie inside the domain")
     for phi in parsed:
-        if not is_sentence(phi):
+        if phi.free:
             raise UniverseError(f"not a sentence: {pretty(phi)}")
         for sub in subformulas(phi):
             # open subformulas live under their quantifier and are not
             # independent members of the universe
-            if is_sentence(sub) and sub not in code:
+            if not sub.free and sub not in code:
                 raise UniverseError(
                     f"not closed under subformulas: {pretty(sub)} missing "
                     f"(from {pretty(phi)})")

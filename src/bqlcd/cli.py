@@ -27,7 +27,7 @@ from .proofkernel import (
 )
 from .syntax import (
     BINARY, QUANT, And, Exists, Forall, Imp, Or, ParseError, Signature,
-    free_vars, infer_signature, parse_formula, parse_inferring, pretty,
+    infer_signature, parse_formula, parse_inferring, pretty,
 )
 
 # Evaluation, search and printing recurse a few frames per level of nesting,
@@ -134,7 +134,7 @@ def cmd_sat(args) -> int:
         sig = signature_of_model(model)
         phi = parse_formula(args.formula, sig)
         _check_nesting([phi])
-        if free_vars(phi):
+        if phi.free:
             raise ParseError("formula must be closed")
         value = satisfies(model, args.world, phi)
     except (ModelError, ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
@@ -157,7 +157,7 @@ def cmd_countermodel(args) -> int:
         _check_nesting(premises + [conclusion])
         bounds = SearchBounds(args.max_worlds, args.max_domain)
         for phi in premises + [conclusion]:
-            if free_vars(phi):
+            if phi.free:
                 raise ParseError("premises and conclusion must be closed")
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

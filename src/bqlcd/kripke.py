@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 from .syntax import (
     And, Atom, Bottom, Const, Exists, Fn, Forall, Imp, Or, Param, Signature,
-    Top, Var, big_conj, formula_params, free_vars, infer_signature, pretty,
+    Top, Var, big_conj, infer_signature, pretty,
     subformulas, subterms,
 )
 
@@ -196,7 +196,7 @@ def world_masks(model: KripkeModel, formulas, asg=None) -> list:
     formulas, asg = list(formulas), asg or {}
     arity = {}
     for phi in formulas:
-        unassigned = sorted(free_vars(phi) - set(asg))
+        unassigned = sorted(phi.free - set(asg))
         if unassigned:
             raise ModelError(f"no assignment for variable {unassigned[0]}")
         for sub in subformulas(phi):
@@ -256,7 +256,7 @@ def entails_in_model(model: KripkeModel, gamma, phi) -> bool:
 
 def check_persistence(model: KripkeModel, phi) -> bool:
     """No (w, u, assignment) with w < u, w |= phi and u |/= phi."""
-    fvs, bit = sorted(free_vars(phi)), _bits(model)
+    fvs, bit = sorted(phi.free), _bits(model)
     for combo in itertools.product(model.domain(), repeat=len(fvs)):
         (mask,) = world_masks(model, [phi], dict(zip(fvs, combo)))
         if any(mask & bit[w] and not mask & bit[u] for (w, u) in model.edges):
@@ -557,10 +557,7 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
     gamma = list(gamma)
     identity, reflexive_witness = _MODES[mode]
     sig = infer_signature(gamma + [phi], identity_mode=identity)
-    params = set()
-    for f in gamma + [phi]:
-        params |= formula_params(f)
-    params = sorted(params)
+    params = sorted(frozenset().union(*(f.params for f in gamma + [phi])))
     const_names = sorted(sig.constants) + [f"#{i}" for i in params]
     rel_names = sorted(r for r in sig.relations if not (identity != "absent" and r == "="))
     fun_names = sorted(sig.functions)

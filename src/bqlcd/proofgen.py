@@ -17,7 +17,7 @@ from .proofkernel import (
 )
 from .syntax import (
     And, Atom, Const, Exists, Forall, Imp, Or, Param, TOP, BOTTOM, Var,
-    formula_params, free_vars, generalize_param, parse_inferring, substitute,
+    generalize_param, parse_inferring, substitute,
 )
 from .transform import (
     _fresh_param, boxn, close_antecedent, nd_axiom_proof, pad_box, unbox,
@@ -54,7 +54,6 @@ class ProofGenerator:
     def __init__(self, seed=0):
         self.rng = random.Random(seed)
         self.pool: list = []
-        self.parameterised: list = []  # pooled (proof, conclusion's parameters), if any
         self._seed_pool()
 
     def _accept(self, t):
@@ -64,9 +63,6 @@ class ProofGenerator:
         if not report.valid or len(report.open_assumptions) > 4:
             return None
         self.pool.append(t)
-        params = formula_params(t.conclusion)
-        if params:
-            self.parameterised.append((t, params))
         return t
 
     def _seed_pool(self):
@@ -164,18 +160,17 @@ class ProofGenerator:
             return node("forall_elim", concl, [t])
 
     def _move_forall_int(self):
-        if not self.parameterised:
-            return None
-        t, params = self.rng.choice(self.parameterised)
-        body = generalize_param(t.conclusion, min(params), "x")
-        return node("forall_int", Forall("x", body), [t])
+        t = self._pick(lambda x: x.conclusion.params)
+        if t:
+            body = generalize_param(t.conclusion, min(t.conclusion.params), "x")
+            return node("forall_int", Forall("x", body), [t])
 
     def _move_exists_int(self):
         t = self._pick()
         if not t:
             return None
         concl = t.conclusion
-        candidates = sorted(formula_params(concl)) or [None]
+        candidates = sorted(concl.params) or [None]
         idx = self.rng.choice(candidates)
         if idx is None:
             return node("exists_int", Exists("x", concl), [t])
@@ -226,7 +221,7 @@ class ProofGenerator:
                        and isinstance(x.conclusion.body, Or))
         if t:
             body = t.conclusion.body
-            if t.conclusion.var not in free_vars(body.left):
+            if t.conclusion.var not in body.left.free:
                 return node("cd", Or(body.left,
                                      Forall(t.conclusion.var, body.right)), [t])
 

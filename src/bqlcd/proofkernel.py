@@ -35,8 +35,7 @@ from dataclasses import dataclass, replace
 
 from .syntax import (
     And, Atom, BINARY, Bottom, Exists, Fn, Forall, Imp, Or, Param, QUANT, TOP,
-    Formula, ParseError, Signature, Symbols, formula_params, free_vars,
-    is_sentence, is_closed_term, match_instantiation, parameters_of,
+    Formula, ParseError, Signature, Symbols, match_instantiation, parameters_of,
     parse_inferring, pretty, replace_param,
 )
 
@@ -389,6 +388,8 @@ class System:
         if self.identity not in IDENTITY_SUFFIXES:
             raise ValueError(f"unknown identity mode {self.identity!r}, expected one of "
                              f"{', '.join(IDENTITY_SUFFIXES)}")
+        if self.stratum_bound is not None and self.stratum_bound < -1:
+            raise ValueError(f"stratum bound must be -1 or more, got {self.stratum_bound}")
 
     @property
     def name(self):
@@ -494,7 +495,7 @@ def _check_node(nd, i, an, system, allowed, out):
     def bad(constraint, message):
         out.append(Violation(an.name(i), constraint, message))
 
-    if not is_sentence(nd.conclusion):
+    if nd.conclusion.free:
         bad("C1", f"label is not a sentence: {pretty(nd.conclusion)}")
         return
     if nd.is_assumption():
@@ -562,7 +563,7 @@ def _eigenparam_for_forall(nd):
     if not isinstance(concl, Forall):
         return None, "conclusion is not universally quantified"
     body, v = concl.body, concl.var
-    if v not in free_vars(body):
+    if v not in body.free:
         if premise != body:
             return None, "vacuous generalisation must repeat its premise"
         return None, None
@@ -582,7 +583,7 @@ def _eigenparam_for_exists(nd, an):
         return None, None, "major premise is not existentially quantified"
     matrix, v = ex.body, ex.var
     discharged = sorted(nd.discharges)
-    if v not in free_vars(matrix):
+    if v not in matrix.free:
         return None, matrix, None
     if not discharged:
         return None, None, None  # vacuous: any fresh parameter works
@@ -651,10 +652,10 @@ def _check_shape(nd, i, an, system, bad):
             bad("rule", err)
             return
         if idx is not None:
-            if idx in formula_params(concl.body):
+            if idx in concl.body.params:
                 bad("C2", f"parameter #{idx} occurs in the generalised formula")
             for lid in an.open_leaves_in(an.kids[i][0]):
-                if idx in formula_params(an.leaf_formula[lid]):
+                if idx in an.leaf_formula[lid].params:
                     bad("C2", f"parameter #{idx} occurs in open assumption "
                               f"{pretty(an.leaf_formula[lid])}")
     elif rule == "exists_elim":
@@ -675,14 +676,14 @@ def _check_shape(nd, i, an, system, bad):
                 if an.leaf_formula[lid] == xi and lid not in nd.discharges:
                     bad("C4", f"open witness occurrence {lid!r} is not discharged")
         if idx is not None:
-            if idx in formula_params(major.body):
+            if idx in major.body.params:
                 bad("C3", f"parameter #{idx} occurs in the quantified matrix")
-            if idx in formula_params(concl):
+            if idx in concl.params:
                 bad("C3", f"parameter #{idx} occurs in the conclusion")
             for lid in an.open_leaves_in(body):
                 if lid in nd.discharges:
                     continue
-                if idx in formula_params(an.leaf_formula[lid]):
+                if idx in an.leaf_formula[lid].params:
                     bad("C3", f"parameter #{idx} occurs in open assumption "
                               f"{pretty(an.leaf_formula[lid])}")
     elif rule == "affixing":
@@ -697,7 +698,7 @@ def _check_shape(nd, i, an, system, bad):
             bad("rule", "premises do not fit the affixing rule")
     elif rule == "eq_int":
         ok = (isinstance(concl, Atom) and concl.rel == "=" and len(concl.args) == 2
-              and concl.args[0] == concl.args[1] and is_closed_term(concl.args[0]))
+              and concl.args[0] == concl.args[1])
         if not ok:
             bad("rule", "conclusion is not a reflexive identity")
     elif rule == "eq_elim":
@@ -802,7 +803,7 @@ def rename_eigenvariables(t: Proof, avoid) -> Proof:
     that uses ``avoid`` stays checkable.
     """
     avoid = set(avoid)
-    used = set(parameters_of(t)) | avoid
+    used = parameters_of(t) | avoid
     counter = itertools.count(max(used) + 1 if used else 0)
 
     def go(nd, kids):

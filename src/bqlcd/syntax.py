@@ -38,26 +38,72 @@ class SignatureError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# terms
+# terms and formulas
 # ---------------------------------------------------------------------------
 
+class _Node:
+    """Base of terms and formulas.  ``free`` is the set of the node's free
+    variable names and ``params`` the set of its parameter indices, each set
+    once, at construction, from its parts' sets.  An empty set is this
+    shared class attribute; a non-empty one is stored on the instance outside
+    the dataclass fields, so neither takes part in ``repr``, ``==`` or
+    ``hash``."""
+
+    free = params = frozenset()
+
+    def _facts(self, parts, bound=None):
+        free = params = _Node.free
+        for part in parts:
+            if part.free:
+                free = free | part.free if free else part.free
+            if part.params:
+                params = params | part.params if params else part.params
+        if bound in free:
+            free = free - {bound}
+        if free:
+            self.__dict__["free"] = free
+        if params:
+            self.__dict__["params"] = params
+
+
+class _Applied(_Node):
+    def __post_init__(self):
+        self._facts(self.args)
+
+
+class _Binary(_Node):
+    def __post_init__(self):
+        self._facts((self.left, self.right))
+
+
+class _Binder(_Node):
+    def __post_init__(self):
+        self._facts((self.body,), self.var)
+
+
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
+    name: str
+
+    def __post_init__(self):
+        self.__dict__["free"] = frozenset((self.name,))
+
+
+@dataclass(frozen=True)
+class Const(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Const:
-    name: str
-
-
-@dataclass(frozen=True)
-class Param:
+class Param(_Node):
     index: int
 
+    def __post_init__(self):
+        self.__dict__["params"] = frozenset((self.index,))
+
 
 @dataclass(frozen=True)
-class Fn:
+class Fn(_Applied):
     name: str
     args: tuple["Term", ...]
 
@@ -65,52 +111,48 @@ class Fn:
 Term = Union[Var, Const, Param, Fn]
 
 
-# ---------------------------------------------------------------------------
-# formulas
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
-class Top:
+class Top(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Bottom:
+class Bottom(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Applied):
     rel: str
     args: tuple[Term, ...] = ()
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Binary):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Binary):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Imp:
+class Imp(_Binary):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Forall:
+class Forall(_Binder):
     var: str
     body: "Formula"
 
 
 @dataclass(frozen=True)
-class Exists:
+class Exists(_Binder):
     var: str
     body: "Formula"
 
@@ -179,59 +221,26 @@ def subterms(t: Term) -> Iterator[Term]:
             yield from subterms(a)
 
 
-def term_free_vars(t: Term) -> frozenset:
-    return frozenset(s.name for s in subterms(t) if isinstance(s, Var))
-
-
 def free_vars(phi: Formula) -> frozenset:
-    if isinstance(phi, Atom):
-        return frozenset(s.name for a in phi.args for s in subterms(a)
-                         if isinstance(s, Var))
-    if isinstance(phi, BINARY):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, QUANT):
-        return free_vars(phi.body) - {phi.var}
-    return frozenset()
+    return phi.free
 
 
 def is_sentence(phi: Formula) -> bool:
-    return not free_vars(phi)
-
-
-def is_closed_term(t: Term) -> bool:
-    return not term_free_vars(t)
-
-
-def term_params(t: Term) -> frozenset:
-    return frozenset(s.index for s in subterms(t) if isinstance(s, Param))
-
-
-def formula_params(phi: Formula) -> frozenset:
-    if isinstance(phi, Atom):
-        return frozenset(s.index for a in phi.args for s in subterms(a)
-                         if isinstance(s, Param))
-    if isinstance(phi, BINARY):
-        return formula_params(phi.left) | formula_params(phi.right)
-    if isinstance(phi, QUANT):
-        return formula_params(phi.body)
-    return frozenset()
+    return not phi.free
 
 
 def parameters_of(x) -> frozenset:
     """Exact set of parameter indices occurring in a term, a formula or a
     proof tree: anything else is walked through its ``conclusion`` and
     ``children`` attributes."""
-    if isinstance(x, (Top, Bottom, Atom, And, Or, Imp, Forall, Exists)):
-        return formula_params(x)
-    if isinstance(x, (Var, Const, Param, Fn)):
-        return term_params(x)
-    out = frozenset()
-    concl = getattr(x, "conclusion", None)
-    if concl is not None:
-        out |= formula_params(concl)
-    for child in getattr(x, "children", ()):
-        out |= parameters_of(child)
-    return out
+    if isinstance(x, _Node):
+        return x.params
+    out, stack = set(), [x]
+    while stack:
+        nd = stack.pop()
+        out |= nd.conclusion.params
+        stack.extend(nd.children)
+    return frozenset(out)
 
 
 def map_term(t: Term, leaf) -> Term:
@@ -257,7 +266,7 @@ def map_terms(phi: Formula, leaf, bound=None) -> Formula:
 
 def substitute(phi: Formula, var: str, t: Term) -> Formula:
     """Replace every free occurrence of ``var`` in ``phi`` by the closed term ``t``."""
-    if not is_closed_term(t):
+    if t.free:
         raise ValueError(f"substituted term must be closed: {pretty_term(t)}")
     return _subst(phi, var, t)
 
@@ -287,10 +296,10 @@ def match_instantiation(body: Formula, var: str, target: Formula):
     it is ``None`` when there is no such position.  When ``var`` is not free
     in ``body`` any term works, and ``ok`` is ``body == target``.
     """
-    if var not in free_vars(body):
+    if var not in body.free:
         return (body == target, None)
     cand = _find_instantiation(body, var, target)
-    ok = (cand is not None and is_closed_term(cand)
+    ok = (cand is not None and not cand.free
           and _subst(body, var, cand) == target)
     return (ok, cand)
 

@@ -24,8 +24,7 @@ from .proofkernel import (
 )
 from .syntax import (
     And, Exists, Forall, Imp, Or, Param, TOP, Formula, big_conj, box,
-    formula_params, free_vars, match_instantiation, parameters_of, pretty,
-    substitute,
+    match_instantiation, parameters_of, pretty, substitute,
 )
 
 
@@ -78,9 +77,8 @@ def graft(host: Proof, replacements: dict) -> Proof:
     """
     if not replacements:
         return host
-    avoid = set()
-    for f_, p_ in replacements.items():
-        avoid |= set(formula_params(f_)) | set(parameters_of(p_))
+    avoid = set().union(*(f_.params | parameters_of(p_)
+                          for f_, p_ in replacements.items()))
     host = rename_eigenvariables(host, avoid)
     an = analyze(host)
     open_ids = {lid for lid in an.open_leaves_in(0)
@@ -105,11 +103,8 @@ def _ordered_opens(an, i) -> list:
     return list(dict.fromkeys(an.leaf_formula[lid] for lid in lids))
 
 
-def _fresh_param(*items, avoid=()):
-    used = set(avoid)
-    for x in items:
-        used |= set(parameters_of(x))
-    return max(used) + 1 if used else 0
+def _fresh_param(*items):
+    return max(frozenset().union(*map(parameters_of, items)), default=-1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +177,9 @@ def derive_distribution(phi, psi, chi) -> Proof:
 
 def derive_infinite_distribution(phi, v, psi) -> Proof:
     """exists v (phi & psi) from the open assumption phi & exists v psi."""
-    if free_vars(phi):
+    if phi.free:
         raise TransformError("the fixed conjunct must be closed")
-    if not free_vars(psi) <= {v}:
+    if not psi.free <= {v}:
         raise TransformError("the matrix may only use the bound variable")
     src = And(phi, Exists(v, psi))
     tgt = Exists(v, And(phi, psi))
@@ -581,7 +576,7 @@ def unrestricted_exists_elim(t_major: Proof, t_body: Proof, param_index=None,
     xi = substitute(matrix, v, Param(param_index))
     rest = [f_ for f_ in opens if f_ != xi]
     bad = [f_ for f_ in rest + [matrix, t_body.conclusion]
-           if param_index in formula_params(f_)]
+           if param_index in f_.params]
     if bad:
         raise TransformError(
             f"witness parameter #{param_index} is not fresh for "
@@ -788,9 +783,8 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
     gamma = _ordered_opens(an, 0) if gamma is None else list(gamma)
     if not report.open_assumptions <= set(gamma):
         raise TransformError("premise list does not cover the open assumptions")
-    avoid = set()
-    for f_ in [*gamma, *an.leaf_formula.values(), t.conclusion]:
-        avoid |= formula_params(f_)
+    avoid = set().union(*(f_.params for f_ in
+                          [*gamma, *an.leaf_formula.values(), t.conclusion]))
     t = rename_eigenvariables(t, avoid)
     an = analyze(t)
 

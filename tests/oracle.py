@@ -1,14 +1,18 @@
 """Independent oracle: a naive evaluator written straight off the clauses of
 the semantics, with no memo and no compilation, for tests to check the
-package's evaluation against; and a reference countermodel search that runs
+package's evaluation against; a reference countermodel search that runs
 the compiled sentences once per interpretation, for tests to check the
-lane-parallel search against."""
+lane-parallel search against; and the free variables and parameters of a
+term or formula found by walking it, for tests to check the facts each node
+stores against."""
 
 import itertools
 from unittest import mock
 
 from bqlcd import kripke
-from bqlcd.syntax import Const, Param, Var
+from bqlcd.syntax import (
+    BINARY, QUANT, Atom, Const, Fn, Param, Var, subterms,
+)
 
 
 def oracle_term(m, t, asg):
@@ -160,3 +164,29 @@ def _reference_frame(seq, k, m, frame, succ, upsets, witnesses):
                     w = model.worlds[hit]
                     return kripke.SearchResult(model, w, False, tuple(seq.notes), stats)
     return None
+
+
+def reference_free_vars(x) -> frozenset:
+    if isinstance(x, (Var, Const, Param, Fn)):
+        return frozenset(s.name for s in subterms(x) if isinstance(s, Var))
+    if isinstance(x, Atom):
+        return frozenset(s.name for a in x.args for s in subterms(a)
+                         if isinstance(s, Var))
+    if isinstance(x, BINARY):
+        return reference_free_vars(x.left) | reference_free_vars(x.right)
+    if isinstance(x, QUANT):
+        return reference_free_vars(x.body) - {x.var}
+    return frozenset()
+
+
+def reference_params(x) -> frozenset:
+    if isinstance(x, (Var, Const, Param, Fn)):
+        return frozenset(s.index for s in subterms(x) if isinstance(s, Param))
+    if isinstance(x, Atom):
+        return frozenset(s.index for a in x.args for s in subterms(a)
+                         if isinstance(s, Param))
+    if isinstance(x, BINARY):
+        return reference_params(x.left) | reference_params(x.right)
+    if isinstance(x, QUANT):
+        return reference_params(x.body)
+    return frozenset()

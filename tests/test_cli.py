@@ -66,6 +66,14 @@ def test_check_unknown_system_exits_2(capsys):
     assert code == 2
 
 
+def test_check_stratum_bound_below_minus_one_exits_2(capsys):
+    # a bound of -2 would otherwise keep modus ponens and skip the stratum check
+    assert main(["check", data("mp_proof.json"), "--system", "nbqlcd"]) == 1
+    code = main(["check", data("mp_proof.json"), "--system", "nbqlcd[-2]"])
+    assert code == 2
+    assert "stratum bound must be -1 or more" in capsys.readouterr().err
+
+
 def test_reduce_stratum_minus_one_identity(capsys):
     code, payload = run(capsys, "reduce", data("top_proof.json"))
     assert code == 0

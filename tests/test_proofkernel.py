@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,6 +162,14 @@ def test_stratum_nested_example():
     assert any(v.constraint == "system" for v in report.violations)
 
 
+def test_a_stratum_bound_below_minus_one_is_refused():
+    with pytest.raises(ValueError, match="stratum bound must be -1 or more"):
+        check_proof(mp_from_leaves(), "nbqlcd[-2]")
+    with pytest.raises(ValueError, match="stratum bound must be -1 or more"):
+        System("nd", -7)
+    assert parse_system("nbqlcd[-1]") == parse_system("nbqlcd")
+
+
 def right_nested_chain(n):
     """n modus ponens, each taking its conditional from the next one up, so
     the right premises nest n deep."""
@@ -221,6 +230,21 @@ def test_a_proof_10000_deep_is_analysed_without_recursion():
         c = c.children[0]
     assert c.leaf_id == "a0"
     assert [i for i in ids if i] == [f"a{i}" for i in range(5000, 0, -1)]
+    assert parameters_of(t) == frozenset()
+    out = rename_eigenvariables(t, {0})
+    assert (proof_size(out), proof_depth(out)) == (15001, 10000)
+
+
+def test_an_and_int_chain_with_conclusions_1500_deep_checks():
+    # each conclusion is the previous one conjoined with q, so checking C1 by
+    # walking every conclusion would recurse 1500 deep and cost 1500 ** 2 / 2
+    assert sys.getrecursionlimit() < 1500
+    p, q = f("p"), f("q")
+    t = assume(p, "h0")
+    for i in range(1, 1500):
+        t = node("and_int", And(t.conclusion, q), [t, assume(q, f"h{i}")])
+    report = valid(t)
+    assert report.stratum == -1 and report.open_assumptions == {p, q}
 
 
 def test_violations_are_named_by_child_positions_in_preorder():

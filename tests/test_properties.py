@@ -1,10 +1,13 @@
 """Property-style batteries over the generated corpus."""
 
+import hashlib
 import json
 import random
 
+import pytest
+
 from bqlcd.kripke import SearchBounds, countermodel_search
-from bqlcd.proofgen import generate_corpus
+from bqlcd.proofgen import axiomatic_corpus, closed_theorem_corpus, generate_corpus
 from bqlcd.proofkernel import (
     Judgment, assume, check_judgment, check_proof, node, open_assumptions,
     proof_from_json, proof_to_json, proofs_equal, rename_eigenvariables,
@@ -234,3 +237,27 @@ def test_checker_catches_dropped_witness_discharge():
             assert set(open_assumptions(t)) < set(report.open_assumptions)
         tested += 1
     assert tested >= 10
+
+
+# SHA-256 of each corpus's proofs as sorted-key JSON.  The benchmark draws its
+# inputs from these corpora, so a change to the generator's random draws, or
+# to how formulas print, shows here before it changes what is measured.
+CORPUS_DIGESTS = [
+    (lambda: generate_corpus(seed=0, size=200),
+     "7dc09fdb4973732f026693ac46d69a3aab2f4c45e7e6fb0e9956eb8780020aab"),
+    (lambda: generate_corpus(seed=1, size=200),
+     "f47d3270e9b306cca72468060e1f055e5bd954030b6b934f3bcdc96fd4f3d2c2"),
+    (lambda: generate_corpus(seed=2, size=200),
+     "60f534d3ccc3be97baa4167fdb02850b6d2d5d5b45896d2877358950f9a640fc"),
+    (closed_theorem_corpus,
+     "82fcdf5271ba709771661e281f439d2defa8b8310889fe72095473045b13e87b"),
+    (axiomatic_corpus,
+     "e738779ffce1678e9bf47e3f52874951844166b44912cd9962a697cad702eaf3"),
+]
+
+
+@pytest.mark.parametrize("corpus, digest", CORPUS_DIGESTS, ids=[
+    "seed0", "seed1", "seed2", "closed_theorems", "axiomatic"])
+def test_generated_corpora_are_pinned(corpus, digest):
+    text = json.dumps([proof_to_json(t) for t in corpus()], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

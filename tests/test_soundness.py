@@ -36,10 +36,9 @@ def test_generalized_soundness_split_contexts():
         unsafe, safe = split_assumptions(t)
         if len(unsafe) + len(safe) > 4:
             continue
-        from bqlcd.syntax import formula_params
         mentioned = set()
         for g in list(unsafe) + list(safe) + [t.conclusion]:
-            mentioned |= set(formula_params(g))
+            mentioned |= g.params
         if any(i > 2 for i in mentioned):
             continue
         for model in battery:

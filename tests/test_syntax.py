@@ -1,14 +1,18 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bqlcd.proofgen import generate_corpus, random_sentence
+from bqlcd.proofkernel import SCHEMAS, schema_instance
 from bqlcd.syntax import (
     And, Atom, Bottom, Const, Exists, Fn, Forall, Imp, Or, Param, ParseError,
     Signature, SignatureError, Top, TOP, BOTTOM, Var, _subst, big_conj, box,
-    formula_params,
     free_vars, generalize_param, infer_signature, is_sentence,
     match_instantiation, parameters_of, parse_formula, parse_inferring, pretty,
-    replace_param, sig, substitute,
+    replace_param, sig, subformulas, substitute, subterms,
 )
+from oracle import reference_free_vars, reference_params
 
 SIG = sig(constants=["c", "d"], functions={"f": 1},
           relations={"p": 0, "q": 0, "P": 1, "Q": 0, "T": 1, "R": 2, "=": 2})
@@ -139,6 +143,9 @@ def test_free_vars_of_equal_deep_formulas_built_apart():
     first, second = box(400, Atom("p")), box(400, Atom("p"))
     assert first is not second
     assert free_vars(first) == free_vars(second) == frozenset()
+    deep = box(2000, Atom("P", (Param(1),)))
+    assert free_vars(deep) == frozenset() and is_sentence(deep)
+    assert parameters_of(deep) == {1}
 
 
 def test_big_conj():
@@ -232,9 +239,32 @@ def test_generalize_param_then_substitute_round_trip(phi):
 @settings(max_examples=60)
 @given(formulas())
 def test_formula_params_after_replace_param(phi):
-    before = formula_params(phi)
+    before = phi.params
     want = before - {0} | ({7} if 0 in before else set())
-    assert formula_params(replace_param(phi, 0, 7)) == want
+    assert replace_param(phi, 0, 7).params == want
+
+
+@functools.cache
+def _corpus_conclusions():
+    return [t.conclusion for t in generate_corpus(seed=0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(formulas(), st.randoms(use_true_random=False))
+def test_stored_facts_match_the_reference(phi, rng):
+    open_ = generalize_param(phi, 1, "y")
+    samples = [phi, open_, random_sentence(rng, 4), *_corpus_conclusions(),
+               parse_formula(pretty(open_), SIG, free_vars=["y"]),
+               substitute(open_, "y", Fn("f", (Param(5),))),
+               replace_param(phi, 0, 7)]
+    samples += [schema_instance(name, A=open_, B=phi, C=Atom("P", (Var("x"),)), x="y")
+                for name in SCHEMAS]
+    for sample in samples:
+        for sub in subformulas(sample):
+            parts = [sub] + [t for a in getattr(sub, "args", ()) for t in subterms(a)]
+            for x in parts:
+                assert x.free == reference_free_vars(x)
+                assert x.params == reference_params(x)
 
 
 @settings(max_examples=60)
