@@ -74,11 +74,9 @@ def transitive_closure(pairs, worlds):
 
 
 def make_model(worlds, edges, domain_size, consts=None, funs=None, fun_arity=None,
-               rels=None, rel_arity=None, identity="absent", close=False):
+               rels=None, rel_arity=None, identity="absent"):
     worlds = tuple(worlds)
     edges = frozenset(tuple(e) for e in edges)
-    if close:
-        edges = transitive_closure(edges, worlds)
     rels = {r: dict(per) for r, per in (rels or {}).items()}
     rel_arity = dict(rel_arity or {})
     for r, per in rels.items():
@@ -382,8 +380,8 @@ def model_from_json(data: dict) -> KripkeModel:
         identity = data.get("identity", "absent")
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model JSON: {exc}") from exc
-    return make_model(worlds, edges, domain, consts, funs, fun_arity,
-                      rels, rel_arity, identity, close=True)
+    return make_model(worlds, transitive_closure(edges, worlds), domain, consts, funs,
+                      fun_arity, rels, rel_arity, identity)
 
 
 def signature_of_model(m: KripkeModel) -> Signature:

@@ -862,7 +862,8 @@ def _node_json(nd, children):
 
 def proof_from_json(data) -> Proof:
     """Build a proof from its JSON form, parsing each formula text once
-    against a signature inferred as the texts are read."""
+    against a signature inferred as the texts are read.  Nodes are read in
+    pre-order, each node's discharges once its children are built."""
     symbols = Symbols(Signature(), infer=True)
     counter = itertools.count()
 
@@ -873,26 +874,37 @@ def proof_from_json(data) -> Proof:
                                  f"{kind.__name__}, got {type(value).__name__}")
         return value
 
-    def build(d):
-        if not isinstance(d, dict):
-            raise ProofJsonError(f"proof nodes must be objects, got {type(d).__name__}")
-        if "assume" in d:
-            if d.get("children") or d.get("discharges"):
-                raise ProofJsonError("assumption leaves have no children or discharges")
-            phi = symbols.parse(entry(d, "assume", str))
-            lid = str(d.get("id") or f"L{next(counter)}")
-            return Proof(ASSUME, phi, leaf_id=lid)
-        if "conclusion" not in d or "rule" not in d:
-            raise ProofJsonError("proof node needs 'rule' and 'conclusion'")
-        phi = symbols.parse(entry(d, "conclusion", str))
-        children = tuple(build(c) for c in entry(d, "children", list, []))
-        discharges = frozenset(str(x) for x in entry(d, "discharges", list, []))
-        return Proof(str(d["rule"]), phi, children, discharges)
-
+    # (node, None) to read; (node, (rule, conclusion, child count)) to build
+    built, stack = [], [(data, None)]
     try:
-        return build(data)
+        while stack:
+            d, head = stack.pop()
+            if head is not None:
+                rule, phi, n = head
+                discharges = frozenset(str(x) for x in entry(d, "discharges", list, []))
+                first = len(built) - n
+                got = Proof(rule, phi, tuple(built[first:]), discharges)
+                del built[first:]
+                built.append(got)
+            elif not isinstance(d, dict):
+                raise ProofJsonError(f"proof nodes must be objects, got {type(d).__name__}")
+            elif "assume" in d:
+                if d.get("children") or d.get("discharges"):
+                    raise ProofJsonError("assumption leaves have no children or discharges")
+                phi = symbols.parse(entry(d, "assume", str))
+                lid = d.get("id")
+                lid = f"L{next(counter)}" if lid is None or lid == "" else str(lid)
+                built.append(Proof(ASSUME, phi, leaf_id=lid))
+            elif "conclusion" not in d or "rule" not in d:
+                raise ProofJsonError("proof node needs 'rule' and 'conclusion'")
+            else:
+                phi = symbols.parse(entry(d, "conclusion", str))
+                children = entry(d, "children", list, [])
+                stack.append((d, (str(d["rule"]), phi, len(children))))
+                stack += [(c, None) for c in reversed(children)]
     except ParseError as exc:
         raise ProofJsonError(str(exc)) from exc
+    return built[0]
 
 
 def load_proof(path) -> Proof:

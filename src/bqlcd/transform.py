@@ -652,21 +652,20 @@ def axiomatic_to_nd(t: Proof) -> Proof:
     if not report.valid:
         msgs = "; ".join(v.message for v in report.violations)
         raise TransformError(f"input does not check in the axiomatic system: {msgs}")
-    out = _ax2nd(t)
+    out = fold(t, _ax2nd)
     final = check_proof(out, "nbqlcd_r")
     if not final.valid:
         raise TransformError("internal: translated proof does not check")
     return canonical_leaf_ids(out)
 
 
-def _ax2nd(t: Proof) -> Proof:
+def _ax2nd(t: Proof, kids) -> Proof:
     if t.is_assumption():
         return t
     if t.rule.startswith("axiom:"):
         return relabel_fresh(nd_axiom_proof(t.rule[6:], t.conclusion))
     if t.rule == "affixing":
-        p1 = _ax2nd(t.children[0])
-        p2 = _ax2nd(t.children[1])
+        p1, p2 = kids
         mid = Imp(t.children[0].conclusion.right, t.children[1].conclusion.left)
         d = assume(mid)
         it1 = node("int_trans",
@@ -674,16 +673,11 @@ def _ax2nd(t: Proof) -> Proof:
         it2 = node("int_trans", t.conclusion.right, [it1, p2])
         return node("imp_int", t.conclusion, [it2], {d.leaf_id})
     if t.rule == "or_elim":
-        return unrestricted_or_elim(_ax2nd(t.children[0]),
-                                    _ax2nd(t.children[1]),
-                                    _ax2nd(t.children[2]))
+        return unrestricted_or_elim(*kids)
     if t.rule == "exists_elim":
-        idx = eigenparameter(t)
-        return unrestricted_exists_elim(_ax2nd(t.children[0]),
-                                        _ax2nd(t.children[1]),
-                                        param_index=idx)
+        return unrestricted_exists_elim(*kids, param_index=eigenparameter(t))
     if t.rule in AX_RULES:
-        return node(t.rule, t.conclusion, [_ax2nd(c) for c in t.children])
+        return node(t.rule, t.conclusion, kids)
     raise TransformError(f"rule {t.rule} has no translation")
 
 
@@ -788,15 +782,19 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
     t = rename_eigenvariables(t, avoid)
     an = analyze(t)
 
-    def lift(target_conj, inner_list, p):
-        """target -> concl from (conj of inner_list) -> concl."""
-        src = big_conj(inner_list)
-        if target_conj == src:
+    # per node: the open assumptions of its subtree conjoined, and its compiled
+    # derivation of them -> its conclusion, filled in children first
+    ants = [big_conj(_ordered_opens(an, i)) for i in range(len(an.nodes))]
+    done = [None] * len(an.nodes)
+
+    def lift(target, src, p):
+        """target -> concl from src -> concl."""
+        if target == src:
             return p
-        return ax_compose(ax_conj_imp(target_conj, src), p)
+        return ax_compose(ax_conj_imp(target, src), p)
 
     def go(i):
-        s = big_conj(_ordered_opens(an, i))
+        s = ants[i]
         nd_ = an.nodes[i]
         concl = nd_.conclusion
         rule = nd_.rule
@@ -804,7 +802,7 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
         def sub(pos, target=s):
             """target -> premise pos, from its compiled subproof."""
             j = an.kids[i][pos]
-            return lift(target, _ordered_opens(an, j), go(j))
+            return lift(target, ants[j], done[j])
 
         if rule == "assume":
             return ax_conj_imp(s, concl)
@@ -858,9 +856,10 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
             return ax_compose(pair, body)
         raise TransformError(f"rule {rule} has no axiomatic compilation")
 
-    core = go(0)
-    out = lift(big_conj(gamma), _ordered_opens(an, 0), core)
+    for i in reversed(range(len(an.nodes))):
+        done[i] = go(i)
+    out = lift(big_conj(gamma), ants[0], done[0])
     final = check_proof(out, "tjk+")
     if not final.valid:
         raise TransformError("internal: compiled proof does not check")
-    return canonical_leaf_ids(out)
+    return out

@@ -77,3 +77,14 @@ def nested_stratum_example():
 def mp_from_leaves():
     p, q = f("p"), f("q")
     return node("imp_elim", q, [assume(p, "m1"), assume(Imp(p, q), "m2")])
+
+
+def deep_and_chain(rounds):
+    """``p`` carried through ``rounds`` conjunctions with a fresh ``q`` leaf,
+    each taken apart again: 3 * rounds + 1 nodes, 2 * rounds deep, with
+    conclusions no deeper than ``p & q``."""
+    p, q = f("p"), f("q")
+    t = assume(p, "p")
+    for i in range(rounds):
+        t = node("and_elim_l", p, [node("and_int", And(p, q), [t, assume(q, f"q{i}")])])
+    return t

@@ -12,7 +12,7 @@ from bqlcd.proofkernel import (
     Judgment, Proof, System, Violation, assume, canonical_leaf_ids, check_judgment,
     check_proof, match_schema, node, open_assumptions, parse_system,
     proof_depth, proof_from_json, proof_size, proof_to_json, proofs_equal,
-    rename_eigenvariables,
+    analyze, rename_eigenvariables,
     schema_instance, split_assumptions, stratum, unsafe_leaves,
 )
 from bqlcd.syntax import (
@@ -20,7 +20,7 @@ from bqlcd.syntax import (
     map_terms, parse_inferring, parameters_of, pretty, substitute,
 )
 from proofcases import (
-    curry_derivation, curry_half, display_one, display_two, f,
+    curry_derivation, curry_half, deep_and_chain, display_one, display_two, f,
     mp_from_leaves, nested_stratum_example,
 )
 
@@ -197,17 +197,6 @@ def test_bounded_system_reads_each_stratum_once():
     report = invalid(t, "nbqlcd[298]")
     assert [(v.node, v.message) for v in report.violations] == [
         ("r", "right premise has stratum 298, needs < 298")]
-
-
-def deep_and_chain(rounds):
-    """``p`` carried through ``rounds`` conjunctions with a fresh ``q`` leaf,
-    each taken apart again: 3 * rounds + 1 nodes, 2 * rounds deep, with
-    conclusions no deeper than ``p & q``."""
-    p, q = f("p"), f("q")
-    t = assume(p, "p")
-    for i in range(rounds):
-        t = node("and_elim_l", p, [node("and_int", And(p, q), [t, assume(q, f"q{i}")])])
-    return t
 
 
 def test_a_proof_10000_deep_is_analysed_without_recursion():
@@ -643,6 +632,27 @@ def test_json_roundtrip_and_report_stability():
     r2 = check_proof(again, "nbqlcd_r")
     assert [ (v.node, v.constraint) for v in r1.violations ] == \
            [ (v.node, v.constraint) for v in r2.violations ]
+
+
+def test_a_leaf_with_id_0_keeps_it():
+    t = proof_from_json({"rule": "imp_int", "conclusion": "p -> p", "discharges": [0],
+                         "children": [{"assume": "p", "id": 0}]})
+    assert t.children[0].leaf_id == "0"
+    valid(t)
+    # only a missing, null or empty id mints a fresh one
+    t = proof_from_json({"rule": "or_elim", "conclusion": "p", "children": [
+        {"assume": "p | p"}, {"assume": "p", "id": None}, {"assume": "p", "id": ""}]})
+    assert [c.leaf_id for c in t.children] == ["L0", "L1", "L2"]
+
+
+def test_a_proof_10000_deep_is_read_from_json_without_recursion():
+    t = deep_and_chain(5000)
+    back = proof_from_json(proof_to_json(t))
+    # == on proofs recurses once per level, so compare the nodes in pre-order
+    def shallow(u):
+        return [(nd.rule, nd.conclusion, nd.discharges, nd.leaf_id, len(nd.children))
+                for nd in analyze(u).nodes]
+    assert shallow(back) == shallow(t)
 
 
 def test_json_missing_fields():

@@ -1,9 +1,12 @@
+import hashlib
+import json
+
 import pytest
 
-from bqlcd.proofgen import generate_corpus
+from bqlcd.proofgen import axiomatic_corpus, generate_corpus
 from bqlcd.proofkernel import (
-    assume, check_proof, node, open_assumptions, proof_size, proofs_equal,
-    stratum, rename_eigenvariables,
+    analyze, assume, check_proof, node, open_assumptions, proof_size, proof_to_json,
+    proofs_equal, stratum, rename_eigenvariables,
 )
 from bqlcd.syntax import (
     And, Exists, Forall, Imp, Or, Param, TOP, big_conj, box, parameters_of,
@@ -16,7 +19,7 @@ from bqlcd.transform import (
     reduce_proof, regularity_transform, relabel_fresh, relative_deduction,
     unbox, unrestricted_exists_elim, unrestricted_or_elim,
 )
-from proofcases import f, fo, mp_from_leaves, nested_stratum_example
+from proofcases import deep_and_chain, f, fo, mp_from_leaves, nested_stratum_example
 
 
 def check_nb(t):
@@ -459,6 +462,37 @@ def test_round_trip_axiomatic_nd_axiomatic():
     back = nd_to_axiomatic(red.proof, gamma0)
     assert check_proof(back, "tjk+").valid
     assert back.conclusion == Imp(big_conj(gamma0), box(red.n, f("q -> p")))
+
+
+@pytest.fixture(scope="module")
+def compiled_corpus():
+    """The reduced proofs of three seeded corpora compiled into tjk+."""
+    return [nd_to_axiomatic(reduce_proof(t).proof)
+            for seed in (0, 1, 2) for t in generate_corpus(seed=seed, size=200)]
+
+
+def test_translation_outputs_are_pinned(compiled_corpus):
+    outs = [proof_to_json(t) for t in compiled_corpus]
+    outs += [proof_to_json(axiomatic_to_nd(t)) for t in axiomatic_corpus()]
+    assert len(outs) == 620
+    text = json.dumps(outs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0d9bb1705847a9d284926384c1c04e56d1d723d730c096dfce9c11de5abf9452")
+
+
+def test_compiled_proofs_have_no_assumption_leaf_or_discharge(compiled_corpus):
+    # every node comes from an axiom, a detachment or a rule that closes
+    # nothing, so the leaf ids need no canonical relabelling
+    for out in compiled_corpus:
+        an = analyze(out)
+        assert not an.leaf_node
+        assert not any(nd.discharges for nd in an.nodes)
+
+
+def test_a_proof_1200_deep_compiles_without_recursion():
+    out = nd_to_axiomatic(deep_and_chain(600))
+    assert check_proof(out, "tjk+").valid
+    assert out.conclusion == Imp(big_conj([f("p"), f("q")]), f("p"))
 
 
 def test_relative_deduction_exists_elim_with_side_context_deep():
