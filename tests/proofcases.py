@@ -79,6 +79,54 @@ def mp_from_leaves():
     return node("imp_elim", q, [assume(p, "m1"), assume(Imp(p, q), "m2")])
 
 
+def or_elim_with_side_context():
+    """Stratum-0 case analysis with detachments in both branches; the
+    disjunct occurrences sit in minor position, hence stay safe and
+    dischargeable."""
+    p, q, r = f("p"), f("q"), f("r")
+    maj = assume(Or(p, q), "mj")
+    mp1 = node("imp_elim", r, [assume(p, "dl"), assume(Imp(p, r), "g1")])
+    mp2 = node("imp_elim", r, [assume(q, "dr"), assume(Imp(q, r), "g2")])
+    return node("or_elim", r, [maj, mp1, mp2], {"dl", "dr"})
+
+
+def exists_elim_with_side_context():
+    """Stratum-0 witness elimination whose body also uses assumptions other
+    than the witness, one of them under a detachment."""
+    maj = assume(f("exists x. P(x)"), "e")
+    wit = assume(f("P(#5)"), "w")
+    mp = node("imp_elim", f("q"), [assume(f("s"), "m"), assume(f("s -> q"), "g")])
+    side = node("and_int", f("r & q"), [assume(f("r"), "sr"), mp])
+    pair = node("and_int", f("P(#5) & (r & q)"), [wit, side])
+    body = node("exists_int", f("exists y. P(y) & (r & q)"), [pair])
+    return node("exists_elim", f("exists y. P(y) & (r & q)"), [maj, body], {"w"})
+
+
+# one instance of every axiom schema
+AXIOM_INSTANCES = [
+    ("identity", "p -> p"),
+    ("imp_top", "q -> true"),
+    ("ex_falso", "false -> r"),
+    ("and_comp", "(r -> p) & (r -> q) -> (r -> p & q)"),
+    ("and_elim_l", "p & q -> p"),
+    ("and_elim_r", "p & q -> q"),
+    ("or_int_l", "p -> p | q"),
+    ("or_int_r", "q -> p | q"),
+    ("or_comp", "(p -> r) & (q -> r) -> (p | q -> r)"),
+    ("distribution", "p & (q | r) -> (p & q) | (p & r)"),
+    ("forall_imp", "(forall x. p -> P(x)) -> (p -> forall x. P(x))"),
+    ("forall_inst", "(forall x. P(x)) -> P(c)"),
+    ("exists_int", "P(c) -> (exists x. P(x))"),
+    ("exists_imp", "(forall x. P(x) -> p) -> ((exists x. P(x)) -> p)"),
+    ("cd", "(forall x. p | P(x)) -> p | (forall x. P(x))"),
+    ("inf_distribution", "p & (exists x. P(x)) -> (exists x. p & P(x))"),
+    ("transitivity", "(p -> q) & (q -> r) -> (p -> r)"),
+    ("suffixing", "(p -> q) -> ((q -> r) -> (p -> r))"),
+    ("prefixing", "(p -> q) -> ((r -> p) -> (r -> q))"),
+    ("weakening", "p -> (q -> p)"),
+]
+
+
 def deep_and_chain(rounds):
     """``p`` carried through ``rounds`` conjunctions with a fresh ``q`` leaf,
     each taken apart again: 3 * rounds + 1 nodes, 2 * rounds deep, with

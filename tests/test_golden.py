@@ -19,11 +19,23 @@ quantified sentences, which take the jump through its quantifier cases, and
 for seeded random quantifier-free universes of 4 to 6 and of 7 to 9
 sentences.
 
+The proofs part holds one short digest per proof of the canonical JSON of
+every transform output on it, or of the exception raised: ``reduce_proof``,
+``nd_to_axiomatic`` of the reduced proof with and without a premise list,
+``relative_deduction`` at two depths, ``axiomatic_to_nd`` and
+``nd_axiom_proof``.  Its inputs are a seeded ``generate_corpus`` slice,
+``closed_theorem_corpus``, the hand-built proofs of ``proofcases.py``,
+``axiomatic_corpus`` with a few eliminations whose subproofs detach, and one
+instance of every axiom schema.  Every set is
+sorted by ``pretty`` before it becomes an input, so the digests do not depend
+on string hash randomisation.
+
 Rewrite the data file only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import json
 import os
 import random
@@ -32,11 +44,24 @@ from bqlcd.bradyfp import make_universe, run_universe, universe_from_json
 from bqlcd.kripke import (
     MODES, SearchBounds, countermodel_search, model_from_json, model_to_json,
 )
-from bqlcd.proofgen import random_sentence
+from bqlcd.proofgen import (
+    axiomatic_corpus, closed_theorem_corpus, generate_corpus, random_sentence,
+)
+from bqlcd.proofkernel import (
+    assume, canonical_leaf_ids, node, open_assumptions, proof_to_json, split_assumptions, stratum,
+)
 from bqlcd.syntax import (
     BOTTOM, TOP, And, Atom, Const, Imp, Or, parse_inferring, pretty, subformulas,
 )
+from bqlcd.transform import (
+    TransformError, axiomatic_to_nd, nd_axiom_proof, nd_to_axiomatic, reduce_proof, relative_deduction,
+)
 from oracle import oracle_sat
+from proofcases import (
+    AXIOM_INSTANCES, curry_derivation, deep_and_chain, display_one, display_two, f,
+    exists_elim_with_side_context, mp_from_leaves, nested_stratum_example,
+    or_elim_with_side_context,
+)
 from universes import tower_universe
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -242,6 +267,80 @@ def search_cases():
     return cases + LANDMARKS + EXTRA + random_cases() + QUANTIFIED_SEARCH
 
 
+PROOF_CORPUS = (3, 40)           # generate_corpus seed and size
+HAND_PROOFS = {
+    "curry": curry_derivation, "display one": display_one,
+    "display two": display_two, "nested stratum": nested_stratum_example,
+    "mp from leaves": mp_from_leaves, "and chain": lambda: deep_and_chain(3),
+    "or elim with side context": or_elim_with_side_context,
+    "exists elim with side context": exists_elim_with_side_context,
+}
+
+
+def _error(exc):
+    return [type(exc).__name__, str(exc)]
+
+
+def _outcome(fn, *args):
+    """The JSON of the proof ``fn(*args)`` with canonical leaf ids, or the
+    exception it raised."""
+    try:
+        return proof_to_json(canonical_leaf_ids(fn(*args)))
+    except TransformError as exc:
+        return _error(exc)
+
+
+def _nd_outputs(t):
+    """Reduction, the axiomatic compilation of the reduced proof, and relative
+    deduction with the unsafe open assumptions on the left and the rest on
+    the side."""
+    try:
+        red = reduce_proof(t)
+    except TransformError as exc:
+        out = [_error(exc)]
+    else:
+        opens = sorted(open_assumptions(red.proof), key=pretty)
+        out = [red.n, red.source_stratum, proof_to_json(red.proof),
+               _outcome(nd_to_axiomatic, red.proof),
+               _outcome(nd_to_axiomatic, red.proof, opens)]
+    unsafe, safe = (sorted(a, key=pretty) for a in split_assumptions(t))
+    n = max(stratum(t), 0)
+    return out + [_outcome(relative_deduction, t, unsafe, safe, k) for k in (n, n + 1)]
+
+
+def hand_axiomatic():
+    """Axiomatic eliminations whose subproofs detach, so the translation
+    reduces, pads and unguards them, and one whose witness is unused."""
+    guarded = node("imp_elim", f("r"), [assume(f("p"), "a"), assume(f("p -> r"), "g")])
+    or_case = node("or_elim", f("r"), [assume(f("p | q"), "m"), guarded,
+                                       assume(f("r"), "b")], {"a"})
+    witnessed = node("exists_int", f("exists y. P(y)"), [assume(f("P(#0)"), "w")])
+    body = node("imp_elim", f("q"), [witnessed, assume(f("(exists y. P(y)) -> q"), "g")])
+    ex_case = node("exists_elim", f("q"), [assume(f("exists x. P(x)"), "m"), body], {"w"})
+    unused = node("exists_elim", f("q"), [assume(f("exists x. P(x)"), "m"),
+                                          assume(f("q"), "b")])
+    return [or_case, ex_case, unused]
+
+
+def proofs_cases():
+    """(name, function, arguments) for every input of the proofs part."""
+    corpus = generate_corpus(*PROOF_CORPUS)
+    cases = [(f"corpus {i}", _nd_outputs, (t,)) for i, t in enumerate(corpus)]
+    cases += [(f"theorem {i}", _nd_outputs, (t,))
+              for i, t in enumerate(closed_theorem_corpus())]
+    cases += [(name, _nd_outputs, (make(),)) for name, make in HAND_PROOFS.items()]
+    cases += [(f"axiomatic {i}", _outcome, (axiomatic_to_nd, t))
+              for i, t in enumerate(axiomatic_corpus() + hand_axiomatic())]
+    cases += [(f"schema {schema}", _outcome, (nd_axiom_proof, schema, f(text)))
+              for schema, text in AXIOM_INSTANCES]
+    return cases
+
+
+def proofs_record(name, fn, args):
+    text = json.dumps(fn(*args), sort_keys=True)
+    return {"name": name, "digest": hashlib.sha256(text.encode()).hexdigest()[:16]}
+
+
 def test_golden_differential():
     with open(GOLDEN) as fh:
         golden = json.load(fh)
@@ -253,6 +352,7 @@ def test_golden_differential():
     for case in golden["truth"]:
         key = (case["name"], case["budget"])
         assert truth_record(*key[:1], universes[key], key[1]) == case
+    assert [proofs_record(*c) for c in proofs_cases()] == golden["proofs"]
 
 
 def test_golden_countermodels_pass_the_oracle():
@@ -271,7 +371,8 @@ def test_golden_countermodels_pass_the_oracle():
 
 if __name__ == "__main__":
     golden = {"search": [search_record(*c) for c in search_cases()],
-              "truth": [truth_record(*c) for c in truth_cases()]}
+              "truth": [truth_record(*c) for c in truth_cases()],
+              "proofs": [proofs_record(*c) for c in proofs_cases()]}
     with open(GOLDEN, "w") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -19,7 +19,10 @@ from bqlcd.transform import (
     reduce_proof, regularity_transform, relabel_fresh, relative_deduction,
     unbox, unrestricted_exists_elim, unrestricted_or_elim,
 )
-from proofcases import deep_and_chain, f, fo, mp_from_leaves, nested_stratum_example
+from proofcases import (
+    AXIOM_INSTANCES, deep_and_chain, exists_elim_with_side_context, f, fo,
+    mp_from_leaves, nested_stratum_example, or_elim_with_side_context,
+)
 
 
 def check_nb(t):
@@ -311,30 +314,6 @@ def test_unrestricted_exists_elim_with_mp_body():
 
 # --- axiomatic translations ---------------------------------------------------------------
 
-AXIOM_INSTANCES = [
-    ("identity", "p -> p"),
-    ("imp_top", "q -> true"),
-    ("ex_falso", "false -> r"),
-    ("and_comp", "(r -> p) & (r -> q) -> (r -> p & q)"),
-    ("and_elim_l", "p & q -> p"),
-    ("and_elim_r", "p & q -> q"),
-    ("or_int_l", "p -> p | q"),
-    ("or_int_r", "q -> p | q"),
-    ("or_comp", "(p -> r) & (q -> r) -> (p | q -> r)"),
-    ("distribution", "p & (q | r) -> (p & q) | (p & r)"),
-    ("forall_imp", "(forall x. p -> P(x)) -> (p -> forall x. P(x))"),
-    ("forall_inst", "(forall x. P(x)) -> P(c)"),
-    ("exists_int", "P(c) -> (exists x. P(x))"),
-    ("exists_imp", "(forall x. P(x) -> p) -> ((exists x. P(x)) -> p)"),
-    ("cd", "(forall x. p | P(x)) -> p | (forall x. P(x))"),
-    ("inf_distribution", "p & (exists x. P(x)) -> (exists x. p & P(x))"),
-    ("transitivity", "(p -> q) & (q -> r) -> (p -> r)"),
-    ("suffixing", "(p -> q) -> ((q -> r) -> (p -> r))"),
-    ("prefixing", "(p -> q) -> ((r -> p) -> (r -> q))"),
-    ("weakening", "p -> (q -> p)"),
-]
-
-
 def test_axiom_templates_all_check_guard_free():
     for schema, text in AXIOM_INSTANCES:
         t = nd_axiom_proof(schema, f(text))
@@ -499,13 +478,7 @@ def test_relative_deduction_exists_elim_with_side_context_deep():
     # witness elimination with a split side context, rewritten at depths the
     # random corpus does not reach; exercises the guarded embedding and the
     # distribution of the side conjunct through the existential
-    maj = assume(f("exists x. P(x)"), "e")
-    wit = assume(f("P(#5)"), "w")
-    mp = node("imp_elim", f("q"), [assume(f("s"), "m"), assume(f("s -> q"), "g")])
-    side = node("and_int", f("r & q"), [assume(f("r"), "sr"), mp])
-    pair = node("and_int", f("P(#5) & (r & q)"), [wit, side])
-    body = node("exists_int", f("exists y. P(y) & (r & q)"), [pair])
-    t = node("exists_elim", f("exists y. P(y) & (r & q)"), [maj, body], {"w"})
+    t = exists_elim_with_side_context()
     assert stratum(t) == 0
     assert check_proof(t, "nbqlcd_r").valid
     gamma = frozenset({f("s -> q"), f("s")})
@@ -520,12 +493,7 @@ def test_relative_deduction_exists_elim_with_side_context_deep():
 
 def test_relative_deduction_or_elim_with_side_context_deep():
     p, q, r = f("p"), f("q"), f("r")
-    maj = assume(Or(p, q), "mj")
-    mp1 = node("imp_elim", r, [assume(p, "dl"), assume(Imp(p, r), "g1")])
-    mp2 = node("imp_elim", r, [assume(q, "dr"), assume(Imp(q, r), "g2")])
-    # the disjunct occurrences sit in minor position, hence stay safe and
-    # dischargeable even with detachments in the branches
-    t = node("or_elim", r, [maj, mp1, mp2], {"dl", "dr"})
+    t = or_elim_with_side_context()
     assert check_proof(t, "nbqlcd_r").valid
     assert stratum(t) == 0
     gamma = frozenset({Imp(p, r), Imp(q, r)})
