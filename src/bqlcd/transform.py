@@ -262,21 +262,41 @@ def boxed_chain(template: Proof, n: int, pairs) -> Proof:
     return graft(lifted, {box(n, f_): p_ for f_, p_ in reversed(pairs)})
 
 
+def _rule_under(n, rule, concl, pairs) -> Proof:
+    """box^n of the rule's conclusion: the rule over assumed premises, lifted
+    by ``boxed_chain`` with the same ``pairs``."""
+    return boxed_chain(node(rule, concl, [assume(f_) for f_, _ in pairs]), n, pairs)
+
+
 def chain_imp(n, a, b, c, p_ab, p_bc) -> Proof:
-    tmpl = node("int_trans", Imp(a, c), [assume(Imp(a, b)), assume(Imp(b, c))])
-    return boxed_chain(tmpl, n, [(Imp(a, b), p_ab), (Imp(b, c), p_bc)])
+    return _rule_under(n, "int_trans", Imp(a, c),
+                       [(Imp(a, b), p_ab), (Imp(b, c), p_bc)])
 
 
 def pair_imp(n, s, a, b, p_sa, p_sb) -> Proof:
-    tmpl = node("int_and_int", Imp(s, And(a, b)),
-                [assume(Imp(s, a)), assume(Imp(s, b))])
-    return boxed_chain(tmpl, n, [(Imp(s, a), p_sa), (Imp(s, b), p_sb)])
+    return _rule_under(n, "int_and_int", Imp(s, And(a, b)),
+                       [(Imp(s, a), p_sa), (Imp(s, b), p_sb)])
 
 
 def or_join(n, a, b, c, p_ac, p_bc) -> Proof:
-    tmpl = node("int_or_elim", Imp(Or(a, b), c),
-                [assume(Imp(a, c)), assume(Imp(b, c))])
-    return boxed_chain(tmpl, n, [(Imp(a, c), p_ac), (Imp(b, c), p_bc)])
+    return _rule_under(n, "int_or_elim", Imp(Or(a, b), c),
+                       [(Imp(a, c), p_ac), (Imp(b, c), p_bc)])
+
+
+def _after(n, lemma, concl, p) -> Proof:
+    """box^n(a -> concl) from a closed proof ``lemma`` of a -> b and a proof
+    ``p`` of box^n(b -> concl)."""
+    a_b = lemma.conclusion
+    return chain_imp(n, a_b.left, a_b.right, concl, boxn(lemma, n), p)
+
+
+def _rule_proof(rule, premises, concl) -> Proof:
+    """Closed guard-free proof of ``internal_instance(premises, concl)``: the
+    rule applied to the antecedent, or to its two conjuncts, closed by
+    conditional proof."""
+    src = internal_instance(premises, concl).left
+    paths = [""] if len(premises) == 1 else ["l", "r"]
+    return close_antecedent(node(rule, concl, [_project(src, p_) for p_ in paths]), src)
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +349,12 @@ def _rd(t: Proof, gamma, sigma, n: int) -> Proof:
     if arity == 0:
         return boxn(vacuous_imp(node(rule, concl), s_conj), n)
 
-    if arity == 1:
-        alpha = t.children[0].conclusion
-        a1 = _rd(t.children[0], gamma, sigma, n)
-        tmpl = close_antecedent(node(rule, concl, [assume(alpha)]), alpha)
-        return chain_imp(n, s_conj, alpha, concl, a1, boxn(tmpl, n))
-
-    if arity == 2:
-        alpha, beta = (c.conclusion for c in t.children)
-        a1 = _rd(t.children[0], gamma, sigma, n)
-        a2 = _rd(t.children[1], gamma, sigma, n)
-        paired = pair_imp(n, s_conj, alpha, beta, a1, a2)
-        ab = And(alpha, beta)
-        tmpl = close_antecedent(
-            node(rule, concl, [node("and_elim_l", alpha, [assume(ab)]),
-                               node("and_elim_r", beta, [assume(ab)])]), ab)
-        return chain_imp(n, s_conj, ab, concl, paired, boxn(tmpl, n))
+    if arity in (1, 2):
+        premises = [c.conclusion for c in t.children]
+        subs = [_rd(c, gamma, sigma, n) for c in t.children]
+        into = subs[0] if arity == 1 else pair_imp(n, s_conj, *premises, *subs)
+        step = _rule_proof(rule, premises, concl)
+        return chain_imp(n, s_conj, step.conclusion.left, concl, into, boxn(step, n))
 
     raise TransformError(f"rule {rule} has no rewrite case")
 
@@ -378,23 +388,25 @@ def _rd_or_elim(t, gamma, sigma, n):
         return chain_imp(n, TOP, disj, concl, a1, joined)
     a2 = _lift_branch(left, gamma, sigma, alpha, concl, n)
     a3 = _lift_branch(right, gamma, sigma, beta, concl, n)
-    dist = boxn(close_antecedent(derive_distribution(s_conj, alpha, beta),
-                                 And(s_conj, disj)), n)
+    dist = close_antecedent(derive_distribution(s_conj, alpha, beta), And(s_conj, disj))
     joined = or_join(n, And(s_conj, alpha), And(s_conj, beta), concl, a2, a3)
-    body = chain_imp(n, And(s_conj, disj), Or(And(s_conj, alpha), And(s_conj, beta)),
-                     concl, dist, joined)
+    return _with_context(n, s_conj, disj, a1, concl, _after(n, dist, concl, joined))
+
+
+def _with_context(n, s_conj, major, p_major, concl, body):
+    """box^n(s_conj -> concl) from ``p_major``, a proof of box^n(s_conj ->
+    major), and ``body``, a proof of box^n(s_conj & major -> concl)."""
     refl = boxn(derive_conj_imp(s_conj, s_conj), n)
-    pair = pair_imp(n, s_conj, s_conj, disj, refl, a1)
-    return chain_imp(n, s_conj, And(s_conj, disj), concl, pair, body)
+    pair = pair_imp(n, s_conj, s_conj, major, refl, p_major)
+    return chain_imp(n, s_conj, And(s_conj, major), concl, pair, body)
 
 
 def _lift_branch(branch, gamma, sigma, extra, concl, n):
     """box^n((sigma-conjunction & extra) -> concl) from the branch."""
-    s_conj = big_conj(sigma)
     ext = sigma + [extra]
     raw = _rd(branch, gamma, ext, n)
-    glue = boxn(derive_conj_imp(And(s_conj, extra), big_conj(ext)), n)
-    return chain_imp(n, And(s_conj, extra), big_conj(ext), concl, glue, raw)
+    glue = derive_conj_imp(And(big_conj(sigma), extra), big_conj(ext))
+    return _after(n, glue, concl, raw)
 
 
 def _rd_imp_int(t, gamma, sigma, n):
@@ -431,21 +443,24 @@ def _rd_forall_int(t, gamma, sigma, n):
     # the generalisation parameter needs no explicit handling: the checker
     # re-infers it from the rewritten premise, and the freshness conditions
     # carry over from the input proof
-    s_conj = big_conj(sigma)
     sub = t.children[0]
     concl = t.conclusion
     v, phi = concl.var, concl.body
     gamma_star, sigma_star = _sub_contexts(sub, gamma, sigma)
     s_star = big_conj(sigma_star)
     inner = _rd(sub, gamma_star, sigma_star, n)
-    gen = node("forall_int", Forall(v, box(n, Imp(s_star, phi))), [inner])
-    emb = derive_forall_embedding(n, v, Imp(s_star, phi))
-    embedded = graft(emb, {gen.conclusion: gen})
-    tmpl = node("int_forall_int", Imp(s_star, Forall(v, phi)),
-                [assume(Forall(v, Imp(s_star, phi)))])
-    narrowed = boxed_chain(tmpl, n, [(Forall(v, Imp(s_star, phi)), embedded)])
-    glue = boxn(derive_conj_imp(s_conj, s_star), n)
-    return chain_imp(n, s_conj, s_star, Forall(v, phi), glue, narrowed)
+    narrowed = _generalise(n, v, Imp(s_star, phi), "int_forall_int",
+                           Imp(s_star, concl), inner)
+    return _after(n, derive_conj_imp(big_conj(sigma), s_star), concl, narrowed)
+
+
+def _generalise(n, v, body, rule, concl, p):
+    """box^n(concl) from ``p``, a proof of box^n(body) for the eigenparameter:
+    generalised, its guards moved out of the quantifier by the embedding,
+    then the internal ``rule`` applied to the universal."""
+    gen = node("forall_int", Forall(v, box(n, body)), [p])
+    embedded = graft(derive_forall_embedding(n, v, body), {gen.conclusion: gen})
+    return _rule_under(n, rule, concl, [(Forall(v, body), embedded)])
 
 
 def _rd_exists_elim(t, gamma, sigma, n):
@@ -461,34 +476,20 @@ def _rd_exists_elim(t, gamma, sigma, n):
     gamma_star, sigma_star = _sub_contexts(body, gamma, sigma, exclude=(xi,))
     s_star = big_conj(sigma_star)
     a1 = _rd(major, gamma, sigma, n)
-    inner = _rd(body, gamma_star, sigma_star + [xi], n)
     if not sigma_star:
-        gen = node("forall_int", Forall(v, box(n, Imp(matrix, concl))), [inner])
-        emb = graft(derive_forall_embedding(n, v, Imp(matrix, concl)),
-                    {gen.conclusion: gen})
-        tmpl = node("int_exists_elim", Imp(ex, concl),
-                    [assume(Forall(v, Imp(matrix, concl)))])
-        narrowed = boxed_chain(tmpl, n, [(Forall(v, Imp(matrix, concl)), emb)])
+        inner = _rd(body, gamma_star, [xi], n)
+        narrowed = _generalise(n, v, Imp(matrix, concl), "int_exists_elim",
+                               Imp(ex, concl), inner)
         return chain_imp(n, s_conj, ex, concl, a1, narrowed)
-    paired_matrix = And(s_star, matrix)
-    glue1 = boxn(derive_conj_imp(And(s_star, xi), big_conj(sigma_star + [xi])), n)
-    lifted = chain_imp(n, And(s_star, xi), big_conj(sigma_star + [xi]), concl,
-                       glue1, inner)
-    gen = node("forall_int", Forall(v, box(n, Imp(paired_matrix, concl))), [lifted])
-    emb = graft(derive_forall_embedding(n, v, Imp(paired_matrix, concl)),
-                {gen.conclusion: gen})
-    tmpl = node("int_exists_elim", Imp(Exists(v, paired_matrix), concl),
-                [assume(Forall(v, Imp(paired_matrix, concl)))])
-    narrowed = boxed_chain(tmpl, n, [(Forall(v, Imp(paired_matrix, concl)), emb)])
-    infd = boxn(close_antecedent(
-        derive_infinite_distribution(s_star, v, matrix), And(s_star, ex)), n)
-    h = chain_imp(n, And(s_star, ex), Exists(v, paired_matrix), concl,
-                  infd, narrowed)
-    glue2 = boxn(derive_conj_imp(And(s_conj, ex), And(s_star, ex)), n)
-    k = chain_imp(n, And(s_conj, ex), And(s_star, ex), concl, glue2, h)
-    refl = boxn(derive_conj_imp(s_conj, s_conj), n)
-    pair = pair_imp(n, s_conj, s_conj, ex, refl, a1)
-    return chain_imp(n, s_conj, And(s_conj, ex), concl, pair, k)
+    paired = And(s_star, matrix)
+    lifted = _lift_branch(body, gamma_star, sigma_star, xi, concl, n)
+    narrowed = _generalise(n, v, Imp(paired, concl), "int_exists_elim",
+                           Imp(Exists(v, paired), concl), lifted)
+    infd = close_antecedent(derive_infinite_distribution(s_star, v, matrix),
+                            And(s_star, ex))
+    k = _after(n, derive_conj_imp(And(s_conj, ex), And(s_star, ex)), concl,
+               _after(n, infd, concl, narrowed))
+    return _with_context(n, s_conj, ex, a1, concl, k)
 
 
 # ---------------------------------------------------------------------------
@@ -543,17 +544,8 @@ def unrestricted_or_elim(t_major: Proof, t_left: Proof, t_right: Proof,
     disj = t_major.conclusion
     if not isinstance(disj, Or):
         raise TransformError("major premise must be a disjunction")
-    rl = reduce_proof(t_left, identity)
-    rr = reduce_proof(t_right, identity)
-    k = max(rl.n, rr.n)
-    pl = relabel_fresh(pad_box(rl.proof, rl.n, k))
-    pr = relabel_fresh(pad_box(rr.proof, rr.n, k))
-    maj = relabel_fresh(t_major)
-    target = box(k, t_left.conclusion)
-    # reduced proofs are guard-free, so every open occurrence is safe
-    ids = _safe_opens(pl, disj.left) | _safe_opens(pr, disj.right)
-    out = node("or_elim", target, [maj, pl, pr], ids)
-    return canonical_leaf_ids(unbox(out, k))
+    return _unrestricted("or_elim", t_major,
+                         [(t_left, disj.left), (t_right, disj.right)], identity)
 
 
 def unrestricted_exists_elim(t_major: Proof, t_body: Proof, param_index=None,
@@ -581,12 +573,21 @@ def unrestricted_exists_elim(t_major: Proof, t_body: Proof, param_index=None,
         raise TransformError(
             f"witness parameter #{param_index} is not fresh for "
             f"{', '.join(pretty(b) for b in bad)}")
-    r = reduce_proof(t_body, identity)
-    body = relabel_fresh(r.proof)
-    # the reduced body is guard-free, so every open occurrence is safe
-    out = node("exists_elim", box(r.n, t_body.conclusion),
-               [relabel_fresh(t_major), body], _safe_opens(body, xi))
-    return canonical_leaf_ids(unbox(out, r.n))
+    return _unrestricted("exists_elim", t_major, [(t_body, xi)], identity)
+
+
+def _unrestricted(rule, t_major, branches, identity):
+    """The rule over the major premise and its branches, each reduced
+    guard-free and padded to equal depth, then unguarded.  ``branches``:
+    list of (branch, the sentence it discharges)."""
+    reduced = [reduce_proof(b, identity) for b, _ in branches]
+    k = max(r.n for r in reduced)
+    kids = [relabel_fresh(pad_box(r.proof, r.n, k)) for r in reduced]
+    # reduced proofs are guard-free, so every open occurrence is safe
+    ids = set().union(*(_safe_opens(p_, phi) for p_, (_, phi) in zip(kids, branches)))
+    out = node(rule, box(k, branches[0][0].conclusion),
+               [relabel_fresh(t_major), *kids], ids)
+    return canonical_leaf_ids(unbox(out, k))
 
 
 # ---------------------------------------------------------------------------
@@ -600,18 +601,11 @@ def nd_axiom_proof(schema: str, concl: Formula) -> Proof:
     """A closed guard-free derivation of the given axiom instance."""
     rule = _RULE_FOR_SCHEMA.get(schema)
     if rule is not None:
-        # the rule applied to the antecedent, or to its two conjuncts
-        if CHILD_COUNT[rule] == 1:
-            a = assume(concl.left)
-            return node("imp_int", concl, [node(rule, concl.right, [a])], {a.leaf_id})
         src = concl.left
-        inner = node(rule, concl.right,
-                     [node("and_elim_l", src.left, [assume(src)]),
-                      node("and_elim_r", src.right, [assume(src)])])
-        return close_antecedent(inner, src)
+        premises = [src] if CHILD_COUNT[rule] == 1 else [src.left, src.right]
+        return _rule_proof(rule, premises, concl.right)
     if schema == "identity":
-        a = assume(concl.left)
-        return node("imp_int", concl, [a], {a.leaf_id})
+        return close_antecedent(assume(concl.left), concl.left)
     if schema == "imp_top":
         return node("imp_int", concl, [node("top_int", TOP)])
     if schema == "distribution":
@@ -623,24 +617,16 @@ def nd_axiom_proof(schema: str, concl: Formula) -> Proof:
         return close_antecedent(
             derive_infinite_distribution(src.left, src.right.var,
                                          src.right.body), src)
-    if schema == "suffixing":
-        first, rest = concl.left, concl.right
-        d1 = assume(first)
-        d2 = assume(rest.left)
-        it = node("int_trans", rest.right, [d1, d2])
-        inner = node("imp_int", rest, [it], {d2.leaf_id})
-        return node("imp_int", concl, [inner], {d1.leaf_id})
-    if schema == "prefixing":
-        first, rest = concl.left, concl.right
-        d1 = assume(first)
-        d2 = assume(rest.left)
-        it = node("int_trans", rest.right, [d2, d1])
-        inner = node("imp_int", rest, [it], {d2.leaf_id})
+    if schema in ("suffixing", "prefixing"):
+        rest = concl.right
+        d1, d2 = assume(concl.left), assume(rest.left)
+        chain = node("int_trans", rest.right,
+                     [d1, d2] if schema == "suffixing" else [d2, d1])
+        inner = node("imp_int", rest, [chain], {d2.leaf_id})
         return node("imp_int", concl, [inner], {d1.leaf_id})
     if schema == "weakening":
-        d1 = assume(concl.left)
-        inner = node("imp_int", concl.right, [d1])
-        return node("imp_int", concl, [inner], {d1.leaf_id})
+        return close_antecedent(vacuous_imp(assume(concl.left), concl.right.left),
+                                concl.left)
     raise TransformError(f"no template for axiom schema {schema!r}")
 
 
@@ -696,15 +682,20 @@ def ax_mp(p_minor: Proof, p_major: Proof) -> Proof:
     return node("imp_elim", want.right, [p_minor, p_major])
 
 
+def _ax_detach_pair(p1: Proof, p2: Proof, schema: str, **bindings) -> Proof:
+    """The axiom instance detached from the conjunction of the two proofs."""
+    conj = node("and_int", And(p1.conclusion, p2.conclusion), [p1, p2])
+    return ax_mp(conj, ax_axiom(schema, **bindings))
+
+
 def ax_compose(p_ab: Proof, p_bc: Proof) -> Proof:
     """From A -> B and B -> C conclude A -> C via the transitivity axiom."""
     a_b, b_c = p_ab.conclusion, p_bc.conclusion
     if not (isinstance(a_b, Imp) and isinstance(b_c, Imp)
             and a_b.right == b_c.left):
         raise TransformError("composition premises do not chain")
-    conj = node("and_int", And(a_b, b_c), [p_ab, p_bc])
-    ax = ax_axiom("transitivity", A=a_b.left, B=a_b.right, C=b_c.right)
-    return ax_mp(conj, ax)
+    return _ax_detach_pair(p_ab, p_bc, "transitivity",
+                           A=a_b.left, B=a_b.right, C=b_c.right)
 
 
 def ax_pair(p_sa: Proof, p_sb: Proof) -> Proof:
@@ -712,9 +703,7 @@ def ax_pair(p_sa: Proof, p_sb: Proof) -> Proof:
     sa, sb = p_sa.conclusion, p_sb.conclusion
     if not (isinstance(sa, Imp) and isinstance(sb, Imp) and sa.left == sb.left):
         raise TransformError("pairing premises do not share an antecedent")
-    conj = node("and_int", And(sa, sb), [p_sa, p_sb])
-    ax = ax_axiom("and_comp", A=sa.left, B=sa.right, C=sb.right)
-    return ax_mp(conj, ax)
+    return _ax_detach_pair(p_sa, p_sb, "and_comp", A=sa.left, B=sa.right, C=sb.right)
 
 
 def ax_conj_imp(source: Formula, target: Formula) -> Proof:
@@ -818,43 +807,30 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
             return ax_compose(subs[0] if len(subs) == 1 else ax_pair(*subs), step)
         if rule == "imp_int":
             return ax_release(sub(0, And(s, concl.left)))
-        if rule == "or_elim":
-            disj = nd_.children[0].conclusion
-            la = sub(0)
-            lifted_l = sub(1, And(s, disj.left))
-            lifted_r = sub(2, And(s, disj.right))
-            branches = node("and_int",
-                            And(lifted_l.conclusion, lifted_r.conclusion),
-                            [lifted_l, lifted_r])
-            orc = ax_axiom("or_comp", A=And(s, disj.left), B=And(s, disj.right),
-                           C=concl)
-            joined = ax_mp(branches, orc)
-            dist = ax_axiom("distribution", A=s, B=disj.left, C=disj.right)
-            body = ax_compose(dist, joined)
-            pair = ax_pair(ax_axiom("identity", A=s), la)
-            return ax_compose(pair, body)
         if rule == "forall_int":
             gen = node("forall_int", Forall(concl.var, Imp(s, concl.body)), [sub(0)])
             step = ax_axiom("forall_imp", x=concl.var, A=s, B=concl.body)
             return ax_mp(gen, step)
-        if rule == "exists_elim":
-            ex = nd_.children[0].conclusion
-            v, matrix = ex.var, ex.body
+        if rule not in ("or_elim", "exists_elim"):
+            raise TransformError(f"rule {rule} has no axiomatic compilation")
+        # pair s with the major premise, distribute s over it, then join
+        major = nd_.children[0].conclusion
+        if rule == "or_elim":
+            left, right = And(s, major.left), And(s, major.right)
+            dist = ax_axiom("distribution", A=s, B=major.left, C=major.right)
+            joined = _ax_detach_pair(sub(1, left), sub(2, right), "or_comp",
+                                     A=left, B=right, C=concl)
+        else:
+            v, matrix = major.var, major.body
             idx = eigenparameter(nd_)
             if idx is None:
                 idx = _fresh_param(t, *gamma)
-            xi = substitute(matrix, v, Param(idx))
-            la = sub(0)
-            lifted = sub(1, And(s, xi))
-            gen = node("forall_int",
-                       Forall(v, Imp(And(s, matrix), concl)), [lifted])
-            step = ax_axiom("exists_imp", x=v, A=And(s, matrix), B=concl)
-            ex_imp = ax_mp(gen, step)
+            lifted = sub(1, And(s, substitute(matrix, v, Param(idx))))
+            gen = node("forall_int", Forall(v, Imp(And(s, matrix), concl)), [lifted])
             dist = ax_axiom("inf_distribution", A=s, x=v, B=matrix)
-            body = ax_compose(dist, ex_imp)
-            pair = ax_pair(ax_axiom("identity", A=s), la)
-            return ax_compose(pair, body)
-        raise TransformError(f"rule {rule} has no axiomatic compilation")
+            joined = ax_mp(gen, ax_axiom("exists_imp", x=v, A=And(s, matrix), B=concl))
+        pair = ax_pair(ax_axiom("identity", A=s), sub(0))
+        return ax_compose(pair, ax_compose(dist, joined))
 
     for i in reversed(range(len(an.nodes))):
         done[i] = go(i)

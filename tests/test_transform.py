@@ -5,7 +5,8 @@ import pytest
 
 from bqlcd.proofgen import axiomatic_corpus, generate_corpus
 from bqlcd.proofkernel import (
-    analyze, assume, check_proof, node, open_assumptions, proof_size, proof_to_json,
+    CHILD_COUNT, IDENTITY_RULES, INTERNALISED, ND_RULES, analyze, assume, check_proof,
+    internal_instance, node, open_assumptions, proof_size, proof_to_json,
     proofs_equal, stratum, rename_eigenvariables,
 )
 from bqlcd.syntax import (
@@ -17,7 +18,7 @@ from bqlcd.transform import (
     derive_conj_imp, derive_distribution, derive_forall_embedding,
     derive_infinite_distribution, nd_axiom_proof, nd_to_axiomatic, pad_box,
     reduce_proof, regularity_transform, relabel_fresh, relative_deduction,
-    unbox, unrestricted_exists_elim, unrestricted_or_elim,
+    unbox, unrestricted_exists_elim, unrestricted_or_elim, _rule_proof,
 )
 from proofcases import (
     AXIOM_INSTANCES, deep_and_chain, exists_elim_with_side_context, f, fo,
@@ -310,6 +311,33 @@ def test_unrestricted_exists_elim_with_mp_body():
     check_r(out)
     assert out.conclusion == f("q")
     assert open_assumptions(out) == {f("exists x. P(x)"), f("r"), f("r -> q")}
+
+
+# premises and conclusion of every rule that relative deduction rewrites by its
+# premise count and that no axiom schema internalises
+NON_INTERNALISED_STEPS = {
+    "and_int": (["p", "q"], "p & q"),
+    "forall_int": (["p"], "forall x. p"),
+    "eq_elim": (["c = d", "P(c)"], "P(d)"),
+}
+
+
+def test_rule_proof_concludes_the_internal_instance():
+    rewritten = {rule for rule, k in CHILD_COUNT.items() if k in (1, 2)
+                 and (rule in ND_RULES or rule in IDENTITY_RULES)}
+    rewritten -= {"imp_int", "imp_elim", "exists_elim"}     # rewritten apart
+    steps = {rule: ([f(x) for x in prem], f(c))
+             for rule, (prem, c) in NON_INTERNALISED_STEPS.items()}
+    instances = dict(AXIOM_INSTANCES)
+    for rule, (schema, _) in INTERNALISED.items():
+        src, c = f(instances[schema]).left, f(instances[schema]).right
+        steps[rule] = ([src] if CHILD_COUNT[rule] == 1 else [src.left, src.right], c)
+    assert set(steps) == rewritten
+    for rule, (premises, concl) in steps.items():
+        t = _rule_proof(rule, premises, concl)
+        assert check_proof(t, "nbqlcd+eq").valid, rule
+        assert t.conclusion == internal_instance(premises, concl)
+        assert not open_assumptions(t)
 
 
 # --- axiomatic translations ---------------------------------------------------------------
