@@ -99,11 +99,14 @@ def validate_model(m: KripkeModel):
     if m.domain_size < 1:
         raise ModelError("domain must be non-empty")
     wset = set(m.worlds)
-    for (w, u) in m.edges:
+    # in a fixed order, so the first bad edge named does not depend on string
+    # hash randomisation; repr orders world names of any type
+    edges = sorted(m.edges, key=repr)
+    for (w, u) in edges:
         if w not in wset or u not in wset:
             raise ModelError(f"edge ({w},{u}) uses an unknown world")
-    for (w, u) in m.edges:
-        for (x, z) in m.edges:
+    for (w, u) in edges:
+        for (x, z) in edges:
             if u == x and (w, z) not in m.edges:
                 raise ModelError(f"accessibility not transitive: {w}<{u}<{z}")
     dom = set(m.domain())
@@ -122,7 +125,7 @@ def validate_model(m: KripkeModel):
             for t in tuples:
                 if len(t) != ar or any(v not in dom for v in t):
                     raise ModelError(f"tuple {t} bad for relation {r} at {w}")
-        for (w, u) in m.edges:
+        for (w, u) in edges:
             if not per.get(w, frozenset()) <= per.get(u, frozenset()):
                 raise ModelError(f"persistence fails for {r} between {w} and {u}")
     if m.identity != "absent":
@@ -683,7 +686,9 @@ def _compile_sequent(sentences, rel_index, const_index, fun_index):
 
     def set_frame(m_, groups_, packed=None):
         nonlocal m, groups, full_mask, guard, shift
-        m, groups = m_, groups_
+        m = m_
+        # one lane has no guard bits, so ``implies`` never reads its lane bits
+        groups = groups_ if packed else tuple((succ, bits, 0) for succ, bits in groups_)
         full_mask, guard, shift = packed or (
             functools.reduce(operator.or_, (bits for _, bits in groups_), 0), 0, 0)
         for cache in caches:
@@ -692,16 +697,11 @@ def _compile_sequent(sentences, rel_index, const_index, fun_index):
     def implies(left, right):
         bad = left & ~right
         got = 0
-        if not guard:           # one lane
-            for succ, bits in groups:
-                if not succ & bad:
-                    got |= bits
-            return got
         for succ, bits, lane_bits in groups:
             t = bad & succ
             if not t:
                 got |= bits
-            else:
+            elif guard:
                 # a lane of t that is not 0 carries into its guard bit
                 got |= ((guard & ~(t + full_mask)) >> shift) * lane_bits
         return got

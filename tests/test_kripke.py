@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -106,6 +109,22 @@ def test_check_persistence_detects_broken_model():
 def test_validation_rejects_non_transitive():
     with pytest.raises(ModelError):
         make_model(["a", "b", "c"], [("a", "b"), ("b", "c")], 1)
+
+
+def test_model_error_names_the_same_edge_under_any_hash_seed():
+    # frozenset order of these two edges differs between hash seeds 0 and 1
+    code = ("from bqlcd.kripke import ModelError, model_from_json\n"
+            "try:\n"
+            "    model_from_json({'worlds': ['w'], 'edges': [['w', 'a'], ['w', 'c']],"
+            " 'domain': 1})\n"
+            "except ModelError as exc:\n"
+            "    print(exc)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONHASHSEED": seed,
+                                            "PYTHONPATH": src}).stdout
+            for seed in ("0", "1")}
+    assert outs == {"edge (w,a) uses an unknown world\n"}
 
 
 def test_model_json_roundtrip_and_closure():
