@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from bqlcd import transform
 from bqlcd.proofgen import random_sentence
 from bqlcd.proofkernel import (
-    AX_SYSTEMS, AXIOMS_BY_LEVEL, BASE_AXIOMS, IDENTITY_SUFFIXES, INTERNALISED, SCHEMAS,
+    AX_SYSTEMS, AXIOMS_BY_LEVEL, IDENTITY_SUFFIXES, INTERNALISED, SCHEMAS,
     Judgment, Proof, System, Violation, assume, canonical_leaf_ids, check_judgment,
     check_proof, match_schema, node, open_assumptions, parse_system,
     proof_depth, proof_from_json, proof_size, proof_to_json, proofs_equal,
-    analyze, rename_eigenvariables,
+    BASE_AXIOMS, analyze, rename_eigenvariables,
     schema_instance, split_assumptions, stratum, unsafe_leaves,
 )
 from bqlcd.syntax import (
@@ -20,8 +20,8 @@ from bqlcd.syntax import (
     map_terms, parse_inferring, parameters_of, pretty, substitute,
 )
 from proofcases import (
-    AXIOM_INSTANCES, curry_derivation, curry_half, deep_and_chain, display_one, display_two, f,
-    mp_from_leaves, nested_stratum_example,
+    AXIOM_INSTANCES, curry_derivation, curry_half, deep_and_chain, display_one,
+    display_two, f, mp_from_leaves, nested_stratum_example,
 )
 
 
