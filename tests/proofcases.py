@@ -136,3 +136,32 @@ def deep_and_chain(rounds):
     for i in range(rounds):
         t = node("and_elim_l", p, [node("and_int", And(p, q), [t, assume(q, f"q{i}")])])
     return t
+
+
+def mp_chain(rounds):
+    """A modus ponens carried through ``rounds`` conjunctions with a fresh
+    ``r`` leaf, each taken apart again: a stratum-0 proof of ``q`` with
+    3 * rounds + 3 nodes."""
+    p, q, r = f("p"), f("q"), f("r")
+    t = node("imp_elim", q, [assume(p, "m1"), assume(Imp(p, q), "m2")])
+    for i in range(rounds):
+        t = node("and_elim_l", q, [node("and_int", And(q, r), [t, assume(r, f"r{i}")])])
+    return t
+
+
+def detachment_paired_with_itself():
+    """``p & p`` from two detachments of ``p``: both conjuncts repeat one
+    premise."""
+    p, q = f("p"), f("q")
+    halves = [node("imp_elim", p, [assume(q, f"m{i}"), assume(Imp(q, p), f"g{i}")])
+              for i in (1, 2)]
+    return node("and_int", And(p, p), halves)
+
+
+def or_elim_on_a_repeated_disjunct():
+    """Case analysis on ``p | p`` with a detachment in each branch."""
+    p, r = f("p"), f("r")
+    maj = assume(Or(p, p), "mj")
+    mp1 = node("imp_elim", r, [assume(p, "dl"), assume(Imp(p, r), "g1")])
+    mp2 = node("imp_elim", r, [assume(p, "dr"), assume(Imp(p, r), "g2")])
+    return node("or_elim", r, [maj, mp1, mp2], {"dl", "dr"})

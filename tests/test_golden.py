@@ -24,7 +24,8 @@ every transform output on it, or of the exception raised: ``reduce_proof``,
 ``nd_to_axiomatic`` of the reduced proof with and without a premise list,
 ``relative_deduction`` at two depths, ``axiomatic_to_nd`` and
 ``nd_axiom_proof``.  Its inputs are a seeded ``generate_corpus`` slice,
-``closed_theorem_corpus``, the hand-built proofs of ``proofcases.py``,
+``closed_theorem_corpus``, the hand-built proofs of ``proofcases.py`` (among
+them a stratum-0 chain 20 rounds deep and two proofs that repeat a premise),
 ``axiomatic_corpus`` with a few eliminations whose subproofs detach, and one
 instance of every axiom schema.  Every set is
 sorted by ``pretty`` before it becomes an input, so the digests do not depend
@@ -59,8 +60,8 @@ from bqlcd.transform import (
 from oracle import oracle_sat
 from proofcases import (
     AXIOM_INSTANCES, curry_derivation, deep_and_chain, display_one, display_two, f,
-    exists_elim_with_side_context, mp_from_leaves, nested_stratum_example,
-    or_elim_with_side_context,
+    detachment_paired_with_itself, exists_elim_with_side_context, mp_chain, mp_from_leaves,
+    nested_stratum_example, or_elim_on_a_repeated_disjunct, or_elim_with_side_context,
 )
 from universes import tower_universe
 
@@ -274,6 +275,9 @@ HAND_PROOFS = {
     "mp from leaves": mp_from_leaves, "and chain": lambda: deep_and_chain(3),
     "or elim with side context": or_elim_with_side_context,
     "exists elim with side context": exists_elim_with_side_context,
+    "mp chain": lambda: mp_chain(20),
+    "detachment paired with itself": detachment_paired_with_itself,
+    "or elim on a repeated disjunct": or_elim_on_a_repeated_disjunct,
 }
 
 
