@@ -101,6 +101,11 @@ def assume(phi: Formula, leaf_id=None) -> Proof:
     return Proof(ASSUME, phi, leaf_id=leaf_id)
 
 
+def relabel_fresh(p: Proof) -> Proof:
+    """Copy with leaf ids fresh from ``assume``'s counter (to insert a proof twice)."""
+    return relabel_leaves(p, lambda i: f"t{next(_fresh_leaf_counter)}")
+
+
 def node(rule: str, conclusion: Formula, children=(), discharges=()) -> Proof:
     return Proof(rule, conclusion, tuple(children), frozenset(discharges))
 

@@ -13,14 +13,13 @@ silently throughout.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 from .proofkernel import (
     AX_RULES, CHILD_COUNT, IDENTITY_RULES, INTERNALISED, ND_RULES, Judgment,
     Proof, System, analyze, assume, canonical_leaf_ids, check_analysis, check_judgment,
     check_proof, eigenparameter, fold, internal_instance, node, open_assumptions,
-    relabel_leaves, rename_eigenvariables, schema_instance, stratum,
+    relabel_fresh, rename_eigenvariables, schema_instance, stratum,
 )
 from .syntax import (
     And, Exists, Forall, Imp, Or, Param, TOP, Formula, big_conj, box,
@@ -30,9 +29,6 @@ from .syntax import (
 
 class TransformError(ValueError):
     pass
-
-
-_fresh_graft = itertools.count()
 
 
 # ---------------------------------------------------------------------------
@@ -64,29 +60,22 @@ def close_antecedent(p: Proof, antecedent: Formula) -> Proof:
                 _safe_opens(p, antecedent))
 
 
-def relabel_fresh(p: Proof) -> Proof:
-    """Copy with globally fresh leaf ids (for inserting a proof twice)."""
-    return relabel_leaves(p, lambda i: f"g{next(_fresh_graft)}")
-
-
 def graft(host: Proof, replacements: dict) -> Proof:
-    """Replace open assumption leaves by proofs of the same conclusions.
-
-    The host's quantifier parameters are renamed away from everything the
-    replacements mention, so the splice stays checkable.
+    """Put each replacement proof in place of the host's open assumption
+    leaves with its conclusion: as it is at the first such leaf, and as a
+    copy with fresh leaf ids at each later one.  So a replacement must occur
+    nowhere else: each builder splices a sub-result once.  Quantifier
+    parameters are not renamed; a host that may bind one is renamed first.
     """
-    if not replacements:
-        return host
-    avoid = set().union(*(f_.params | parameters_of(p_)
-                          for f_, p_ in replacements.items()))
-    host = rename_eigenvariables(host, avoid)
     an = analyze(host)
     open_ids = {lid for lid in an.open_leaves_in(0)
                 if an.leaf_formula[lid] in replacements}
+    unspliced = dict(replacements)
 
     def go(nd, kids):
         if nd.is_assumption() and nd.leaf_id in open_ids:
-            return relabel_fresh(replacements[nd.conclusion])
+            return (unspliced.pop(nd.conclusion, None)
+                    or relabel_fresh(replacements[nd.conclusion]))
         return replace(nd, children=tuple(kids)) if kids else nd
 
     return fold(host, go)
@@ -242,7 +231,8 @@ def _regularity_step(q: Proof, lower: list, upper: list) -> Proof:
         return vacuous_imp(q, TOP)
     big = big_conj(lower)
     comp = _conj_components(big)
-    q2 = graft(q, {f_: _project(big, comp[f_]) for f_ in lower})
+    q2 = graft(rename_eigenvariables(q, big.params),
+               {f_: _project(big, comp[f_]) for f_ in lower})
     right = close_antecedent(q2, big)
     leaves = [assume(u) for u in upper]
     left = leaves[-1]

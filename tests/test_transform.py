@@ -22,7 +22,7 @@ from bqlcd.transform import (
 )
 from proofcases import (
     AXIOM_INSTANCES, deep_and_chain, exists_elim_with_side_context, f, fo,
-    mp_from_leaves, nested_stratum_example, or_elim_with_side_context,
+    mp_chain, mp_from_leaves, nested_stratum_example, or_elim_with_side_context,
 )
 
 
@@ -246,6 +246,15 @@ def test_reduce_nested_example():
     assert back.conclusion == f("r")
 
 
+def test_reduce_a_deep_chain():
+    # every level splices its reduced premise once, without copying it
+    got = reduce_proof(mp_chain(150))
+    assert got.n == 1
+    check_nb(got.proof)
+    assert proof_size(got.proof) == 14 * 150 + 4
+    assert unbox(got.proof, got.n).conclusion == f("q")
+
+
 def test_unbox_requires_guard():
     with pytest.raises(TransformError):
         unbox(assume(f("p")), 1)
@@ -398,6 +407,7 @@ def test_axiomatic_to_nd_affixing():
     out = axiomatic_to_nd(t)
     check_r(out)
     assert out.conclusion == f("(q -> r) -> (p -> s)")
+
 
 
 def test_nd_to_axiomatic_leaf():
