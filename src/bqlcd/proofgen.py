@@ -14,6 +14,7 @@ import random
 from .kripke import make_model, transitive_closure
 from .proofkernel import (
     assume, canonical_leaf_ids, check_proof, node, open_assumptions, proof_depth,
+    relabel_fresh,
 )
 from .syntax import (
     And, Atom, Const, Exists, Forall, Imp, Or, Param, TOP, BOTTOM, Var,
@@ -76,7 +77,8 @@ class ProofGenerator:
         for schema, text in [("identity", "p -> p"), ("weakening", "p -> (q -> p)"),
                              ("and_elim_l", "p & q -> p"),
                              ("transitivity", "(p -> q) & (q -> r) -> (p -> r)")]:
-            self._accept(nd_axiom_proof(schema, _f(text)))
+            # a fresh copy: pooled proofs that shared leaf ids could not be combined
+            self._accept(relabel_fresh(nd_axiom_proof(schema, _f(text))))
 
     def _pick(self, pred=None):
         items = [t for t in self.pool if pred is None or pred(t)]

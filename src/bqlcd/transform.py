@@ -588,36 +588,35 @@ _RULE_FOR_SCHEMA = {schema: rule for rule, (schema, _) in INTERNALISED.items()}
 
 
 def nd_axiom_proof(schema: str, concl: Formula) -> Proof:
-    """A closed guard-free derivation of the given axiom instance."""
+    """A closed guard-free derivation of the given axiom instance, with
+    canonical leaf ids."""
     rule = _RULE_FOR_SCHEMA.get(schema)
+    src = concl.left
     if rule is not None:
-        src = concl.left
         premises = [src] if CHILD_COUNT[rule] == 1 else [src.left, src.right]
-        return _rule_proof(rule, premises, concl.right)
-    if schema == "identity":
-        return close_antecedent(assume(concl.left), concl.left)
-    if schema == "imp_top":
-        return node("imp_int", concl, [node("top_int", TOP)])
-    if schema == "distribution":
-        src = concl.left
-        return close_antecedent(
+        out = _rule_proof(rule, premises, concl.right)
+    elif schema == "identity":
+        out = close_antecedent(assume(src), src)
+    elif schema == "imp_top":
+        out = node("imp_int", concl, [node("top_int", TOP)])
+    elif schema == "distribution":
+        out = close_antecedent(
             derive_distribution(src.left, src.right.left, src.right.right), src)
-    if schema == "inf_distribution":
-        src = concl.left
-        return close_antecedent(
-            derive_infinite_distribution(src.left, src.right.var,
-                                         src.right.body), src)
-    if schema in ("suffixing", "prefixing"):
+    elif schema == "inf_distribution":
+        out = close_antecedent(
+            derive_infinite_distribution(src.left, src.right.var, src.right.body), src)
+    elif schema in ("suffixing", "prefixing"):
         rest = concl.right
-        d1, d2 = assume(concl.left), assume(rest.left)
+        d1, d2 = assume(src), assume(rest.left)
         chain = node("int_trans", rest.right,
                      [d1, d2] if schema == "suffixing" else [d2, d1])
         inner = node("imp_int", rest, [chain], {d2.leaf_id})
-        return node("imp_int", concl, [inner], {d1.leaf_id})
-    if schema == "weakening":
-        return close_antecedent(vacuous_imp(assume(concl.left), concl.right.left),
-                                concl.left)
-    raise TransformError(f"no template for axiom schema {schema!r}")
+        out = node("imp_int", concl, [inner], {d1.leaf_id})
+    elif schema == "weakening":
+        out = close_antecedent(vacuous_imp(assume(src), concl.right.left), src)
+    else:
+        raise TransformError(f"no template for axiom schema {schema!r}")
+    return canonical_leaf_ids(out)
 
 
 def axiomatic_to_nd(t: Proof) -> Proof:
@@ -628,7 +627,8 @@ def axiomatic_to_nd(t: Proof) -> Proof:
     if not report.valid:
         msgs = "; ".join(v.message for v in report.violations)
         raise TransformError(f"input does not check in the axiomatic system: {msgs}")
-    out = fold(t, _ax2nd)
+    # fresh input ids, so no id minted by the translation can equal one of them
+    out = fold(relabel_fresh(t), _ax2nd)
     final = check_proof(out, "nbqlcd_r")
     if not final.valid:
         raise TransformError("internal: translated proof does not check")
@@ -649,9 +649,9 @@ def _ax2nd(t: Proof, kids) -> Proof:
         it2 = node("int_trans", t.conclusion.right, [it1, p2])
         return node("imp_int", t.conclusion, [it2], {d.leaf_id})
     if t.rule == "or_elim":
-        return unrestricted_or_elim(*kids)
+        return relabel_fresh(unrestricted_or_elim(*kids))
     if t.rule == "exists_elim":
-        return unrestricted_exists_elim(*kids, param_index=eigenparameter(t))
+        return relabel_fresh(unrestricted_exists_elim(*kids, param_index=eigenparameter(t)))
     if t.rule in AX_RULES:
         return node(t.rule, t.conclusion, kids)
     raise TransformError(f"rule {t.rule} has no translation")

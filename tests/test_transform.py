@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -408,6 +411,45 @@ def test_axiomatic_to_nd_affixing():
     check_r(out)
     assert out.conclusion == f("(q -> r) -> (p -> s)")
 
+
+def _case_split(tag):
+    """A tjkd+ case analysis on p | q whose leaf ids end in ``tag``."""
+    dl, dr = assume(f("p"), f"l{tag}"), assume(f("q"), f"r{tag}")
+    return node("or_elim", f("p | q"),
+                [assume(f("p | q"), f"m{tag}"), node("or_int_l", f("p | q"), [dl]),
+                 node("or_int_r", f("p | q"), [dr])], {dl.leaf_id, dr.leaf_id})
+
+
+@pytest.mark.parametrize("other", [_case_split(2), assume(f("p | q"), "a0")],
+                         ids=["case split", "leaf a0"])
+def test_axiomatic_to_nd_pairs_a_case_split_with_ids_it_mints(other):
+    # the translated case split comes back with canonical ids a0, a1, ...
+    t = node("and_int", f("(p | q) & (p | q)"), [_case_split(1), other])
+    out = axiomatic_to_nd(t)
+    check_r(out)
+    assert out.conclusion == t.conclusion
+
+
+def test_axiomatic_to_nd_affixing_over_ids_assume_mints():
+    # in a fresh process the translation's first minted leaf id is t0
+    code = ("from bqlcd.proofkernel import assume, node, check_proof\n"
+            "from bqlcd.syntax import parse_inferring\n"
+            "from bqlcd.transform import axiomatic_to_nd\n"
+            "f = lambda s: parse_inferring(s)[0]\n"
+            "t = node('affixing', f('(q -> r) -> (p -> s)'),\n"
+            "         [assume(f('p -> q'), 't0'), assume(f('r -> s'), 't1')])\n"
+            "print(check_proof(axiomatic_to_nd(t), 'nbqlcd_r').valid)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert (out.returncode, out.stdout) == (0, "True\n"), out.stderr
+
+
+def test_axiom_templates_do_not_depend_on_what_ran_before():
+    before = [nd_axiom_proof(schema, f(text)) for schema, text in AXIOM_INSTANCES]
+    reduce_proof(nested_stratum_example())
+    derive_distribution(f("p"), f("q"), f("r"))
+    assert [nd_axiom_proof(schema, f(text)) for schema, text in AXIOM_INSTANCES] == before
 
 
 def test_nd_to_axiomatic_leaf():
