@@ -588,32 +588,35 @@ _RULE_FOR_SCHEMA = {schema: rule for rule, (schema, _) in INTERNALISED.items()}
 
 
 def nd_axiom_proof(schema: str, concl: Formula) -> Proof:
-    """A closed guard-free derivation of the given axiom instance, with
-    canonical leaf ids."""
+    """A closed guard-free derivation of the given axiom instance, canonical leaf ids."""
     rule = _RULE_FOR_SCHEMA.get(schema)
-    src = concl.left
     if rule is not None:
+        src = concl.left
         premises = [src] if CHILD_COUNT[rule] == 1 else [src.left, src.right]
         out = _rule_proof(rule, premises, concl.right)
     elif schema == "identity":
-        out = close_antecedent(assume(src), src)
+        out = close_antecedent(assume(concl.left), concl.left)
     elif schema == "imp_top":
         out = node("imp_int", concl, [node("top_int", TOP)])
     elif schema == "distribution":
+        src = concl.left
         out = close_antecedent(
             derive_distribution(src.left, src.right.left, src.right.right), src)
     elif schema == "inf_distribution":
+        src = concl.left
         out = close_antecedent(
-            derive_infinite_distribution(src.left, src.right.var, src.right.body), src)
+            derive_infinite_distribution(src.left, src.right.var,
+                                         src.right.body), src)
     elif schema in ("suffixing", "prefixing"):
         rest = concl.right
-        d1, d2 = assume(src), assume(rest.left)
+        d1, d2 = assume(concl.left), assume(rest.left)
         chain = node("int_trans", rest.right,
                      [d1, d2] if schema == "suffixing" else [d2, d1])
         inner = node("imp_int", rest, [chain], {d2.leaf_id})
         out = node("imp_int", concl, [inner], {d1.leaf_id})
     elif schema == "weakening":
-        out = close_antecedent(vacuous_imp(assume(src), concl.right.left), src)
+        out = close_antecedent(vacuous_imp(assume(concl.left), concl.right.left),
+                               concl.left)
     else:
         raise TransformError(f"no template for axiom schema {schema!r}")
     return canonical_leaf_ids(out)

@@ -250,7 +250,6 @@ def test_reduce_nested_example():
 
 
 def test_reduce_a_deep_chain():
-    # every level splices its reduced premise once, without copying it
     got = reduce_proof(mp_chain(150))
     assert got.n == 1
     check_nb(got.proof)
