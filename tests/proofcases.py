@@ -165,3 +165,16 @@ def or_elim_on_a_repeated_disjunct():
     mp1 = node("imp_elim", r, [assume(p, "dl"), assume(Imp(p, r), "g1")])
     mp2 = node("imp_elim", r, [assume(p, "dr"), assume(Imp(p, r), "g2")])
     return node("or_elim", r, [maj, mp1, mp2], {"dl", "dr"})
+
+
+def nested_witness_chain(depth):
+    """``depth`` nested witness eliminations over a modus ponens: each body
+    pairs its witness ``P(#0)`` with the next level and takes the pair apart
+    again.  A stratum-0 proof of ``q`` with 5 * depth + 3 nodes."""
+    p, q, wit_formula = f("p"), f("q"), f("P(#0)")
+    t = node("imp_elim", q, [assume(p, "m1"), assume(Imp(p, q), "m2")])
+    for i in range(depth):
+        wit = assume(wit_formula, f"w{i}")
+        body = node("and_elim_r", q, [node("and_int", And(wit_formula, q), [wit, t])])
+        t = node("exists_elim", q, [assume(f("exists x. P(x)"), f"e{i}"), body], {wit.leaf_id})
+    return t

@@ -25,7 +25,8 @@ every transform output on it, or of the exception raised: ``reduce_proof``,
 ``relative_deduction`` at two depths, ``axiomatic_to_nd`` and
 ``nd_axiom_proof``.  Its inputs are a seeded ``generate_corpus`` slice,
 ``closed_theorem_corpus``, the hand-built proofs of ``proofcases.py`` (among
-them a stratum-0 chain 20 rounds deep and two proofs that repeat a premise),
+them a stratum-0 chain 20 rounds deep, 20 nested witness eliminations over a
+modus ponens, and two proofs that repeat a premise),
 ``axiomatic_corpus`` with a few eliminations whose subproofs detach, and one
 instance of every axiom schema.  Every set is
 sorted by ``pretty`` before it becomes an input, so the digests do not depend
@@ -61,7 +62,8 @@ from oracle import oracle_sat
 from proofcases import (
     AXIOM_INSTANCES, curry_derivation, deep_and_chain, display_one, display_two, f,
     detachment_paired_with_itself, exists_elim_with_side_context, mp_chain, mp_from_leaves,
-    nested_stratum_example, or_elim_on_a_repeated_disjunct, or_elim_with_side_context,
+    nested_stratum_example, nested_witness_chain, or_elim_on_a_repeated_disjunct,
+    or_elim_with_side_context,
 )
 from universes import tower_universe
 
@@ -278,6 +280,7 @@ HAND_PROOFS = {
     "mp chain": lambda: mp_chain(20),
     "detachment paired with itself": detachment_paired_with_itself,
     "or elim on a repeated disjunct": or_elim_on_a_repeated_disjunct,
+    "nested witness chain": lambda: nested_witness_chain(20),
 }
 
 

@@ -6,11 +6,11 @@ import sys
 
 import pytest
 
-from bqlcd.proofgen import axiomatic_corpus, generate_corpus
+from bqlcd.proofgen import axiomatic_corpus, closed_theorem_corpus, generate_corpus
 from bqlcd.proofkernel import (
-    CHILD_COUNT, IDENTITY_RULES, INTERNALISED, ND_RULES, analyze, assume, check_proof,
-    internal_instance, node, open_assumptions, proof_size, proof_to_json,
-    proofs_equal, stratum, rename_eigenvariables,
+    CHILD_COUNT, IDENTITY_RULES, INTERNALISED, ND_RULES, _eigenparam_for_exists, analyze,
+    assume, check_proof, eigenparameter, internal_instance, node, open_assumptions,
+    proof_size, proof_to_json, proofs_equal, stratum, rename_eigenvariables,
 )
 from bqlcd.syntax import (
     And, Exists, Forall, Imp, Or, Param, TOP, big_conj, box, parameters_of,
@@ -24,8 +24,10 @@ from bqlcd.transform import (
     unbox, unrestricted_exists_elim, unrestricted_or_elim, _rule_proof,
 )
 from proofcases import (
-    AXIOM_INSTANCES, deep_and_chain, exists_elim_with_side_context, f, fo,
-    mp_chain, mp_from_leaves, nested_stratum_example, or_elim_with_side_context,
+    AXIOM_INSTANCES, curry_derivation, deep_and_chain, detachment_paired_with_itself,
+    display_one, display_two, exists_elim_with_side_context, f, fo, mp_chain,
+    mp_from_leaves, nested_stratum_example, nested_witness_chain,
+    or_elim_on_a_repeated_disjunct, or_elim_with_side_context,
 )
 
 
@@ -624,3 +626,25 @@ def test_relabel_fresh_is_a_fresh_copy(t):
     assert not _leaf_ids(once) & _leaf_ids(twice)
     assert proofs_equal(once, t)
     assert check_proof(once, "nbqlcd_r") == check_proof(t, "nbqlcd_r")
+
+
+def test_root_analysis_gives_each_subtree_its_facts():
+    # the reduction reads every input node's stratum, open assumptions and
+    # eigenparameter from one analysis of the whole input; each must equal
+    # what an analysis of the node's own subtree gives
+    proofs = [t for seed in (0, 1, 2) for t in generate_corpus(seed=seed, size=200)]
+    proofs += closed_theorem_corpus() + [
+        curry_derivation(), display_one(), display_two(), nested_stratum_example(),
+        mp_from_leaves(), or_elim_with_side_context(), exists_elim_with_side_context(),
+        deep_and_chain(3), mp_chain(20), detachment_paired_with_itself(),
+        or_elim_on_a_repeated_disjunct(), nested_witness_chain(20)]
+    for t in proofs:
+        an = analyze(t)
+        for i, nd in enumerate(an.nodes):
+            opens = {an.leaf_formula[lid] for lid in an.open_leaves_in(i)}
+            assert (an.strata[i], opens) == (stratum(nd), open_assumptions(nd))
+            if nd.rule == "exists_elim":
+                assert _eigenparam_for_exists(nd, an)[0] == eigenparameter(nd)
+            if nd.rule == "forall_int":
+                generalised = nd.conclusion.var in nd.conclusion.body.free
+                assert generalised == (eigenparameter(nd) is not None)
