@@ -23,7 +23,7 @@ from .kripke import (
 )
 from .proofkernel import (
     ProofJsonError, check_proof, load_proof, open_assumptions, parse_system,
-    proof_size, proof_to_json, stratum,
+    proof_size, proof_to_json,
 )
 from .syntax import (
     BINARY, QUANT, And, Exists, Forall, Imp, Or, ParseError, Signature,
@@ -94,7 +94,7 @@ def cmd_reduce(args) -> int:
         "stats": {
             "nodes_in": proof_size(proof),
             "nodes_out": proof_size(result.proof),
-            "strata": [result.source_stratum, stratum(result.proof)],
+            "strata": [result.source_stratum, final.stratum],
         },
     }, args.out)
     return 0

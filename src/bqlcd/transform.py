@@ -17,9 +17,10 @@ from dataclasses import dataclass, replace
 
 from .proofkernel import (
     AX_RULES, CHILD_COUNT, IDENTITY_RULES, INTERNALISED, ND_RULES, Judgment,
-    Proof, System, analyze, assume, canonical_leaf_ids, check_analysis, check_judgment,
-    check_proof, eigenparameter, fold, internal_instance, node, open_assumptions,
-    relabel_fresh, rename_eigenvariables, schema_instance, stratum,
+    Proof, System, _eigenparam_for_exists, analyze, assume, canonical_leaf_ids,
+    check_analysis, check_judgment, check_proof, eigenparameter, fold,
+    internal_instance, node, open_assumptions, relabel_fresh, rename_eigenvariables,
+    schema_instance,
 )
 from .syntax import (
     And, Exists, Forall, Imp, Or, Param, TOP, Formula, big_conj, box,
@@ -296,7 +297,8 @@ def _rule_proof(rule, premises, concl) -> Proof:
 def relative_deduction(t: Proof, gamma, sigma, n: int, identity="absent") -> Proof:
     """Rewrite a stratum-n proof into a guard-free proof of the guarded
     conditional: from unsafe context only, conclude box^n of (the side
-    context conjoined) -> conclusion."""
+    context conjoined) -> conclusion.  The rewrite reads each input node's
+    stratum, open assumptions and eigenparameter from one analysis of ``t``."""
     gamma = frozenset(gamma)
     sigma = list(sigma)
     if n < 0:
@@ -306,11 +308,30 @@ def relative_deduction(t: Proof, gamma, sigma, n: int, identity="absent") -> Pro
     if not ok:
         msgs = "; ".join(v.message for v in report.violations) or "context mismatch"
         raise TransformError(f"judgment does not hold: {msgs}")
-    out = _rd(t, gamma, sigma, n)
-    return canonical_leaf_ids(out)
+    return canonical_leaf_ids(_rewrite(analyze(t), gamma, sigma, n))
 
 
-def _rd(t: Proof, gamma, sigma, n: int) -> Proof:
+def _rewrite(an, gamma, sigma, n: int) -> Proof:
+    """The rewrite of the root of the analysed proof, run off an explicit
+    stack of ``_rd`` generators, so its depth is not bounded by recursion."""
+    stack, value = [_rd(an, 0, gamma, sigma, n)], None
+    while stack:
+        try:
+            request = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(_rd(an, *request))
+            value = None
+    return value
+
+
+def _rd(an, j, gamma, sigma, n: int):
+    """The rewrite of node j of the analysed input, as a generator: it yields
+    (node index, gamma, sigma, n) for each premise it needs rewritten, is sent
+    that rewrite, and returns its own.  The helpers below work the same way."""
+    t = an.nodes[j]
     s_conj = big_conj(sigma)
     concl = t.conclusion
     rule = t.rule
@@ -322,15 +343,15 @@ def _rd(t: Proof, gamma, sigma, n: int) -> Proof:
             return boxn(derive_conj_imp(s_conj, concl), n)
         raise TransformError(f"open assumption {pretty(concl)} outside both contexts")
     if rule == "or_elim":
-        return _rd_or_elim(t, gamma, sigma, n)
+        return (yield from _rd_or_elim(an, j, gamma, sigma, n))
     if rule == "imp_int":
-        return _rd_imp_int(t, gamma, sigma, n)
+        return (yield from _rd_imp_int(an, j, gamma, sigma, n))
     if rule == "imp_elim":
-        return _rd_imp_elim(t, gamma, sigma, n)
+        return (yield from _rd_imp_elim(an, j, gamma, sigma, n))
     if rule == "exists_elim":
-        return _rd_exists_elim(t, gamma, sigma, n)
-    if rule == "forall_int" and eigenparameter(t) is not None:
-        return _rd_forall_int(t, gamma, sigma, n)
+        return (yield from _rd_exists_elim(an, j, gamma, sigma, n))
+    if rule == "forall_int" and concl.var in concl.body.free:
+        return (yield from _rd_forall_int(an, j, gamma, sigma, n))
 
     # every other natural-deduction rule is rewritten by its premise count;
     # a vacuous generalisation behaves like any other unary rule
@@ -341,7 +362,9 @@ def _rd(t: Proof, gamma, sigma, n: int) -> Proof:
 
     if arity in (1, 2):
         premises = [c.conclusion for c in t.children]
-        subs = [_rd(c, gamma, sigma, n) for c in t.children]
+        subs = []
+        for k in an.kids[j]:
+            subs.append((yield k, gamma, sigma, n))
         into = subs[0] if arity == 1 else pair_imp(n, s_conj, *premises, *subs)
         step = _rule_proof(rule, premises, concl)
         return chain_imp(n, s_conj, step.conclusion.left, concl, into, boxn(step, n))
@@ -349,10 +372,10 @@ def _rd(t: Proof, gamma, sigma, n: int) -> Proof:
     raise TransformError(f"rule {rule} has no rewrite case")
 
 
-def _sub_contexts(sub: Proof, gamma, sigma, exclude=()):
-    """Minimal split contexts for a quantifier subproof: the open
+def _sub_contexts(an, j, gamma, sigma, exclude=()):
+    """Minimal split contexts for the quantifier subproof at node j: its open
     assumptions, routed to the unsafe side when they were there already."""
-    opens = set(open_assumptions(sub)) - set(exclude)
+    opens = {an.leaf_formula[lid] for lid in an.open_leaves_in(j)} - set(exclude)
     gamma_star = frozenset(g for g in gamma if g in opens)
     sigma_star = list(dict.fromkeys(s_ for s_ in sigma
                                     if s_ in opens and s_ not in gamma_star))
@@ -364,20 +387,20 @@ def _sub_contexts(sub: Proof, gamma, sigma, exclude=()):
     return gamma_star, sigma_star
 
 
-def _rd_or_elim(t, gamma, sigma, n):
+def _rd_or_elim(an, j, gamma, sigma, n):
     s_conj = big_conj(sigma)
-    major, left, right = t.children
-    disj = major.conclusion
+    i_major, i_left, i_right = an.kids[j]
+    disj = an.nodes[i_major].conclusion
     alpha, beta = disj.left, disj.right
-    concl = t.conclusion
-    a1 = _rd(major, gamma, sigma, n)
+    concl = an.nodes[j].conclusion
+    a1 = yield i_major, gamma, sigma, n
     if not sigma:
-        a2 = _rd(left, gamma, [alpha], n)
-        a3 = _rd(right, gamma, [beta], n)
+        a2 = yield i_left, gamma, [alpha], n
+        a3 = yield i_right, gamma, [beta], n
         joined = or_join(n, alpha, beta, concl, a2, a3)
         return chain_imp(n, TOP, disj, concl, a1, joined)
-    a2 = _lift_branch(left, gamma, sigma, alpha, concl, n)
-    a3 = _lift_branch(right, gamma, sigma, beta, concl, n)
+    a2 = yield from _lift_branch(i_left, gamma, sigma, alpha, concl, n)
+    a3 = yield from _lift_branch(i_right, gamma, sigma, beta, concl, n)
     dist = close_antecedent(derive_distribution(s_conj, alpha, beta), And(s_conj, disj))
     joined = or_join(n, And(s_conj, alpha), And(s_conj, beta), concl, a2, a3)
     return _with_context(n, s_conj, disj, a1, concl, _after(n, dist, concl, joined))
@@ -391,54 +414,54 @@ def _with_context(n, s_conj, major, p_major, concl, body):
     return chain_imp(n, s_conj, And(s_conj, major), concl, pair, body)
 
 
-def _lift_branch(branch, gamma, sigma, extra, concl, n):
-    """box^n((sigma-conjunction & extra) -> concl) from the branch."""
+def _lift_branch(j, gamma, sigma, extra, concl, n):
+    """box^n((sigma-conjunction & extra) -> concl) from the branch at node j."""
     ext = sigma + [extra]
-    raw = _rd(branch, gamma, ext, n)
+    raw = yield j, gamma, ext, n
     glue = derive_conj_imp(And(big_conj(sigma), extra), big_conj(ext))
     return _after(n, glue, concl, raw)
 
 
-def _rd_imp_int(t, gamma, sigma, n):
-    body = t.children[0]
-    concl = t.conclusion
+def _rd_imp_int(an, j, gamma, sigma, n):
+    body = an.kids[j][0]
+    concl = an.nodes[j].conclusion
     phi, psi = concl.left, concl.right
     if not sigma:
-        inner = _rd(body, gamma, [phi], n)
+        inner = yield body, gamma, [phi], n
         return vacuous_imp(inner, TOP)
     s_conj = big_conj(sigma)
-    lifted = _lift_branch(body, gamma, sigma, phi, psi, n)
+    lifted = yield from _lift_branch(body, gamma, sigma, phi, psi, n)
     release = derive_and_release(s_conj, phi, psi)
     return boxed_chain(release, n, [(Imp(And(s_conj, phi), psi), lifted)])
 
 
-def _rd_imp_elim(t, gamma, sigma, n):
+def _rd_imp_elim(an, j, gamma, sigma, n):
     s_conj = big_conj(sigma)
-    minor, major = t.children
-    alpha = minor.conclusion
-    concl = t.conclusion
-    m = stratum(major)
+    i_minor, i_major = an.kids[j]
+    alpha = an.nodes[i_minor].conclusion
+    concl = an.nodes[j].conclusion
+    m = an.strata[i_major]
     if m >= n:
         raise TransformError(f"right premise stratum {m} is not below {n}")
-    a1 = _rd(minor, gamma, sigma, n)
+    a1 = yield i_minor, gamma, sigma, n
     if m == -1:
-        a2 = boxn(relabel_fresh(major), n)
+        a2 = boxn(relabel_fresh(an.nodes[i_major]), n)
     else:
-        reduced = _rd(major, gamma, [], m)      # box(m+1, alpha -> concl)
+        reduced = yield i_major, gamma, [], m       # box(m+1, alpha -> concl)
         a2 = boxn(reduced, n - m - 1)
     return chain_imp(n, s_conj, alpha, concl, a1, a2)
 
 
-def _rd_forall_int(t, gamma, sigma, n):
+def _rd_forall_int(an, j, gamma, sigma, n):
     # the generalisation parameter needs no explicit handling: the checker
     # re-infers it from the rewritten premise, and the freshness conditions
     # carry over from the input proof
-    sub = t.children[0]
-    concl = t.conclusion
+    sub = an.kids[j][0]
+    concl = an.nodes[j].conclusion
     v, phi = concl.var, concl.body
-    gamma_star, sigma_star = _sub_contexts(sub, gamma, sigma)
+    gamma_star, sigma_star = _sub_contexts(an, sub, gamma, sigma)
     s_star = big_conj(sigma_star)
-    inner = _rd(sub, gamma_star, sigma_star, n)
+    inner = yield sub, gamma_star, sigma_star, n
     narrowed = _generalise(n, v, Imp(s_star, phi), "int_forall_int",
                            Imp(s_star, concl), inner)
     return _after(n, derive_conj_imp(big_conj(sigma), s_star), concl, narrowed)
@@ -453,26 +476,27 @@ def _generalise(n, v, body, rule, concl, p):
     return _rule_under(n, rule, concl, [(Forall(v, body), embedded)])
 
 
-def _rd_exists_elim(t, gamma, sigma, n):
+def _rd_exists_elim(an, j, gamma, sigma, n):
     s_conj = big_conj(sigma)
-    major, body = t.children
-    ex = major.conclusion
+    t = an.nodes[j]
+    i_major, i_body = an.kids[j]
+    ex = t.children[0].conclusion
     v, matrix = ex.var, ex.body
     concl = t.conclusion
-    i = eigenparameter(t)
+    i = _eigenparam_for_exists(t, an)[0]
     if i is None:
         i = _fresh_param(t, *gamma, *sigma)
     xi = substitute(matrix, v, Param(i))
-    gamma_star, sigma_star = _sub_contexts(body, gamma, sigma, exclude=(xi,))
+    gamma_star, sigma_star = _sub_contexts(an, i_body, gamma, sigma, exclude=(xi,))
     s_star = big_conj(sigma_star)
-    a1 = _rd(major, gamma, sigma, n)
+    a1 = yield i_major, gamma, sigma, n
     if not sigma_star:
-        inner = _rd(body, gamma_star, [xi], n)
+        inner = yield i_body, gamma_star, [xi], n
         narrowed = _generalise(n, v, Imp(matrix, concl), "int_exists_elim",
                                Imp(ex, concl), inner)
         return chain_imp(n, s_conj, ex, concl, a1, narrowed)
     paired = And(s_star, matrix)
-    lifted = _lift_branch(body, gamma_star, sigma_star, xi, concl, n)
+    lifted = yield from _lift_branch(i_body, gamma_star, sigma_star, xi, concl, n)
     narrowed = _generalise(n, v, Imp(paired, concl), "int_exists_elim",
                            Imp(Exists(v, paired), concl), lifted)
     infd = close_antecedent(derive_infinite_distribution(s_star, v, matrix),
@@ -496,14 +520,15 @@ class ReductionResult:
 def reduce_proof(t: Proof, identity="absent") -> ReductionResult:
     """Eliminate modus ponens: a stratum-s proof of phi becomes a guard-free
     proof of box(s + 1, phi) from the same open assumptions."""
-    report = check_proof(t, System("nd", None, identity))
+    an = analyze(t)
+    report = check_analysis(an, System("nd", None, identity))
     if not report.valid:
         msgs = "; ".join(v.message for v in report.violations)
         raise TransformError(f"input does not check: {msgs}")
     s = report.stratum
     if s == -1:
         return ReductionResult(0, t, -1)
-    out = _rd(t, frozenset(report.open_assumptions), [], s)
+    out = _rewrite(an, frozenset(report.open_assumptions), [], s)
     return ReductionResult(s + 1, canonical_leaf_ids(out), s)
 
 
@@ -815,7 +840,7 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
                                      A=left, B=right, C=concl)
         else:
             v, matrix = major.var, major.body
-            idx = eigenparameter(nd_)
+            idx = _eigenparam_for_exists(nd_, an)[0]
             if idx is None:
                 idx = _fresh_param(t, *gamma)
             lifted = sub(1, And(s, substitute(matrix, v, Param(idx))))

@@ -259,6 +259,22 @@ def test_reduce_a_deep_chain():
     assert unbox(got.proof, got.n).conclusion == f("q")
 
 
+@pytest.mark.parametrize("make, depth", [(mp_chain, 600), (nested_witness_chain, 250)])
+def test_reduce_an_input_deeper_than_the_recursion_limit(make, depth):
+    t = make(depth)
+    got = reduce_proof(t)
+    assert got.proof.conclusion == box(got.n, t.conclusion)
+    check_nb(got.proof)
+
+
+def test_relative_deduction_on_an_input_deeper_than_the_recursion_limit():
+    # the detached conditional stays on the unsafe side, p and the r leaves
+    # go to the side context
+    out = relative_deduction(mp_chain(600), [f("p -> q")], [f("p"), f("r")], 0)
+    check_nb(out)
+    assert out.conclusion == f("p & r -> q")
+
+
 def test_unbox_requires_guard():
     with pytest.raises(TransformError):
         unbox(assume(f("p")), 1)
