@@ -480,7 +480,7 @@ def _rd_exists_elim(an, j, gamma, sigma, n):
     s_conj = big_conj(sigma)
     t = an.nodes[j]
     i_major, i_body = an.kids[j]
-    ex = t.children[0].conclusion
+    ex = an.nodes[i_major].conclusion
     v, matrix = ex.var, ex.body
     concl = t.conclusion
     i = _eigenparam_for_exists(t, an)[0]
