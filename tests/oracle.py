@@ -2,16 +2,19 @@
 the semantics, with no memo and no compilation, for tests to check the
 package's evaluation against; a reference countermodel search that runs
 the compiled sentences once per interpretation, for tests to check the
-lane-parallel search against; and the free variables and parameters of a
+lane-parallel search against; the free variables and parameters of a
 term or formula found by walking it, for tests to check the facts each node
-stores against."""
+stores against; and axiom schema matching and instantiation by a recursive
+walk over the schema's formula, for tests to check the compiled schema
+kernels against."""
 
 import itertools
 from unittest import mock
 
 from bqlcd import kripke
+from bqlcd.proofkernel import SCHEMAS
 from bqlcd.syntax import (
-    BINARY, QUANT, Atom, Const, Fn, Param, Var, subterms,
+    BINARY, QUANT, Atom, Const, Fn, Param, Var, match_instantiation, subterms,
 )
 
 
@@ -190,3 +193,45 @@ def reference_params(x) -> frozenset:
     if isinstance(x, QUANT):
         return reference_params(x.body)
     return frozenset()
+
+
+def reference_match(name, f):
+    """``match_schema``: the metavariable bindings, in the order a left to
+    right walk of the schema first meets each metavariable, or None."""
+    bindings = {}
+    if not _bind(SCHEMAS[name], f, bindings):
+        return None
+    if name in ("forall_inst", "exists_int") and not match_instantiation(
+            bindings["A"], bindings["x"], bindings["B"])[0]:
+        return None
+    return bindings
+
+
+def _bind(pat, f, bindings):
+    if isinstance(pat, Atom):
+        got = bindings.setdefault(pat.rel, f)
+        return got is f or got == f
+    if type(pat) is not type(f):
+        return False
+    if isinstance(pat, QUANT):
+        return (bindings.setdefault(pat.var, f.var) == f.var
+                and _bind(pat.body, f.body, bindings))
+    if isinstance(pat, BINARY):
+        return _bind(pat.left, f.left, bindings) and _bind(pat.right, f.right, bindings)
+    return True
+
+
+def reference_instance(name, bindings):
+    """``schema_instance``: the schema with every metavariable replaced by
+    its binding."""
+    return _fill(SCHEMAS[name], bindings)
+
+
+def _fill(pat, bindings):
+    if isinstance(pat, Atom):
+        return bindings[pat.rel]
+    if isinstance(pat, QUANT):
+        return type(pat)(bindings[pat.var], _fill(pat.body, bindings))
+    if isinstance(pat, BINARY):
+        return type(pat)(_fill(pat.left, bindings), _fill(pat.right, bindings))
+    return pat

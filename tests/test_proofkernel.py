@@ -415,6 +415,29 @@ def test_double_discharge_rejected():
     assert any("twice" in v.message for v in report.violations)
 
 
+def test_structural_problems_come_first_in_node_order():
+    # the analysis reports duplicate ids in pre-order, then each
+    # discharging node's problems in pre-order, its ids sorted; the node
+    # violations follow
+    p, q = f("p"), f("q")
+    inner = node("imp_int", Imp(p, p), [assume(p, "c")], {"c"})
+    twice = node("imp_int", Imp(p, Imp(p, p)), [inner], {"w", "c", "u"})
+    away = node("imp_int", Imp(q, p), [assume(p, "a")], {"b"})
+    pair = node("and_int", And(q, p), [assume(q, "b"), assume(p, "a")])
+    rest = node("and_int", And(Imp(q, p), And(q, p)), [away, pair])
+    t = node("and_int", And(Imp(p, Imp(p, p)), TOP),
+             [twice, node("top_int", p), rest])
+    assert [(v.node, v.constraint, v.message) for v in invalid(t).violations] == [
+        ("r.2.1.1", "discharge", "duplicate leaf id 'a'"),
+        ("r.0", "discharge", "discharge of unknown leaf 'u'"),
+        ("r.0", "discharge", "discharge of unknown leaf 'w'"),
+        ("r.0.0", "discharge", "leaf 'c' discharged twice"),
+        ("r.2.0", "discharge", "leaf 'b' is not in the subtree it is discharged from"),
+        ("r", "rule", "and_int expects 2 premises, got 3"),
+        ("r.1", "rule", "the truth constant is the only conclusion here"),
+    ]
+
+
 # --- axiomatic systems ----------------------------------------------------------------
 
 def test_axiom_availability_ladder():

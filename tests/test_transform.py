@@ -8,9 +8,10 @@ import pytest
 
 from bqlcd.proofgen import axiomatic_corpus, closed_theorem_corpus, generate_corpus
 from bqlcd.proofkernel import (
-    CHILD_COUNT, IDENTITY_RULES, INTERNALISED, ND_RULES, _eigenparam_for_exists, analyze,
-    assume, check_proof, eigenparameter, internal_instance, node, open_assumptions,
-    proof_size, proof_to_json, proofs_equal, stratum, rename_eigenvariables,
+    CHILD_COUNT, IDENTITY_RULES, INTERNALISED, ND_RULES, SCHEMAS, _eigenparam_for_exists,
+    analyze, assume, check_proof, eigenparameter, internal_instance, match_schema, node,
+    open_assumptions, proof_size, proof_to_json, proofs_equal, schema_instance, stratum,
+    rename_eigenvariables,
 )
 from bqlcd.syntax import (
     And, Exists, Forall, Imp, Or, Param, TOP, big_conj, box, parameters_of,
@@ -23,6 +24,7 @@ from bqlcd.transform import (
     reduce_proof, regularity_transform, relabel_fresh, relative_deduction,
     unbox, unrestricted_exists_elim, unrestricted_or_elim, _rule_proof,
 )
+from oracle import reference_instance, reference_match
 from proofcases import (
     AXIOM_INSTANCES, curry_derivation, deep_and_chain, detachment_paired_with_itself,
     display_one, display_two, exists_elim_with_side_context, f, fo, mp_chain,
@@ -541,10 +543,16 @@ def test_round_trip_axiomatic_nd_axiomatic():
 
 
 @pytest.fixture(scope="module")
-def compiled_corpus():
-    """The reduced proofs of three seeded corpora compiled into tjk+."""
-    return [nd_to_axiomatic(reduce_proof(t).proof)
+def reduced_corpus():
+    """(proof, its reduction) for three seeded corpora."""
+    return [(t, reduce_proof(t).proof)
             for seed in (0, 1, 2) for t in generate_corpus(seed=seed, size=200)]
+
+
+@pytest.fixture(scope="module")
+def compiled_corpus(reduced_corpus):
+    """The reduced proofs of three seeded corpora compiled into tjk+."""
+    return [nd_to_axiomatic(red) for _, red in reduced_corpus]
 
 
 def test_translation_outputs_are_pinned(compiled_corpus):
@@ -554,6 +562,48 @@ def test_translation_outputs_are_pinned(compiled_corpus):
     text = json.dumps(outs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "0d9bb1705847a9d284926384c1c04e56d1d723d730c096dfce9c11de5abf9452")
+
+
+def test_schema_kernels_agree_with_the_reference(reduced_corpus, compiled_corpus):
+    # every conclusion, and the internalised instance of every one- or
+    # two-premise node, of the corpora, their reductions and translations,
+    # against every schema: same bindings in the same key order, or None
+    numbers, by_parts = {}, {}
+
+    def number(phi):
+        """One number for equal formulas, read off the numbers of the parts,
+        so no formula is hashed whole."""
+        got = numbers.get(id(phi))
+        if got is None:
+            if isinstance(phi, (And, Or, Imp)):
+                parts = (type(phi), number(phi.left), number(phi.right))
+            elif isinstance(phi, (Forall, Exists)):
+                parts = (type(phi), phi.var, number(phi.body))
+            else:
+                parts = phi
+            got = numbers[id(phi)] = by_parts.setdefault(parts, len(by_parts))
+        return got
+
+    formulas = {}
+    for t in [t for pair in reduced_corpus for t in pair] + compiled_corpus \
+            + axiomatic_corpus():
+        for nd in analyze(t).nodes:
+            formulas.setdefault(number(nd.conclusion), nd.conclusion)
+            kids = [c.conclusion for c in nd.children]
+            if 1 <= len(kids) <= 2:
+                key = (number(nd.conclusion), *map(number, kids))
+                if key not in formulas:
+                    formulas[key] = internal_instance(kids, nd.conclusion)
+    matched = 0
+    for name in SCHEMAS:
+        for phi in formulas.values():
+            got, want = match_schema(name, phi), reference_match(name, phi)
+            assert (got is None) == (want is None), (name, pretty(phi))
+            if got is not None:
+                matched += 1
+                assert list(got.items()) == list(want.items()), (name, pretty(phi))
+                assert schema_instance(name, **got) == reference_instance(name, got) == phi
+    assert (len(formulas), matched) == (29_896, 15_890)
 
 
 def test_compiled_proofs_have_no_assumption_leaf_or_discharge(compiled_corpus):
