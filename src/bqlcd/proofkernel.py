@@ -114,13 +114,14 @@ def _preorder(t: Proof):
     """The nodes of ``t`` in pre-order, children left to right, and the
     indices of each node's children."""
     nodes, kids, stack = [], [], [(t, -1)]
+    push = stack.append
     while stack:
         nd, parent = stack.pop()
         i = len(nodes)
         if parent >= 0:
             kids[parent].append(i)
-        if nd.children:
-            stack += [(c, i) for c in reversed(nd.children)]
+        for c in reversed(nd.children):
+            push((c, i))
         nodes.append(nd)
         kids.append([])
     return nodes, kids
@@ -203,23 +204,32 @@ def analyze(t: Proof) -> Analysis:
         ks = kids[i]
         if ks:
             end[i] = end[ks[-1]]
-            strata[i] = max(strata[k] for k in ks)
-            if nodes[i].rule == "imp_elim" and len(ks) > 1:
-                strata[i] = max(strata[i], strata[ks[1]] + 1)
+            s = -1
+            for k in ks:
+                if strata[k] > s:
+                    s = strata[k]
+            if len(ks) > 1 and nodes[i].rule == "imp_elim" and strata[ks[1]] >= s:
+                s = strata[ks[1]] + 1
+            strata[i] = s
     leaf_node, leaf_formula, discharged_by, problems = {}, {}, {}, []
     right_of = [-1] * len(nodes)
+    discharging = []
     for i, nd in enumerate(nodes):
-        if nd.is_assumption():
+        if nd.rule == ASSUME:
             if nd.leaf_id in leaf_node:
                 problems.append(("discharge", i, f"duplicate leaf id {nd.leaf_id!r}"))
             leaf_node[nd.leaf_id] = i
             leaf_formula[nd.leaf_id] = nd.conclusion
-        for k in kids[i]:
-            right_of[k] = right_of[i]
-        if nd.rule == "imp_elim" and len(kids[i]) > 1:
-            right_of[kids[i][1]] = i
-    for i, nd in enumerate(nodes):
-        for lid in sorted(nd.discharges):
+        ks = kids[i]
+        if ks:
+            for k in ks:
+                right_of[k] = right_of[i]
+            if len(ks) > 1 and nd.rule == "imp_elim":
+                right_of[ks[1]] = i
+        if nd.discharges:
+            discharging.append(i)
+    for i in discharging:
+        for lid in sorted(nodes[i].discharges):
             if lid not in leaf_node:
                 problems.append(("discharge", i, f"discharge of unknown leaf {lid!r}"))
             elif not i < leaf_node[lid] < end[i]:
@@ -300,43 +310,85 @@ _INSTANTIATING = frozenset({"forall_inst", "exists_int"})
 
 def match_schema(name: str, f: Formula):
     """The metavariable bindings under which ``f`` instantiates the schema,
-    or None; a repeated metavariable binds equal parts of ``f``."""
-    bindings: dict = {}
-    if not _bind(SCHEMAS[name], f, bindings):
-        return None
-    if name in _INSTANTIATING and not match_instantiation(
+    or None; a repeated metavariable binds equal parts of ``f``.  The keys
+    come in the order a left to right walk of the schema first meets them.
+    Runs the schema's matcher, compiled the first time the schema is used."""
+    bindings = _KERNELS[name][0](f)
+    if bindings is not None and name in _INSTANTIATING and not match_instantiation(
             bindings["A"], bindings["x"], bindings["B"])[0]:
         return None
     return bindings
 
 
-def _bind(pat, f, bindings):
-    if isinstance(pat, Atom):
-        got = bindings.setdefault(pat.rel, f)
-        return got is f or got == f
-    if type(pat) is not type(f):
-        return False
-    if isinstance(pat, QUANT):
-        return (bindings.setdefault(pat.var, f.var) == f.var
-                and _bind(pat.body, f.body, bindings))
-    if isinstance(pat, BINARY):
-        return _bind(pat.left, f.left, bindings) and _bind(pat.right, f.right, bindings)
-    return True
-
-
 def schema_instance(name: str, **bindings) -> Formula:
-    """The schema with every metavariable replaced by its binding."""
-    return _fill(SCHEMAS[name], bindings)
+    """The schema with every metavariable replaced by its binding.  Runs
+    the schema's builder, compiled the first time the schema is used."""
+    return _KERNELS[name][1](bindings)
 
 
-def _fill(pat, bindings):
-    if isinstance(pat, Atom):
-        return bindings[pat.rel]
-    if isinstance(pat, QUANT):
-        return type(pat)(bindings[pat.var], _fill(pat.body, bindings))
-    if isinstance(pat, BINARY):
-        return type(pat)(_fill(pat.left, bindings), _fill(pat.right, bindings))
-    return pat
+class _Kernels(dict):
+    """Schema name -> (matcher, builder), each compiled on first use, so
+    importing the package compiles nothing."""
+
+    def __missing__(self, name):
+        got = self[name] = _compile_schema(name, SCHEMAS[name])
+        return got
+
+
+_KERNELS = _Kernels()
+
+
+def _compile_schema(name, pat):
+    """Two straight-line functions for the schema ``pat``.  ``match(f)``
+    walks ``pat`` left to right in type tests and field reads, compares a
+    repeated metavariable's parts by ``is``, then ``==``, and returns the
+    bindings or None.  ``build(bindings)`` constructs the instance; a
+    constant such as ``true`` is the schema's own object."""
+    namespace, seen, test = {}, {}, []
+
+    def walk(p, at):
+        if isinstance(p, Atom):
+            if p.rel in seen:
+                test.append(f"if {at} is not {seen[p.rel]} and {seen[p.rel]} != {at}: "
+                            f"return None")
+            else:
+                seen[p.rel] = at
+            return
+        kind = type(p).__name__
+        namespace[kind] = type(p)
+        test.append(f"if type({at}) is not {kind}: return None")
+        if isinstance(p, QUANT):
+            if p.var in seen:
+                test.append(f"if {seen[p.var]} != {at}.var: return None")
+            else:
+                seen[p.var] = f"{at}v"
+                test.append(f"{at}v = {at}.var")
+            test.append(f"{at}b = {at}.body")
+            walk(p.body, f"{at}b")
+        elif isinstance(p, BINARY):
+            for side, field in (("l", "left"), ("r", "right")):
+                test.append(f"{at}{side} = {at}.{field}")
+                walk(getattr(p, field), at + side)
+
+    def instance(p):
+        if isinstance(p, Atom):
+            return p.rel
+        if isinstance(p, QUANT):
+            return f"{type(p).__name__}({p.var}, {instance(p.body)})"
+        if isinstance(p, BINARY):
+            return f"{type(p).__name__}({instance(p.left)}, {instance(p.right)})"
+        const = f"K{len(namespace)}"
+        namespace[const] = p
+        return const
+
+    walk(pat, "f")
+    found = ", ".join(f"{meta!r}: {local}" for meta, local in seen.items())
+    reads = "".join(f"    {meta} = bindings[{meta!r}]\n" for meta in seen)
+    source = ("def match(f):\n" + "".join(f"    {line}\n" for line in test)
+              + f"    return {{{found}}}\n\n"
+              + f"def build(bindings):\n{reads}    return {instance(pat)}\n")
+    exec(compile(source, f"<schema {name}>", "exec"), namespace)
+    return namespace["match"], namespace["build"]
 
 
 BASE_AXIOMS = frozenset({
@@ -810,10 +862,19 @@ def rename_eigenvariables(t: Proof, avoid) -> Proof:
     avoid = set(avoid)
     used = parameters_of(t) | avoid
     counter = itertools.count(max(used) + 1 if used else 0)
+    # each existential elimination's witness leaves are read off one
+    # analysis of ``t``: in a valid proof, no renaming below the node
+    # touches the leaves it discharges
+    an = analyze(t)
 
     def go(nd, kids):
         nd = replace(nd, children=tuple(kids))
-        idx = eigenparameter(nd)
+        if nd.rule == "forall_int":
+            idx = _eigenparam_for_forall(nd)[0]
+        elif nd.rule == "exists_elim":
+            idx = _eigenparam_for_exists(nd, an)[0]
+        else:
+            idx = None
         if idx is not None and idx in avoid:
             new = next(counter)
             if nd.rule == "forall_int":

@@ -72,8 +72,20 @@ class _Applied(_Node):
 
 
 class _Binary(_Node):
-    def __post_init__(self):
-        self._facts((self.left, self.right))
+    """``And``, ``Or`` and ``Imp``: the fields and the facts are written in
+    one step, as ``_facts`` would set them, since formulas are built in
+    every hot loop."""
+
+    def __init__(self, left, right):
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
+        a, b = left.free, right.free
+        if a or b:
+            d["free"] = a | b if a and b else a or b
+        a, b = left.params, right.params
+        if a or b:
+            d["params"] = a | b if a and b else a or b
 
 
 class _Binder(_Node):
@@ -127,19 +139,19 @@ class Atom(_Applied):
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class And(_Binary):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Or(_Binary):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Imp(_Binary):
     left: "Formula"
     right: "Formula"
