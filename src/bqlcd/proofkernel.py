@@ -20,8 +20,10 @@ n-1), the axiomatic systems ``bd+``, ``djd+``, ``tjd+``, ``tjkd+``, ``tjk+``,
 and identity variants ``<nd system>+eq`` / ``<nd system>+eqxm``.
 
 Each axiom schema is written once, as a formula over metavariables, in the
-table ``SCHEMAS``.  ``match_schema`` reads it for the checker and
-``schema_instance`` for the translations.  Thirteen rules each internalise
+table ``SCHEMAS``.  The first time a schema is used it is compiled into two
+straight-line functions, a matcher that ``match_schema`` runs for the
+checker and a builder that ``schema_instance`` runs for the translations;
+a traceback names them ``<schema NAME>``.  Thirteen rules each internalise
 an axiom schema read as a rule; ``INTERNALISED`` lists them, and the
 checker, the axiom templates and both translations read it.
 """
