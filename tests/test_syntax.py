@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import functools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -265,6 +268,21 @@ def test_stored_facts_match_the_reference(phi, rng):
             for x in parts:
                 assert x.free == reference_free_vars(x)
                 assert x.params == reference_params(x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(formulas())
+def test_copies_keep_the_formula_and_its_facts(phi):
+    # a copy, a pickled round trip, a replaced part and a keyword
+    # construction each give the formula with its stored facts
+    for x in (phi, generalize_param(phi, 1, "y")):
+        copies = [copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
+        if isinstance(x, (And, Or, Imp)):
+            copies += [dataclasses.replace(x, left=x.left),
+                       type(x)(left=x.left, right=x.right)]
+        for y in copies:
+            assert (y, hash(y), repr(y)) == (x, hash(x), repr(x))
+            assert (y.free, y.params) == (reference_free_vars(x), reference_params(x))
 
 
 @settings(max_examples=60)
