@@ -3,9 +3,11 @@
 open assumptions as premises) in mode ``bqlcd_r``, and prints one JSON line
 with the bounds, the sequent count, the countermodels found (0 when the
 search agrees with the proof kernel), the wall time of the searches, the
-search counters summed over the battery and the number of frame plans the
-searches built (``frame_plans``; each is built once per process and shared
-by every search that visits its frame with the same relation shapes).
+search counters summed over the battery, and the cell plans the searches
+built (``cell_plans``) and looked up again (``cell_plan_hits``).  A cell is
+one (worlds, domain size) pair; its plan is built once per process and
+shared by every search that visits the cell with the same relation and
+function shapes.
 
     PYTHONPATH=src python scripts/battery.py --bounds 3 2
 """
@@ -40,7 +42,8 @@ def main():
     elapsed = time.perf_counter() - t0
     print(json.dumps({"bounds": list(args.bounds), "sequents": len(sequents),
                       "found": found, "seconds": round(elapsed, 2), **counters,
-                      "frame_plans": kripke._frame_plan.cache_info().misses}))
+                      "cell_plans": kripke._cell_plan.cache_info().misses,
+                      "cell_plan_hits": kripke._cell_plan.cache_info().hits}))
 
 
 if __name__ == "__main__":

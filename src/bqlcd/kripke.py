@@ -514,28 +514,38 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
     """Exhaustive bounded search for a model refuting ``gamma |= phi``.
 
     Set-up is built once, as widely shared as it can be.  Once per process:
-    the frames of each world count (``_frames``) and each frame's plan
-    (``_frame_plan``), which depends on the frame, the relations' row
-    counts, the identity mode and the lane count, never on the sentences,
-    so searches share it.  Once per search: the compiled sentences, and the
-    relation, function-table and constant spaces of each domain size
-    (``_Sequent.cell``).  Once per frame: the size caps are checked, the
-    plan is looked up and the frame is set on the compiled closures.
+    the frames of each world count (``_frames``) and each cell's plan
+    (``_cell_plan``), a cell being one (world count, domain size) pair.  A
+    plan depends on the world count, the witness rule, the relations' row
+    counts, the function-table counts, the identity mode and the lane count,
+    never on the sentences, so searches share it.  Once per search: the
+    compiled sentences, and the relation, function-table and constant spaces
+    of each domain size (``_Sequent.cell``).  Once per cell: the plan is
+    looked up.  Then the frames of each lane group (``_LaneGroup``) are set
+    on the compiled closures once per constant vector and function tables.
 
     Deterministic: models are enumerated in a fixed order, world count k
     outermost, then domain size, then the frames of ``_frames(k)``, then
     constant vectors in ``itertools.product`` order, function tables, and
     the relation extensions and identity relations as one product of digits:
     one per relation row, relation by relation and tuple by tuple, then the
-    identity digit, the last varying fastest.  The innermost digits, up to
-    ``_LANES`` interpretations, form a block that one pass of the compiled
-    sentences decides, one lane of k + 1 bits per interpretation (see
-    ``_compile_sequent``); the outer digits pick the block, in product order
-    too.  The lowest set bit of the refuting lanes' witness mask is then the
-    first refuting world of the first refuting model, which is returned.
+    identity digit, the last varying fastest.  One pass of the compiled
+    sentences decides a block of up to ``_LANES`` interpretations, one lane
+    of k + 1 bits per interpretation (see ``_compile_sequent``).  A block
+    holds several consecutive frames of a cell whole, side by side, or part
+    of one frame too large for a block, whose outer digits then pick the
+    block in product order (see ``_cell_plan``).  The passes over a block
+    run in (constant vector, function tables, outer digits) order, so the
+    lowest set bit of the refuting lanes' witness mask is the first
+    refuting world of the first refuting model of the first frame that has
+    one in that pass.  A later pass may still refute an earlier frame of the
+    block, so the hit is recorded, the lanes of its frame and of every later
+    one are masked out, and the block's passes go on while lanes are left;
+    the recorded hit is then the first model, which is returned.
     In mode ``congruence`` a lane counts only if the sentences of
-    ``_congruence_sentences``, compiled with the sequent, hold at its first
-    witness, a reflexive root, whose implications range over every world.
+    ``_congruence_sentences``, compiled with the sequent, hold at its
+    frame's first witness, a reflexive root, whose implications range over
+    every world.
     Two rules prune the order without changing that first model:
 
     - Root rule: the witness must be a root, a world that sees every other
@@ -549,9 +559,10 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
 
     ``stats`` counts the frames searched, the frames skipped for want of a
     root, the constant vectors tried, the interpretations evaluated (up to
-    and including the refuting one) and the passes, one per block.  A
-    ``None`` model with ``exhausted=True`` is not a validity proof, only
-    exhaustion of the bounds.
+    and including the refuting one), all as a loop over the frames one by
+    one in the order above would count them, and the passes, one per block
+    decided.  A ``None`` model with ``exhausted=True`` is not a validity
+    proof, only exhaustion of the bounds.
     """
     if mode not in MODES:
         raise ValueError(f"unknown search mode {mode!r}")
@@ -580,19 +591,9 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
                                      _index(const_names), _index(fun_names))[:2])
     for k in range(1, bounds.max_worlds + 1):
         for m in range(1, max_domain + 1):
-            for frame, succ, upsets, roots in _frames(k):
-                # a countermodel refuted at a non-root w restricts to the
-                # submodel generated by w, which has fewer worlds and was
-                # searched before, so the first countermodel has a root witness
-                witnesses = tuple(a for a in roots if (a, a) in frame) \
-                    if reflexive_witness else roots
-                if not witnesses:
-                    seq.stats["frames_unrooted"] += 1
-                    continue
-                seq.stats["frames"] += 1
-                found = _search_frame(seq, k, m, frame, succ, upsets, witnesses)
-                if found is not None:
-                    return found
+            found = _search_cell(seq, k, m, reflexive_witness)
+            if found is not None:
+                return found
     return SearchResult(None, None, True, tuple(seq.notes), seq.stats)
 
 
@@ -669,16 +670,18 @@ def _compile_sequent(sentences, rel_index, const_index, fun_index):
     read plus ``env``, so callers set the frame again when constants or
     functions change.
 
-    With ``packed``, every mask holds L interpretations of the frame side by
-    side (SWAR): lane j is the ``width`` bits from ``j * width``, where
-    ``width`` is one bit more than the frame's mask, and the lane's top bit
-    is a guard that stays 0.  The groups are then (successor mask, world
-    bits, one-lane world bits) in every lane, ``packed`` is the frame's mask
-    in every lane, the guard bits and ``width - 1``, and ``interp`` holds
-    lane-packed masks.  ``implies`` decides every lane at once: a lane of
-    ``t = bad & succ`` that is not 0 carries into its guard bit when the
-    lane's low bits, all ones, are added.  Constants, functions and
-    assignments are shared by all lanes.
+    With ``packed``, every mask holds L interpretations side by side (SWAR):
+    lane j is the ``width`` bits from ``j * width``, where ``width`` is one
+    bit more than a frame's mask, and the lane's top bit is a guard that
+    stays 0.  The lanes may hold different frames of one world count.  The
+    groups are then (successor mask, world bits, one-lane world bits): the
+    successor mask holds each lane's own frame's successors of the world,
+    and the world bits are the world in every lane.  ``packed`` is every
+    world in every lane, the guard bits and ``width - 1``, and ``interp``
+    holds lane-packed masks.  ``implies`` decides every lane at once: a
+    lane of ``t = bad & succ`` that is not 0 carries into its guard bit
+    when the lane's low bits, all ones, are added.  Constants, functions
+    and assignments are shared by all lanes.
     """
     m = full_mask = guard = shift = None
     groups = ()
@@ -782,143 +785,270 @@ def _compile_sequent(sentences, rel_index, const_index, fun_index):
     return [compile_(f_)[0] for f_ in sentences], set_frame, implies
 
 
-def _search_frame(seq, k, m, frame, succ, upsets, witnesses):
-    gamma, compiled, identity, sig = seq.gamma, seq.compiled, seq.identity, seq.sig
-    stats = seq.stats
-    nodes = tuple(range(k))
+def _search_cell(seq, k, m, reflexive_witness):
+    """Search the frames of k worlds at domain size m; returns the cell's
+    first model as a SearchResult, or None.  The counters and notes are
+    those of a loop over the cell's frames one by one."""
+    sig, stats = seq.sig, seq.stats
+    plan = _cell_plan(k, reflexive_witness, tuple(m ** sig.relations[r] for r in seq.rel_names),
+                      tuple(m ** (m ** sig.functions[f]) for f in seq.fun_names), seq.identity,
+                      None if seq.identity == "absent" else m, _LANES)
+    hit, const_space = None, ()
+    if plan.lane_groups:
+        rel_specs, fun_spaces, const_space = seq.cell(m)
+    for group in plan.lane_groups:
+        hit, counts = _run_group(seq, group, plan.row_bounds, m, const_space, fun_spaces)
+        stats["interpretations"] += sum(counts if hit is None else counts[:hit[0] + 1])
+        if hit is not None:
+            break
+    frames = plan.frames
+    if hit is not None:
+        # a frame-by-frame loop never reaches the frames after the hit's
+        frames = frames[:group.members[hit[0]][0] + 1]
+    searched = sum(skip is None for _, _, skip, _, _ in frames)
+    stats["frames"] += len(frames)
+    if hit is None:
+        stats["frames_unrooted"] += plan.unrooted
+        stats["const_vectors"] += searched * len(const_space)
+    else:
+        stats["frames_unrooted"] += frames[-1][1]
+        # the hit's frame met the constant vectors up to the hit's
+        stats["const_vectors"] += (searched - 1) * len(const_space) + hit[1] + 1
+    for _, _, skip, _, _ in frames:
+        if skip is not None:
+            note = skip.format(k=k, m=m, funs=seq.fun_names, rels=seq.rel_names)
+            if note not in seq.notes:
+                seq.notes.append(note)
+    if hit is None:
+        return None
+    _, _, const_vals, fun_tables, digits, world = hit
+    frame, _, _, upset_masks, eq_assignments = frames[-1]
+    *rows, eq = digits
+    rows = [upset_masks[i] for i in rows]
+    model = _materialize_masks(seq, tuple(range(k)), frame, m, const_vals, fun_tables, rel_specs,
+                               [rows[a:b] for a, b in plan.row_bounds[:-1]],
+                               eq_assignments[eq])
+    validate_model(model)
+    *premises, conclusion = world_masks(model, seq.gamma + [seq.phi])
+    assert all(g >> world & 1 for g in premises) and not conclusion >> world & 1
+    return SearchResult(model, model.worlds[world], False, tuple(seq.notes), stats)
 
-    def skip(note):
-        if note not in seq.notes:
-            seq.notes.append(note)
 
-    # the spaces are sized before any is built: each symbol's alone, then
-    # all of them together
-    total = 1
-    for f in seq.fun_names:
-        count = m ** (m ** sig.functions[f])
-        if count > _FUN_TABLE_CAP:
-            return skip(f"skipped k={k} m={m}: function {f} has {count} tables")
-        total *= count
-    for r in seq.rel_names:
-        count = len(upsets) ** (m ** sig.relations[r])
-        if count > _REL_SPACE_CAP:
-            return skip(f"skipped k={k} m={m}: relation {r} has {count} interpretations")
-        total *= count
-    if total > _REL_SPACE_CAP:
-        return skip(f"skipped k={k} m={m}: {total} interpretations of the "
-                    f"relations and functions together")
+def _run_group(seq, group, row_bounds, m, const_space, fun_spaces):
+    """Run the passes of one ``_LaneGroup`` in (constant vector, function
+    tables, outer digits) order.  Returns the first hit in frame order, as
+    (member index, constant vector index, constant vector, function tables,
+    digits, world), or None, and the valid interpretations each member
+    frame met, up to and including the hit in the hit's frame."""
+    compiled, n, stats = seq.compiled, len(seq.gamma), seq.stats
+    words, lanes, full, witnesses, firsts, spans = \
+        group.words, group.lanes, group.full, group.witnesses, group.firsts, group.spans
+    full_mask, guard, shift = group.packed
+    width, worlds = shift + 1, (1 << shift) - 1
+    counts = [0] * len(spans)
+    hit, alive = None, -1
+    # the valid lanes of the passes since ``last`` last changed, tallied per
+    # member when it changes
+    last = times = 0
 
-    rel_specs, fun_spaces, const_space = seq.cell(m)
-    upset_masks, eq_assignments, layout, words, row_bounds, lanes, full, groups, packed = \
-        _frame_plan(succ, upsets, tuple(len(t) for _, _, t in rel_specs), identity,
-                    None if identity == "absent" else m, _LANES)
-    width = k + 1
-    witness_mask = sum(1 << a for a in witnesses)
+    def tally():
+        for i, span in enumerate(spans):
+            counts[i] += (last & span).bit_count() * times
 
-    for const_vals in const_space:
-        stats["const_vectors"] += 1
+    for ci, const_vals in enumerate(const_space):
         for fun_tables in itertools.product(*fun_spaces) if fun_spaces else [()]:
-            # the caches are shared by every frame of the search, so they
-            # are cleared whenever the frame, the constants or the function
+            # the caches are shared by every group of the search, so they
+            # are cleared whenever the group, the constants or the function
             # tables change: each change starts a pass of this loop, and
             # setting the frame clears them
-            seq.set_frame(m, groups, packed)
+            seq.set_frame(m, group.succ_groups, group.packed)
             for qs in itertools.product(*(range(len(w)) for w in words)):
                 flat = [x for w, q in zip(words, qs) for x in w[q][0]]
                 interp = tuple(tuple(flat[a:b]) for a, b in row_bounds)
                 real = min(w[q][1] for w, q in zip(words, qs))
-                valid = full if real == lanes else _repeat(1, width, real)
+                valid = (full if real == lanes else _repeat(1, width, real)) & alive
                 # a lane is a congruence model iff the congruence sentences
-                # hold at its first witness, a reflexive root
-                for run in compiled[len(gamma):-1]:
-                    valid &= run(interp, const_vals, fun_tables, ()) >> witnesses[0]
+                # hold at its frame's first witness, a reflexive root; a lane
+                # of ``held`` that is not 0 carries into its guard bit
+                for run in compiled[n:-1]:
+                    held = run(interp, const_vals, fun_tables, ()) & firsts
+                    valid &= (held + full_mask & guard) >> shift
                 stats["passes"] += 1
                 phi_mask = compiled[-1](interp, const_vals, fun_tables, ())
-                live = witness_mask * valid & ~phi_mask
-                for idx in range(len(gamma)):
+                live = witnesses & valid * worlds & ~phi_mask
+                for idx in range(n):
                     if not live:
                         break
                     live &= compiled[idx](interp, const_vals, fun_tables, ())
-                if not live:
-                    stats["interpretations"] += valid.bit_count()
-                    continue
-                low = (live & -live).bit_length() - 1
-                stats["interpretations"] += (valid & ((2 << low) - 1)).bit_count()
-                lane, hit = divmod(low, width)
-                *rows, eq = [q * chunk + lane // stride % chunk
-                             for q, (stride, chunk) in zip(qs, layout)]
-                rows = [upset_masks[i] for i in rows]
-                model = _materialize_masks(
-                    seq, nodes, frame, m, const_vals, fun_tables, rel_specs,
-                    [rows[a:b] for a, b in row_bounds[:-1]], eq_assignments[eq])
-                validate_model(model)
-                *premises, conclusion = world_masks(model, gamma + [seq.phi])
-                assert all(g >> hit & 1 for g in premises) \
-                    and not conclusion >> hit & 1
-                w = model.worlds[hit]
-                return SearchResult(model, w, False, tuple(seq.notes), stats)
+                if live:
+                    low = (live & -live).bit_length() - 1
+                    valid &= (2 << low) - 1
+                if valid != last:
+                    tally()
+                    last, times = valid, 0
+                times += 1
+                if live:
+                    lane, world = divmod(low, width)
+                    i = sum(at <= lane for _, at, _ in group.members) - 1
+                    _, at, layout = group.members[i]
+                    hit = (i, ci, const_vals, fun_tables,
+                           [q * chunk + (lane - at) // stride % chunk
+                            for q, (stride, chunk) in zip(qs, layout)], world)
+                    # only an earlier frame can still come first
+                    alive = (1 << at * width) - 1
+                    if not alive:
+                        tally()
+                        return hit, counts
+    tally()
+    return hit, counts
+
+
+def _cap(tables, rows, n_upsets):
+    """Why a frame with ``n_upsets`` upsets is skipped, as a note to format
+    with k, m and the names of the functions (``funs``) and relations
+    (``rels``), or None: the spaces are sized before any is built, each
+    symbol's alone, then all of them together."""
+    total = 1
+    for i, count in enumerate(tables):
+        if count > _FUN_TABLE_CAP:
+            return f"skipped k={{k}} m={{m}}: function {{funs[{i}]}} has {count} tables"
+        total *= count
+    for i, r in enumerate(rows):
+        count = n_upsets ** r
+        if count > _REL_SPACE_CAP:
+            return f"skipped k={{k}} m={{m}}: relation {{rels[{i}]}} has {count} interpretations"
+        total *= count
+    if total > _REL_SPACE_CAP:
+        return (f"skipped k={{k}} m={{m}}: {total} interpretations of the relations and "
+                f"functions together")
     return None
 
 
-# Frame plans kept per process.  A plan depends on the frame and the
-# signature's shape, not on the sentences, so searches share them: the
-# ``search`` benchmark workload's round of 100 operations uses 197.
-_FRAME_PLANS = 1024
+# Cell plans kept per process.  A plan depends on the world count, the mode
+# and the signature's shape, not on the sentences, so searches share them:
+# the ``search`` benchmark workload's round of 100 operations visits 324
+# cells with 47 plans.
+_CELL_PLANS = 1024
 
 
-@functools.lru_cache(maxsize=_FRAME_PLANS)
-def _frame_plan(succ, upsets, rows, identity, m, max_lanes):
-    """What ``_search_frame`` needs of a frame, given its successors and
-    upsets (from ``_frames``), the number of rows of each relation, the
-    identity mode, the domain size m where identity is not absent (else
-    None), and the most lanes a block may have.  Returns, all as tuples:
+@dataclass(frozen=True)
+class _CellPlan:
+    """What ``_search_cell`` needs of a cell (see ``_cell_plan``)."""
+    frames: tuple       # rooted frames: (relation, unrooted frames before it,
+                        # skip note, upset masks, '=' relations)
+    unrooted: int
+    row_bounds: tuple   # the slice of the flat rows each relation, then '=', takes
+    lane_groups: tuple  # _LaneGroup, in frame order
 
-    - ``upset_masks``: the upsets as world masks;
-    - ``eq_assignments``: the identity digit's values, the per-world '='
-      relations (one ``None`` without identity);
-    - ``layout``, ``lanes``: the digits' layout and the lanes per block (see
-      ``_lane_layout``);
-    - ``words``: per digit and outer index q, the lane-packed masks the
-      digit gives its rows in the blocks with outer index q, and how many
-      leading lanes are real;
-    - ``row_bounds``: the slice of the flat rows that each relation, then
-      '=', takes;
-    - ``full``: bit 0 of every lane;
-    - ``groups``, ``packed``: the frame for ``set_frame``, in every lane.
+
+@dataclass(frozen=True)
+class _LaneGroup:
+    """Consecutive frames of a cell whose interpretations fill blocks with one
+    layout: whole frames side by side in one block, or one frame too large
+    for a block across the blocks of ``_lane_layout``.  A member frame's
+    lanes start at its offset; every field but ``members`` is lane-packed
+    over the group's ``lanes``."""
+    members: tuple      # (frame position, lane offset, digit layout) per frame
+    words: tuple        # per digit and outer index q: (row words, real lanes)
+    lanes: int
+    full: int           # bit 0 of every lane
+    succ_groups: tuple  # the frames for ``set_frame``
+    packed: tuple
+    witnesses: int      # each lane's frame's witnesses
+    firsts: int         # each lane's frame's first witness
+    spans: tuple        # every bit of each member's lanes
+
+
+@functools.lru_cache(maxsize=_CELL_PLANS)
+def _cell_plan(k, reflexive_witness, rows, tables, identity, m, max_lanes):
+    """The plan of the cell of k worlds, given the witness rule (whether the
+    witness must be reflexive), the number of rows of each relation, the
+    number of tables of each function, the identity mode, the domain size m
+    where identity is not absent (else None), and the most lanes a block may
+    have.
+
+    Lists the rooted frames of ``_frames(k)`` in order, each with the
+    number of unrooted frames before it, why it is skipped, if it is (see
+    ``_cap``), its upsets as world masks and the identity digit's values,
+    the per-world '=' relations (one ``None`` without identity).  The
+    interpretations of the frames not skipped are cut into ``_LaneGroup``:
+    consecutive frames whose whole products fit share one block, and a frame
+    larger than a block has its blocks to itself.
 
     The interpretations are the product of one digit per relation row,
     relation by relation and tuple by tuple, then the identity digit, the
     last varying fastest.  A digit's values are the masks it gives its
     rows: an upset to a relation row, the m * m world masks to '=' (none
     without identity, so interp[-1] is then empty)."""
-    nodes = range(len(succ))
-    upset_masks = tuple(sum(1 << a for a in s) for s in upsets)
-    if identity == "absent":
-        eq_assignments, pairs = (None,), ()
-    else:
-        pairs = tuple(itertools.product(range(m), repeat=2))
-        diag = frozenset((a, a) for a in range(m))
-        eq_assignments = ((diag,) * len(succ),) if identity == "strict" \
-            else tuple(_eq_assignments(succ, nodes, m))
-    digits = [[(u,) for u in upset_masks]] * sum(rows)
-    digits.append([() if eqs is None else
-                   tuple(sum(1 << a for a in nodes if pair in eqs[a]) for pair in pairs)
-                   for eqs in eq_assignments])
+    nodes = range(k)
+    pairs = () if identity == "absent" else tuple(itertools.product(range(m), repeat=2))
     ends = tuple(itertools.accumulate(rows + (len(pairs),)))
-    row_bounds = tuple(zip((0,) + ends, ends))
-    width = len(succ) + 1
-    lanes, layout = _lane_layout([len(values) for values in digits], max_lanes)
-    words = tuple(tuple((_lane_words(values[q * chunk:(q + 1) * chunk], chunk, stride, lanes,
-                                     width),
-                         lanes if (q + 1) * chunk <= len(values)
-                         else (len(values) - q * chunk) * stride)
-                        for q in range(-(-len(values) // chunk)))
-                  for values, (stride, chunk) in zip(digits, layout))
-    full, k = _repeat(1, width, lanes), len(succ)
-    groups = tuple((sum(1 << b for b in succ[a]) * full, (1 << a) * full, 1 << a)
-                   for a in nodes)
-    return (upset_masks, eq_assignments, layout, words, row_bounds, lanes, full, groups,
-            (((1 << k) - 1) * full, full << k, k))
+    frames, lane_groups, pending, used, unrooted = [], [], [], 0, 0
+    for rel, succ, upsets, roots in _frames(k):
+        # a countermodel refuted at a non-root w restricts to the submodel
+        # generated by w, which has fewer worlds and was searched before, so
+        # the first countermodel has a root witness
+        witnesses = tuple(a for a in roots if (a, a) in rel) if reflexive_witness else roots
+        if not witnesses:
+            unrooted += 1
+            continue
+        upset_masks = tuple(sum(1 << a for a in s) for s in upsets)
+        if identity == "absent":
+            eq_assignments = (None,)
+        elif identity == "strict":
+            eq_assignments = ((frozenset((a, a) for a in range(m)),) * k,)
+        else:
+            eq_assignments = tuple(_eq_assignments(succ, nodes, m))
+        skip = _cap(tables, rows, len(upsets))
+        frames.append((rel, unrooted, skip, upset_masks, eq_assignments))
+        if skip is not None:
+            continue
+        digits = [[(u,) for u in upset_masks]] * sum(rows)
+        digits.append([() if eqs is None else
+                       tuple(sum(1 << a for a in nodes if pair in eqs[a]) for pair in pairs)
+                       for eqs in eq_assignments])
+        size = len(upset_masks) ** sum(rows) * len(eq_assignments)
+        if pending and used + size > max_lanes:
+            lane_groups.append(_lane_group(pending, k, max_lanes))
+            pending, used = [], 0
+        pending.append((len(frames) - 1, succ, witnesses, digits))
+        used += size
+    if pending:
+        lane_groups.append(_lane_group(pending, k, max_lanes))
+    return _CellPlan(tuple(frames), unrooted, tuple(zip((0,) + ends, ends)), tuple(lane_groups))
+
+
+def _lane_group(members, k, max_lanes):
+    """The ``_LaneGroup`` of members (frame position, successors,
+    witnesses, digits' values): several only if their products fit in one
+    block together."""
+    width, at = k + 1, 0
+    layouts, words, succ_words, witnesses, firsts, spans = [], [], [0] * k, 0, 0, []
+    for pos, succ, wit, digits in members:
+        lanes, layout = _lane_layout([len(values) for values in digits], max_lanes)
+        shift, full = at * width, _repeat(1, width, lanes)
+        layouts.append((pos, at, layout))
+        words.append(tuple(
+            tuple((tuple(w << shift for w in _lane_words(
+                values[q * chunk:(q + 1) * chunk], chunk, stride, lanes, width)),
+                   lanes if (q + 1) * chunk <= len(values) else (len(values) - q * chunk) * stride)
+                  for q in range(-(-len(values) // chunk)))
+            for values, (stride, chunk) in zip(digits, layout)))
+        for a in range(k):
+            succ_words[a] |= sum(1 << b for b in succ[a]) * full << shift
+        witnesses |= sum(1 << a for a in wit) * full << shift
+        firsts |= (1 << wit[0]) * full << shift
+        spans.append(((1 << lanes * width) - 1) << shift)
+        at += lanes
+    if len(words) > 1:
+        # whole frames side by side: one block, each digit's rows the sum of
+        # the members' words
+        words = [tuple(((tuple(map(sum, zip(*(w[d][0][0] for w in words)))), at),)
+                       for d in range(len(words[0])))]
+    full = _repeat(1, width, at)
+    return _LaneGroup(tuple(layouts), words[0], at, full,
+                      tuple((s, (1 << a) * full, 1 << a) for a, s in enumerate(succ_words)),
+                      (((1 << k) - 1) * full, full << k, k), witnesses, firsts, tuple(spans))
 
 
 def _repeat(x, span, n):

@@ -9,12 +9,12 @@ walk over the schema's formula, for tests to check the compiled schema
 kernels against."""
 
 import itertools
-from unittest import mock
 
 from bqlcd import kripke
 from bqlcd.proofkernel import SCHEMAS
 from bqlcd.syntax import (
-    BINARY, QUANT, Atom, Const, Fn, Param, Var, match_instantiation, subterms,
+    BINARY, QUANT, Atom, Const, Exists, Fn, Forall, Param, Var, infer_signature,
+    match_instantiation, subformulas, subterms,
 )
 
 
@@ -60,16 +60,53 @@ def oracle_sat(m, w, phi, asg=None):
 
 
 def reference_search(gamma, phi, bounds, mode="bqlcd_r"):
-    """``kripke.countermodel_search`` with its frames searched by
-    ``_reference_frame``.  The result has the same model, witness, notes and
-    counters, except that ``passes`` stays 0."""
-    with mock.patch.object(kripke, "_search_frame", _reference_frame):
-        return kripke.countermodel_search(gamma, phi, bounds, mode)
+    """A countermodel search that tries the frames one by one, as
+    ``kripke.countermodel_search`` did before lanes: world count, then
+    domain size, then the frames, each searched by ``_reference_frame``.  It
+    keeps the search's domain bound, root rule, constant rule, size caps,
+    notes and counters; ``passes`` stays 0.  What it shares with the
+    package: the frames (``kripke._frames``), the compiled sentences
+    (``kripke._compile_sequent``), and the helpers that list the persistent
+    identity relations, test congruence and build the model."""
+    gamma = list(gamma)
+    identity, reflexive_witness = kripke._MODES[mode]
+    sig = infer_signature(gamma + [phi], identity_mode=identity)
+    params = sorted(frozenset().union(*(f.params for f in gamma + [phi])))
+    const_names = sorted(sig.constants) + [f"#{i}" for i in params]
+    rel_names = sorted(r for r in sig.relations if not (identity != "absent" and r == "="))
+    fun_names = sorted(sig.functions)
+    quantified = any(isinstance(g, (Forall, Exists))
+                     for f in gamma + [phi] for g in subformulas(f))
+    max_domain = bounds.max_domain \
+        if const_names or fun_names or quantified or identity != "absent" else 1
+    if not quantified and not fun_names and identity == "absent":
+        max_domain = min(max_domain, max(1, len(const_names)))
+    index = {r: i for i, r in enumerate(rel_names + (["="] if identity != "absent" else []))}
+    compiled, set_frame, _ = kripke._compile_sequent(
+        gamma + [phi], index, {c: i for i, c in enumerate(const_names)},
+        {f: i for i, f in enumerate(fun_names)})
+    seq = kripke._Sequent(gamma, phi, const_names, rel_names, fun_names, sig, identity,
+                          compiled, set_frame)
+    for k in range(1, bounds.max_worlds + 1):
+        for m in range(1, max_domain + 1):
+            for frame, succ, upsets, roots in kripke._frames(k):
+                # the witness is a root: one that is not is the root of a
+                # smaller countermodel, met before
+                witnesses = tuple(a for a in roots if (a, a) in frame) \
+                    if reflexive_witness else roots
+                if not witnesses:
+                    seq.stats["frames_unrooted"] += 1
+                    continue
+                seq.stats["frames"] += 1
+                found = _reference_frame(seq, k, m, frame, succ, upsets, witnesses)
+                if found is not None:
+                    return found
+    return kripke.SearchResult(None, None, True, tuple(seq.notes), seq.stats)
 
 
 def _reference_frame(seq, k, m, frame, succ, upsets, witnesses):
-    """The loop ``kripke._search_frame`` had before lanes: the compiled
-    sentences run once per interpretation, in product order."""
+    """Search one frame: the compiled sentences run once per
+    interpretation, in product order."""
     gamma, compiled, identity, sig = seq.gamma, seq.compiled, seq.identity, seq.sig
     stats = seq.stats
     nodes = tuple(range(k))

@@ -213,7 +213,7 @@ def test_countermodel_congruence_with_relations_exhausts(capsys):
     assert code == 1
     assert shown.out == '{\n  "found": false,\n  "exhausted": true,\n  "notes": []\n}\n'
     assert shown.err == ('{"const_vectors": 45, "frames": 30, "frames_unrooted": 68, '
-                         '"interpretations": 736726, "passes": 929}\n')
+                         '"interpretations": 736726, "passes": 917}\n')
 
 
 DEEP_GUARD = "true -> " * 400 + "p"

@@ -361,15 +361,24 @@ def test_search_stats_count_rooted_frames_and_constant_vectors():
 
 
 def _differential_cases():
-    """Seeded random sequents in every mode with their bounds, and sequents
+    """Seeded random sequents in every mode with their bounds; sequents
     whose congruence conditions reject interpretations: of functions, binary
-    relations and unary ones, and of both relations under a quantifier."""
-    cases = [(["P(c)"], "P(d)", "congruence", (2, 2)),
-             ([], "f(c) = c | (f(c) = c -> false)", "congruence", (2, 2)),
-             (["R(c, d)"], "R(d, c)", "congruence", (2, 2)),
-             (["forall x. (R(x, c) -> P(x))", "R(d, c)"], "P(d)", "congruence", (2, 2)),
-             ([], "c = d | (c = d -> false)", "congruence", (3, 2)),
-             ([], "c = d | (c = d -> false)", "strict", (3, 2))]
+    relations and unary ones, and of both relations under a quantifier; and
+    two found cases picked with the reference loop."""
+    cases = [
+        # the first frame of cell (2, 2) is refuted only under the third
+        # function table, f(c) != c, and the next frame of the cell, which
+        # shares its block, already under the first
+        (["P(c)"], "(forall x. (P(x) | (P(x) -> (true -> false))))"
+         " & ((true -> P(f(c))) -> P(f(c)))", "bqlcd_r", (2, 2)),
+        # every frame of cell (2, 2) is skipped, before a model at (3, 1)
+        ([], "(q | (q -> (p | (p -> false)))) | (T(c, d, c, d) & r)", "bqlcd_r", (3, 2)),
+        (["P(c)"], "P(d)", "congruence", (2, 2)),
+        ([], "f(c) = c | (f(c) = c -> false)", "congruence", (2, 2)),
+        (["R(c, d)"], "R(d, c)", "congruence", (2, 2)),
+        (["forall x. (R(x, c) -> P(x))", "R(d, c)"], "P(d)", "congruence", (2, 2)),
+        ([], "c = d | (c = d -> false)", "congruence", (3, 2)),
+        ([], "c = d | (c = d -> false)", "strict", (3, 2))]
     for i, mode in enumerate(MODES):
         rng = random.Random(700 + i)
         for _ in range(10):
@@ -379,10 +388,11 @@ def _differential_cases():
     return cases
 
 
-@pytest.mark.parametrize("lanes", [kripke._LANES, 3])
+@pytest.mark.parametrize("lanes", [kripke._LANES, 64, 3])
 def test_lane_search_matches_the_reference_loop(monkeypatch, lanes):
-    # at 3 lanes most frames take several blocks, and the identity digit
-    # of a 3-world frame has more values than a block has lanes
+    # at 64 lanes a block holds some frames of a cell but not all; at 3
+    # most frames take several blocks, and the identity digit of a 3-world
+    # frame has more values than a block has lanes
     monkeypatch.setattr(kripke, "_LANES", lanes)
     found = later = 0
     for prem, concl, mode, bounds in _differential_cases():
@@ -402,10 +412,10 @@ def test_lane_search_matches_the_reference_loop(monkeypatch, lanes):
     assert lanes > 3 or later >= 10
 
 
-def test_frame_plans_leave_results_unchanged(monkeypatch):
+def test_cell_plans_leave_results_unchanged(monkeypatch):
     # plans are shared by searches and keyed on the lane count, so a warm
     # cache, or one filled at another lane count, gives what a cold one does
-    assert kripke._frame_plan.cache_info().maxsize is not None
+    assert kripke._cell_plan.cache_info().maxsize is not None
 
     def results():
         out = []
@@ -416,13 +426,13 @@ def test_frame_plans_leave_results_unchanged(monkeypatch):
                         res.found and model_to_json(res.model), res.stats))
         return out
 
-    kripke._frame_plan.cache_clear()
+    kripke._cell_plan.cache_clear()
     cold = results()
     assert results() == cold
-    assert kripke._frame_plan.cache_info().hits > 0
+    assert kripke._cell_plan.cache_info().hits > 0
     monkeypatch.setattr(kripke, "_LANES", 3)
     after = results()
-    kripke._frame_plan.cache_clear()
+    kripke._cell_plan.cache_clear()
     assert results() == after
     # only the number of passes depends on the lanes
     for one, other in zip(cold, after):
