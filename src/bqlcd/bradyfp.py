@@ -148,6 +148,8 @@ def _parse_universe_sentence(text):
 def universe_from_json(data) -> SentenceUniverse:
     try:
         texts = [str(s) for s in data["sentences"]]
+        if not isinstance(data["codes"], dict):
+            raise TypeError("codes is not an object")
         codes = {str(k): int(v) for k, v in data["codes"].items()}
         domain = int(data["domain"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -128,6 +128,8 @@ def validate_model(m: KripkeModel):
         for (w, u) in edges:
             if not per.get(w, frozenset()) <= per.get(u, frozenset()):
                 raise ModelError(f"persistence fails for {r} between {w} and {u}")
+    if m.identity not in ("absent", "congruence", "strict"):
+        raise ModelError(f"identity must be absent, congruence or strict, not {m.identity!r}")
     if m.identity != "absent":
         _validate_identity(m)
 
@@ -368,18 +370,24 @@ def model_to_json(m: KripkeModel) -> dict:
 def model_from_json(data: dict) -> KripkeModel:
     """Load a model; edges are transitively closed, then everything is
     re-validated (a closure that breaks persistence is an error)."""
+    def obj(parent, key, name=None):
+        got = parent.get(key, {})
+        if not isinstance(got, dict):
+            raise TypeError(f"{name or key} is not an object")
+        return got
+
     try:
         worlds = [str(w) for w in data["worlds"]]
         edges = [(str(a), str(b)) for a, b in data.get("edges", [])]
         domain = int(data["domain"])
         rels = {}
-        for r, per in data.get("rels", {}).items():
+        for r in obj(data, "rels"):
             rels[r] = {str(w): frozenset(tuple(int(x) for x in t) for t in tuples)
-                       for w, tuples in per.items()}
-        consts = {str(c): int(v) for c, v in data.get("consts", {}).items()}
-        funs = {str(f): tuple(int(x) for x in t) for f, t in data.get("funs", {}).items()}
-        fun_arity = {str(f): int(a) for f, a in data.get("fun_arity", {}).items()}
-        rel_arity = {str(r): int(a) for r, a in data.get("rel_arity", {}).items()}
+                       for w, tuples in obj(data["rels"], r, f"rels[{r!r}]").items()}
+        consts = {str(c): int(v) for c, v in obj(data, "consts").items()}
+        funs = {str(f): tuple(int(x) for x in t) for f, t in obj(data, "funs").items()}
+        fun_arity = {str(f): int(a) for f, a in obj(data, "fun_arity").items()}
+        rel_arity = {str(r): int(a) for r, a in obj(data, "rel_arity").items()}
         identity = data.get("identity", "absent")
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model JSON: {exc}") from exc
@@ -522,7 +530,7 @@ def countermodel_search(gamma, phi, bounds: SearchBounds, mode="bqlcd_r") -> Sea
     compiled sentences, and the relation, function-table and constant spaces
     of each domain size (``_Sequent.cell``).  Once per cell: the plan is
     looked up.  Then the frames of each lane group (``_LaneGroup``) are set
-    on the compiled closures once per constant vector and function tables.
+    on the compiled closures, once per group.
 
     Deterministic: models are enumerated in a fixed order, world count k
     outermost, then domain size, then the frames of ``_frames(k)``, then
@@ -660,15 +668,14 @@ def _compile_sequent(sentences, rel_index, const_index, fun_index):
     """The package's satisfaction clauses.  Each formula becomes a closure
     ``run(interp, const_vals, fun_tables, env)`` returning the mask of the
     worlds where it holds; ``interp[i]`` holds relation i's world mask per
-    argument tuple, row-major, and ``env`` the assignment as sorted (name,
-    value) pairs.  Equal subformulas share one closure.
+    argument tuple, row-major, and ``env`` the assignment as (name, value)
+    pairs, the last binding of a name winning.  Equal subformulas share one
+    closure.  A closure keeps no state: its mask depends only on its
+    arguments and on the frame last set.
 
     Also returns ``set_frame(m, groups, packed=None)``, which fixes the
-    domain size and the frame as (successor mask, world bits) pairs and
-    clears the caches, and ``implies(left, right)``, the implication clause
-    on two masks.  Implications and quantifiers cache on the relations they
-    read plus ``env``, so callers set the frame again when constants or
-    functions change.
+    domain size and the frame as (successor mask, world bits) pairs, and
+    ``implies(left, right)``, the implication clause on two masks.
 
     With ``packed``, every mask holds L interpretations side by side (SWAR):
     lane j is the ``width`` bits from ``j * width``, where ``width`` is one
@@ -685,7 +692,6 @@ def _compile_sequent(sentences, rel_index, const_index, fun_index):
     """
     m = full_mask = guard = shift = None
     groups = ()
-    caches = []
 
     def set_frame(m_, groups_, packed=None):
         nonlocal m, groups, full_mask, guard, shift
@@ -694,8 +700,6 @@ def _compile_sequent(sentences, rel_index, const_index, fun_index):
         groups = groups_ if packed else tuple((succ, bits, 0) for succ, bits in groups_)
         full_mask, guard, shift = packed or (
             functools.reduce(operator.or_, (bits for _, bits in groups_), 0), 0, 0)
-        for cache in caches:
-            cache.clear()
 
     def implies(left, right):
         bad = left & ~right
@@ -723,16 +727,15 @@ def _compile_sequent(sentences, rel_index, const_index, fun_index):
 
     @functools.cache
     def compile_(f_):
-        """The closure of ``f_`` and the indices of the relations it reads."""
         if isinstance(f_, Top):
-            return (lambda interp, cv, ft, env: full_mask), ()
+            return lambda interp, cv, ft, env: full_mask
         if isinstance(f_, Bottom):
-            return (lambda interp, cv, ft, env: 0), ()
+            return lambda interp, cv, ft, env: 0
         if isinstance(f_, Atom):
             ridx = rel_index[f_.rel]
             args = f_.args
             if not args:
-                return (lambda interp, cv, ft, env: interp[ridx][0]), (ridx,)
+                return lambda interp, cv, ft, env: interp[ridx][0]
 
             def run_atom(interp, cv, ft, env):
                 asg = dict(env)
@@ -740,49 +743,28 @@ def _compile_sequent(sentences, rel_index, const_index, fun_index):
                 for t in args:
                     idx = idx * m + term_val(t, asg, cv, ft)
                 return interp[ridx][idx]
-            return run_atom, (ridx,)
+            return run_atom
         if isinstance(f_, (Forall, Exists)):
-            body, dep = compile_(f_.body)
-            var = f_.var
-        else:
-            lk, ldep = compile_(f_.left)
-            rk, rdep = compile_(f_.right)
-            dep = tuple(sorted(set(ldep) | set(rdep)))
-            if isinstance(f_, And):
-                return (lambda interp, cv, ft, env:
-                        lk(interp, cv, ft, env) & rk(interp, cv, ft, env)), dep
-            if isinstance(f_, Or):
-                return (lambda interp, cv, ft, env:
-                        lk(interp, cv, ft, env) | rk(interp, cv, ft, env)), dep
-        cache = {}
-        caches.append(cache)
-        if isinstance(f_, Imp):
-            def run_imp(interp, cv, ft, env):
-                key = (tuple(interp[i] for i in dep), env)
-                got = cache.get(key)
-                if got is None:
-                    got = implies(lk(interp, cv, ft, env), rk(interp, cv, ft, env))
-                    cache[key] = got
-                return got
-            return run_imp, dep
-        forall = isinstance(f_, Forall)
+            body, var, forall = compile_(f_.body), f_.var, isinstance(f_, Forall)
 
-        def run_quant(interp, cv, ft, env):
-            key = (tuple(interp[i] for i in dep), env)
-            got = cache.get(key)
-            if got is None:
+            def run_quant(interp, cv, ft, env):
                 got, stop = (full_mask, 0) if forall else (0, full_mask)
-                base = tuple((k_, v_) for (k_, v_) in env if k_ != var)
                 for b in range(m):
-                    val = body(interp, cv, ft, tuple(sorted(base + ((var, b),))))
+                    val = body(interp, cv, ft, env + ((var, b),))
                     got = got & val if forall else got | val
                     if got == stop:
                         break
-                cache[key] = got
-            return got
-        return run_quant, dep
+                return got
+            return run_quant
+        lk, rk = compile_(f_.left), compile_(f_.right)
+        if isinstance(f_, And):
+            return lambda interp, cv, ft, env: lk(interp, cv, ft, env) & rk(interp, cv, ft, env)
+        if isinstance(f_, Or):
+            return lambda interp, cv, ft, env: lk(interp, cv, ft, env) | rk(interp, cv, ft, env)
+        return lambda interp, cv, ft, env: implies(lk(interp, cv, ft, env),
+                                                   rk(interp, cv, ft, env))
 
-    return [compile_(f_)[0] for f_ in sentences], set_frame, implies
+    return [compile_(f_) for f_ in sentences], set_frame, implies
 
 
 def _search_cell(seq, k, m, reflexive_witness):
@@ -855,13 +837,9 @@ def _run_group(seq, group, row_bounds, m, const_space, fun_spaces):
         for i, span in enumerate(spans):
             counts[i] += (last & span).bit_count() * times
 
+    seq.set_frame(m, group.succ_groups, group.packed)
     for ci, const_vals in enumerate(const_space):
         for fun_tables in itertools.product(*fun_spaces) if fun_spaces else [()]:
-            # the caches are shared by every group of the search, so they
-            # are cleared whenever the group, the constants or the function
-            # tables change: each change starts a pass of this loop, and
-            # setting the frame clears them
-            seq.set_frame(m, group.succ_groups, group.packed)
             for qs in itertools.product(*(range(len(w)) for w in words)):
                 flat = [x for w, q in zip(words, qs) for x in w[q][0]]
                 interp = tuple(tuple(flat[a:b]) for a, b in row_bounds)

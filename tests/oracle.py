@@ -161,10 +161,8 @@ def _reference_frame(seq, k, m, frame, succ, upsets, witnesses):
     for const_vals in const_space:
         stats["const_vectors"] += 1
         for fun_tables in itertools.product(*fun_spaces) if fun_spaces else [()]:
-            # the caches are shared by every frame of the search, so they
-            # are cleared whenever the frame, the constants or the function
-            # tables change: each change starts a pass of this loop, and
-            # setting the frame clears them
+            # the compiled closures keep no state, so setting the frame once
+            # per frame would do; this loop sets it again on every pass
             seq.set_frame(m, groups)
             funs = {f: (sig.functions[f], table)
                     for f, table in zip(seq.fun_names, fun_tables)}

@@ -333,3 +333,27 @@ def test_selftest_deterministic(capsys):
     code2 = main(["selftest", "--seed", "3"])
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0 and out1 == out2
+
+
+# '=' as the diagonal on m1, so only the identity mode itself can be wrong
+_DIAGONAL = {"rels": {"=": {"w": [[0, 0]], "u": [[0, 0]]}}, "rel_arity": {"=": 2}}
+
+
+@pytest.mark.parametrize("command,name,changes", [
+    *(("sat", "m1_model.json", {field: value})
+      for field, value in [("rels", []), ("rels", 3), ("rels", None), ("rels", {"p": []}),
+                           ("consts", []), ("funs", 3), ("fun_arity", []),
+                           ("rel_arity", "x")]),
+    *(("sat", "m1_model.json", {**_DIAGONAL, "identity": value}) for value in ["bogus", 3, None]),
+    *(("brady", "curry_universe.json", {"codes": value}) for value in [None, [], 3, "x"]),
+])
+def test_reader_fields_of_the_wrong_type_exit_2(capsys, tmp_path, command, name, changes):
+    with open(data(name)) as fh:
+        blob = json.load(fh)
+    path = tmp_path / name
+    path.write_text(json.dumps({**blob, **changes}))
+    argv = ["--world", "w", "--formula", "true"] if command == "sat" else []
+    assert main([command, str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1

@@ -144,6 +144,15 @@ def test_model_json_roundtrip_and_closure():
         model_from_json(bad)
 
 
+@pytest.mark.parametrize("identity", ["bogus", 3, None])
+def test_model_json_rejects_an_unknown_identity_mode(identity):
+    # '=' is the diagonal, which every identity mode would accept
+    data = {**model_to_json(m1()), "identity": identity}
+    data["rels"]["="], data["rel_arity"]["="] = {"w": [[0, 0]], "u": [[0, 0]]}, 2
+    with pytest.raises(ModelError, match="identity must be absent, congruence or strict"):
+        model_from_json(data)
+
+
 # --- chains ------------------------------------------------------------------
 
 def test_add_chain_box_refutation():
@@ -620,3 +629,21 @@ def test_lane_packed_evaluation_matches_oracle(models, phi):
                 for a, w in enumerate(model.worlds):
                     assert bool(mask >> lane * width + a & 1) == \
                         oracle_sat(model, w, sub, dict(env)), (pretty(sub), env, lane, w)
+
+
+def test_compiled_closures_are_pure():
+    # the frame is set once; each mask then depends only on the arguments of
+    # its call, not on the constants or function tables of earlier calls
+    imp, quant = parse("true -> P(c)"), parse("forall x. (true -> P(f(x)))")
+    runs, set_frame, _ = kripke._compile_sequent([imp, quant], {"P": 0}, {"c": 0}, {"f": 0})
+    set_frame(2, ((1, 1),))  # one reflexive world
+    interp = ((0, 1),)  # P holds of element 1 only
+
+    def model(c, table):
+        return make_model(["w"], [("w", "w")], 2, consts={"c": c}, funs={"f": table},
+                          fun_arity={"f": 1}, rels={"P": {"w": {(1,)}}}, rel_arity={"P": 1})
+
+    for c in range(2):
+        assert runs[0](interp, (c,), ((0, 0),), ()) == oracle_sat(model(c, (0, 0)), "w", imp)
+    for table in itertools.product(range(2), repeat=2):
+        assert runs[1](interp, (0,), (table,), ()) == oracle_sat(model(0, table), "w", quant)
