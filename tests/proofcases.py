@@ -178,3 +178,72 @@ def nested_witness_chain(depth):
         body = node("and_elim_r", q, [node("and_int", And(wit_formula, q), [wit, t])])
         t = node("exists_elim", q, [assume(f("exists x. P(x)"), f"e{i}"), body], {wit.leaf_id})
     return t
+
+
+# --- one proof breaking each of C2-C5 ------------------------------------------
+
+def forall_int_on_a_bare_instance():
+    """C2: a universal concluded from a bare assumption about the parameter."""
+    return node("forall_int", f("forall x. P(x)"), [assume(f("P(#0)"), "w")])
+
+
+def forall_int_with_a_pinned_open_assumption():
+    """C2: the parameter leaks into an open assumption of the subproof."""
+    prem = node("and_elim_l", f("P(#0)"), [assume(f("P(#0) & Q(#0)"), "w")])
+    return node("forall_int", f("forall x. P(x)"), [prem])
+
+
+def forall_int_generalising_part_of_its_premise():
+    """C2: generalising only some occurrences pins the parameter inside
+    the body."""
+    return node("forall_int", f("forall x. R(x, #0)"), [assume(f("R(#0, #0)"), "w")])
+
+
+def exists_elim_with_a_partial_discharge():
+    """C4: one of two witness occurrences stays open; and C3: the witness
+    leaks into the conclusion."""
+    ex = assume(f("exists x. P(x) & P(x)"), "e")
+    w1, w2 = assume(f("P(#3) & P(#3)"), "w1"), assume(f("P(#3) & P(#3)"), "w2")
+    pair = node("and_int", f("(P(#3) & P(#3)) & (P(#3) & P(#3))"), [w1, w2])
+    body = node("and_elim_l", f("P(#3) & P(#3)"), [pair])
+    return node("exists_elim", f("P(#3) & P(#3)"), [ex, body], {"w1"})
+
+
+def exists_elim_into_its_conclusion():
+    """C3: the witness parameter occurs in the conclusion."""
+    ex = assume(f("exists x. P(x)"), "e")
+    body = node("or_int_l", f("P(#3) | q"), [assume(f("P(#3)"), "w")])
+    return node("exists_elim", f("P(#3) | q"), [ex, body], {"w"})
+
+
+def exists_elim_with_the_witness_in_its_matrix():
+    """C3: the witness parameter occurs in the quantified matrix."""
+    ex = assume(f("exists x. R(x, #3)"), "e")
+    body = node("exists_int", f("exists y. R(y, y)"), [assume(f("R(#3, #3)"), "w")])
+    return node("exists_elim", f("exists y. R(y, y)"), [ex, body], {"w"})
+
+
+def exists_elim_on_an_unsafe_witness():
+    """C5: with a degenerate matrix the witness is the conditional premise
+    of a modus ponens, so its occurrence is unsafe."""
+    ex = assume(f("exists x. p -> q"), "e")
+    body = node("imp_elim", f("q"), [assume(f("p"), "h"), assume(f("p -> q"), "w")])
+    return node("exists_elim", f("q"), [ex, body], {"w"})
+
+
+def vacuous_exists_elim_left_open():
+    """C4: a degenerate witness left open."""
+    return node("exists_elim", f("p"), [assume(f("exists x. p"), "e"), assume(f("p"), "w2")])
+
+
+CONSTRAINT_CASES = {
+    "c2 bare instance": forall_int_on_a_bare_instance,
+    "c2 open assumption": forall_int_with_a_pinned_open_assumption,
+    "c2 in body": forall_int_generalising_part_of_its_premise,
+    "c3 c4 partial discharge": exists_elim_with_a_partial_discharge,
+    "c3 conclusion": exists_elim_into_its_conclusion,
+    "c3 matrix": exists_elim_with_the_witness_in_its_matrix,
+    "c4 vacuous": vacuous_exists_elim_left_open,
+    "c5 witness": exists_elim_on_an_unsafe_witness,
+    "c5 curry half": lambda: curry_half(""),
+}

@@ -32,11 +32,23 @@ instance of every axiom schema.  Every set is
 sorted by ``pretty`` before it becomes an input, so the digests do not depend
 on string hash randomisation.
 
+The checks part holds one digest per proof and system of its check report:
+the violations as (node, constraint, message) in order, the stratum, and the
+open, unsafe and safe assumption sets sorted by ``pretty``.  Its proofs are
+the inputs of the proofs part with their reduced, unboxed and translated
+outputs, leaf ids made canonical; one axiom node per schema; one proof
+breaking each of C2-C5; a few identity and affixing steps; and seeded
+mutants of those inputs' JSON: a fresh atom or an open formula put for one
+label, a discharge dropped or added, a rule renamed, a premise dropped or
+repeated.  Each is checked in the six systems of ``CHECK_SYSTEMS``.
+
 Rewrite the data file only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import copy
+import functools
 import hashlib
 import json
 import os
@@ -50,18 +62,21 @@ from bqlcd.proofgen import (
     axiomatic_corpus, closed_theorem_corpus, generate_corpus, random_sentence,
 )
 from bqlcd.proofkernel import (
-    assume, canonical_leaf_ids, node, open_assumptions, proof_to_json, split_assumptions, stratum,
+    AX_RULES, IDENTITY_RULES, ND_RULES, Proof, ProofJsonError, assume,
+    canonical_leaf_ids, check_proof, fold, node, open_assumptions, proof_from_json,
+    proof_size, proof_to_json, split_assumptions, stratum,
 )
 from bqlcd.syntax import (
-    BOTTOM, TOP, And, Atom, Const, Imp, Or, parse_inferring, pretty, subformulas,
+    BOTTOM, TOP, And, Atom, Const, Imp, Or, Var, parse_inferring, pretty, subformulas,
 )
 from bqlcd.transform import (
-    TransformError, axiomatic_to_nd, nd_axiom_proof, nd_to_axiomatic, reduce_proof, relative_deduction,
+    TransformError, axiomatic_to_nd, nd_axiom_proof, nd_to_axiomatic, reduce_proof,
+    relative_deduction, unbox,
 )
 from oracle import oracle_sat
 from proofcases import (
-    AXIOM_INSTANCES, curry_derivation, deep_and_chain, display_one, display_two, f,
-    detachment_paired_with_itself, exists_elim_with_side_context, mp_chain, mp_from_leaves,
+    AXIOM_INSTANCES, CONSTRAINT_CASES, curry_derivation, deep_and_chain, display_one,
+    display_two, f, detachment_paired_with_itself, exists_elim_with_side_context, mp_chain, mp_from_leaves,
     nested_stratum_example, nested_witness_chain, or_elim_on_a_repeated_disjunct,
     or_elim_with_side_context,
 )
@@ -288,6 +303,29 @@ def _error(exc):
     return [type(exc).__name__, str(exc)]
 
 
+def _once(fn):
+    """``fn`` run once per argument tuple in a session, so that the proofs
+    and checks parts share its outputs; a TransformError it raised is
+    raised again at each call."""
+    @functools.cache
+    def run(*args):
+        try:
+            return fn(*args), None
+        except TransformError as exc:
+            return None, exc
+
+    def call(*args):
+        got, exc = run(*args)
+        if exc is not None:
+            raise exc
+        return got
+    return call
+
+
+reduce_once, translate_once, to_nd_once, axiom_proof_once = map(
+    _once, (reduce_proof, nd_to_axiomatic, axiomatic_to_nd, nd_axiom_proof))
+
+
 def _outcome(fn, *args):
     """The JSON of the proof ``fn(*args)`` with canonical leaf ids, or the
     exception it raised."""
@@ -302,13 +340,13 @@ def _nd_outputs(t):
     deduction with the unsafe open assumptions on the left and the rest on
     the side."""
     try:
-        red = reduce_proof(t)
+        red = reduce_once(t)
     except TransformError as exc:
         out = [_error(exc)]
     else:
         opens = sorted(open_assumptions(red.proof), key=pretty)
         out = [red.n, red.source_stratum, proof_to_json(red.proof),
-               _outcome(nd_to_axiomatic, red.proof),
+               _outcome(translate_once, red.proof),
                _outcome(nd_to_axiomatic, red.proof, opens)]
     unsafe, safe = (sorted(a, key=pretty) for a in split_assumptions(t))
     n = max(stratum(t), 0)
@@ -329,23 +367,208 @@ def hand_axiomatic():
     return [or_case, ex_case, unused]
 
 
+@functools.cache
+def proof_inputs():
+    """(name, proof) for the natural-deduction inputs of the proofs part,
+    and apart for its axiomatic ones, built once per session."""
+    nd = [(f"corpus {i}", t) for i, t in enumerate(generate_corpus(*PROOF_CORPUS))]
+    nd += [(f"theorem {i}", t) for i, t in enumerate(closed_theorem_corpus())]
+    nd += [(name, make()) for name, make in HAND_PROOFS.items()]
+    ax = [(f"axiomatic {i}", t) for i, t in enumerate(axiomatic_corpus() + hand_axiomatic())]
+    return nd, ax
+
+
 def proofs_cases():
     """(name, function, arguments) for every input of the proofs part."""
-    corpus = generate_corpus(*PROOF_CORPUS)
-    cases = [(f"corpus {i}", _nd_outputs, (t,)) for i, t in enumerate(corpus)]
-    cases += [(f"theorem {i}", _nd_outputs, (t,))
-              for i, t in enumerate(closed_theorem_corpus())]
-    cases += [(name, _nd_outputs, (make(),)) for name, make in HAND_PROOFS.items()]
-    cases += [(f"axiomatic {i}", _outcome, (axiomatic_to_nd, t))
-              for i, t in enumerate(axiomatic_corpus() + hand_axiomatic())]
-    cases += [(f"schema {schema}", _outcome, (nd_axiom_proof, schema, f(text)))
+    nd, ax = proof_inputs()
+    cases = [(name, _nd_outputs, (t,)) for name, t in nd]
+    cases += [(name, _outcome, (to_nd_once, t)) for name, t in ax]
+    cases += [(f"schema {schema}", _outcome, (axiom_proof_once, schema, f(text)))
               for schema, text in AXIOM_INSTANCES]
     return cases
 
 
+def _digest(data):
+    text = json.dumps(data, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def proofs_record(name, fn, args):
-    text = json.dumps(fn(*args), sort_keys=True)
-    return {"name": name, "digest": hashlib.sha256(text.encode()).hexdigest()[:16]}
+    return {"name": name, "digest": _digest(fn(*args))}
+
+
+CHECK_SYSTEMS = ("nbqlcd_r", "nbqlcd", "nbqlcd[0]", "nbqlcd_r+eq", "bd+", "tjk+")
+
+
+def _step(rule, concl, *premises, discharges=()):
+    """One ``rule`` step; a premise given as text is an assumption leaf."""
+    return node(rule, f(concl), [assume(f(p), f"h{i}") if isinstance(p, str) else p
+                                 for i, p in enumerate(premises)], discharges)
+
+
+# single steps of the rules, and for the messages, that no other unmutated
+# proof of the checks part reaches
+SHAPE_CASES = {
+    "eq_int": lambda: _step("eq_int", "c = c"),
+    "eq_elim": lambda: _step("eq_elim", "R(c, d)", "c = d", "R(c, c)"),
+    "eq_elim replacing a stranger": lambda: _step("eq_elim", "R(d, q0)", "c = d", "R(c, c)"),
+    "eq_elim from a non-identity": lambda: _step("eq_elim", "P(d)", "q", "P(c)"),
+    "id_xm": lambda: _step("id_xm", "c = d | (c = d -> false)"),
+    "affixing": lambda: _step("affixing", "(q -> r) -> (p -> s)", "p -> q", "r -> s"),
+    "vacuous forall_int": lambda: _step("forall_int", "forall x. p", "q"),
+    "forall_int from a mismatched instance":
+        lambda: _step("forall_int", "forall x. R(x, x)", "R(#0, #1)"),
+    "exists_elim on a constant instance": lambda: _step(
+        "exists_elim", "exists y. P(y)", "exists x. P(x)",
+        node("exists_int", f("exists y. P(y)"), [assume(f("P(c)"), "w")]), discharges={"w"}),
+    "exists_elim discharging two instances": lambda: _step(
+        "exists_elim", "P(#0) & P(#1)", "exists x. P(x)",
+        node("and_int", f("P(#0) & P(#1)"), [assume(f("P(#0)"), "w0"), assume(f("P(#1)"), "w1")]),
+        discharges={"w0", "w1"}),
+    "assumption with a premise":
+        lambda: Proof("assume", f("p"), (_step("top_int", "true"),), leaf_id="h"),
+}
+
+LONG_CHAINS = ("mp chain", "nested witness chain")
+MUTATIONS = ("fresh atom", "open formula", "dropped discharge", "extra discharge",
+             "renamed rule", "premise count")
+MUTANT_BASE_SIZE = 30     # the mutants change unmutated proofs of at most 30 nodes
+UNAIMED_MUTANTS = 6       # mutants of a kind that aims at no rule
+RENAMES = (sorted(ND_RULES | IDENTITY_RULES | AX_RULES)
+           + ["no_such_rule", "axiom:identity", "axiom:weakening", "axiom:no_such_schema"])
+# an atom the mutants put for a label, then read back as an open formula
+OPEN_MARK = "zopen"
+
+
+def check_inputs():
+    """(name, proof) for every unmutated proof of the checks part.  The
+    translations of ``LONG_CHAINS`` are left out: 2,400 and 3,100 nodes,
+    they would take most of the part's time."""
+    nd, ax = proof_inputs()
+    out = []
+    for name, t in nd:
+        out.append((name, t))
+        try:
+            red = reduce_once(t)
+        except TransformError:
+            continue
+        out += [(f"{name} reduced", red.proof), (f"{name} unboxed", unbox(red.proof, red.n))]
+        if name not in LONG_CHAINS:
+            out.append((f"{name} translated", translate_once(red.proof)))
+    for name, t in ax:
+        out += [(name, t), (f"{name} translated", to_nd_once(t))]
+    for schema, text in AXIOM_INSTANCES:
+        out += [(f"schema {schema}", node(f"axiom:{schema}", f(text))),
+                (f"schema {schema} translated", axiom_proof_once(schema, f(text)))]
+    out += [(name, make()) for cases in (CONSTRAINT_CASES, SHAPE_CASES)
+            for name, make in cases.items()]
+    return [(name, canonical_leaf_ids(t)) for name, t in out]
+
+
+def _places(data):
+    """(node, its place under the node above it) for the nodes of a proof's
+    JSON in pre-order."""
+    out, stack = [], [(data, "the root")]
+    while stack:
+        d, place = stack.pop()
+        out.append((d, place))
+        stack += [(c, f"premise {i} of {d['rule']}")
+                  for i, c in reversed(list(enumerate(d.get("children", []))))]
+    return out
+
+
+def _aims(kind, d, place):
+    """What a mutation of ``kind`` at the node ``d`` aims at: a rule it
+    breaks or puts in, a premise place, or ``any``."""
+    rule = d.get("rule", "assume").split(":")[0]
+    if kind == "fresh atom":
+        return [rule, place]
+    if kind == "open formula":
+        return ["any"]
+    if kind == "dropped discharge":
+        return ["any"] if d.get("discharges") else []
+    if "rule" not in d:
+        return []
+    if kind == "renamed rule":
+        return [r for r in RENAMES if not (r.startswith("axiom:") and d.get("children"))]
+    return [rule]
+
+
+def _mutate(kind, aim, d, data, rng):
+    """Mutate the node ``d`` of the JSON ``data`` in place."""
+    if kind in ("fresh atom", "open formula"):
+        d["assume" if "assume" in d else "conclusion"] = \
+            "fresh" if kind == "fresh atom" else OPEN_MARK
+    elif kind == "dropped discharge":
+        d["discharges"].pop(rng.randrange(len(d["discharges"])))
+    elif kind == "extra discharge":
+        ids = [x["id"] for x, _ in _places(data) if "assume" in x] + ["nowhere"]
+        d["discharges"] = sorted({*d.get("discharges", ()), rng.choice(ids)})
+    elif kind == "renamed rule":
+        d["rule"] = aim
+    else:
+        kids = d.setdefault("children", [])
+        if kids and rng.random() < 0.5:
+            kids.pop(rng.randrange(len(kids)))
+        else:
+            kids.append(copy.deepcopy(rng.choice(kids)) if kids else {"assume": "p", "id": "x"})
+
+
+def _opened(t):
+    """``t`` with each ``OPEN_MARK`` label replaced by an open formula."""
+    mark, phi = Atom(OPEN_MARK, ()), Atom("P", (Var("x"),))
+    return fold(t, lambda nd, kids: Proof(
+        nd.rule, phi if nd.conclusion == mark else nd.conclusion, tuple(kids),
+        nd.discharges, nd.leaf_id))
+
+
+def check_mutants(inputs):
+    """(name, proof or loader error) for seeded mutants of the JSON of the
+    small unmutated proofs: of each kind, one at a seeded node for each
+    rule it aims at, or ``UNAIMED_MUTANTS`` at seeded nodes."""
+    rng = random.Random(27)
+    bases = [(name, proof_to_json(t)) for name, t in inputs
+             if proof_size(t) <= MUTANT_BASE_SIZE]
+    out = []
+    for kind in MUTATIONS:
+        sites = {}
+        for b, (_, data) in enumerate(bases):
+            for n, (d, place) in enumerate(_places(data)):
+                for aim in _aims(kind, d, place):
+                    sites.setdefault(aim, []).append((b, n))
+        for aim in sorted(sites):
+            picks = sites[aim]
+            picks = (rng.sample(picks, min(UNAIMED_MUTANTS, len(picks))) if aim == "any"
+                     else [rng.choice(picks)])
+            for b, n in picks:
+                name, data = bases[b]
+                data = copy.deepcopy(data)
+                _mutate(kind, aim, _places(data)[n][0], data, rng)
+                try:
+                    got = _opened(proof_from_json(data))
+                except ProofJsonError as exc:
+                    got = _error(exc)
+                out.append((f"{kind} ({aim}) at node {n} of {name}", got))
+    return out
+
+
+def report_data(t, system):
+    report = check_proof(t, system)
+    return [[[v.node, v.constraint, v.message] for v in report.violations], report.stratum,
+            *(sorted(map(pretty, s)) for s in
+              (report.open_assumptions, report.unsafe_open, report.safe_open))]
+
+
+def check_record(name, t):
+    """The digest of the loader error, or of the report in each system."""
+    digests = ([_digest(t)] if isinstance(t, list)
+               else [_digest(report_data(t, system)) for system in CHECK_SYSTEMS])
+    return {"name": name, "digests": digests}
+
+
+def check_cases():
+    inputs = check_inputs()
+    return inputs + check_mutants(inputs)
 
 
 def test_golden_differential():
@@ -360,6 +583,15 @@ def test_golden_differential():
         key = (case["name"], case["budget"])
         assert truth_record(*key[:1], universes[key], key[1]) == case
     assert [proofs_record(*c) for c in proofs_cases()] == golden["proofs"]
+
+
+def test_golden_check_reports():
+    with open(GOLDEN) as fh:
+        want = json.load(fh)["checks"]
+    got = [check_record(*c) for c in check_cases()]
+    assert [c["name"] for c in got] == [c["name"] for c in want]
+    for g, w in zip(got, want):
+        assert g == w, g["name"]
 
 
 def test_golden_countermodels_pass_the_oracle():
@@ -379,7 +611,8 @@ def test_golden_countermodels_pass_the_oracle():
 if __name__ == "__main__":
     golden = {"search": [search_record(*c) for c in search_cases()],
               "truth": [truth_record(*c) for c in truth_cases()],
-              "proofs": [proofs_record(*c) for c in proofs_cases()]}
+              "proofs": [proofs_record(*c) for c in proofs_cases()],
+              "checks": [check_record(*c) for c in check_cases()]}
     with open(GOLDEN, "w") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -21,7 +21,10 @@ from bqlcd.syntax import (
 )
 from proofcases import (
     AXIOM_INSTANCES, curry_derivation, curry_half, deep_and_chain, display_one,
-    display_two, f, mp_from_leaves, nested_stratum_example,
+    display_two, exists_elim_into_its_conclusion, exists_elim_on_an_unsafe_witness,
+    exists_elim_with_a_partial_discharge, f, forall_int_generalising_part_of_its_premise,
+    forall_int_on_a_bare_instance, forall_int_with_a_pinned_open_assumption,
+    mp_from_leaves, nested_stratum_example, vacuous_exists_elim_left_open,
 )
 
 
@@ -290,24 +293,19 @@ def test_forall_int_valid():
 def test_forall_int_rejects_assumption_about_parameter():
     # concluding a universal from a bare assumption about the parameter is
     # exactly what the eigenvariable constraint blocks
-    t = node("forall_int", f("forall x. P(x)"), [assume(f("P(#0)"), "w")])
-    report = invalid(t)
+    report = invalid(forall_int_on_a_bare_instance())
     assert any(v.constraint == "C2" for v in report.violations)
 
 
 def test_forall_int_c2_open_assumption():
     # the parameter leaks into an open assumption of the subproof
-    prem = node("and_elim_l", f("P(#0)"), [assume(f("P(#0) & Q(#0)"), "w")])
-    t = node("forall_int", f("forall x. P(x)"), [prem])
-    report = invalid(t)
+    report = invalid(forall_int_with_a_pinned_open_assumption())
     assert any(v.constraint == "C2" for v in report.violations)
 
 
 def test_forall_int_c2_in_body():
     # generalising only some occurrences pins the parameter inside the body
-    prem = assume(f("R(#0, #0)"), "w")
-    t = node("forall_int", f("forall x. R(x, #0)"), [prem])
-    report = invalid(t)
+    report = invalid(forall_int_generalising_part_of_its_premise())
     assert any(v.constraint == "C2" for v in report.violations)
 
 
@@ -338,33 +336,20 @@ def test_exists_elim_without_discharges_reads_witness_as_assumption():
 
 
 def test_exists_elim_c4_partial_discharge():
-    ex = assume(f("exists x. P(x) & P(x)"), "e")
-    w1, w2 = assume(f("P(#3) & P(#3)"), "w1"), assume(f("P(#3) & P(#3)"), "w2")
-    pair = node("and_int", f("(P(#3) & P(#3)) & (P(#3) & P(#3))"), [w1, w2])
-    body = node("and_elim_l", f("P(#3) & P(#3)"), [pair])
-    t = node("exists_elim", f("P(#3) & P(#3)"), [ex, body], {"w1"})
-    report = invalid(t)
+    report = invalid(exists_elim_with_a_partial_discharge())
     # w2 stays open: C4; and the witness leaks into the conclusion: C3
     assert any(v.constraint == "C4" for v in report.violations)
 
 
 def test_exists_elim_c3_conclusion():
-    ex = assume(f("exists x. P(x)"), "e")
-    wit = assume(f("P(#3)"), "w")
-    body = node("or_int_l", f("P(#3) | q"), [wit])
-    t = node("exists_elim", f("P(#3) | q"), [ex, body], {"w"})
-    report = invalid(t)
+    report = invalid(exists_elim_into_its_conclusion())
     assert any(v.constraint == "C3" for v in report.violations)
 
 
 def test_exists_elim_unsafe_witness_discharge_rejected():
     # degenerate matrix: the witness itself is the conditional premise of a
     # modus ponens, so its occurrence is unsafe and cannot be discharged
-    ex = assume(f("exists x. p -> q"), "e")
-    wit = assume(f("p -> q"), "w")
-    body = node("imp_elim", f("q"), [assume(f("p"), "h"), wit])
-    t = node("exists_elim", f("q"), [ex, body], {"w"})
-    report = invalid(t)
+    report = invalid(exists_elim_on_an_unsafe_witness())
     assert any(v.constraint == "C5" for v in report.violations)
 
 
@@ -374,8 +359,7 @@ def test_vacuous_exists_elim():
     t = node("exists_elim", f("p"), [ex, body], {"w"})
     valid(t)
     # leaving the degenerate witness open breaks C4
-    t2 = node("exists_elim", f("p"), [ex, assume(f("p"), "w2")])
-    report = invalid(t2)
+    report = invalid(vacuous_exists_elim_left_open())
     assert any(v.constraint == "C4" for v in report.violations)
 
 
