@@ -22,8 +22,7 @@ from .kripke import (
     model_to_json, satisfies, signature_of_model, world_masks,
 )
 from .proofkernel import (
-    ProofJsonError, check_proof, load_proof, open_assumptions, parse_system,
-    proof_size, proof_to_json,
+    ProofJsonError, check_proof, load_proof, open_assumptions, parse_system, proof_to_json,
 )
 from .syntax import (
     BINARY, QUANT, And, Exists, Forall, Imp, Or, ParseError, Signature,
@@ -92,8 +91,8 @@ def cmd_reduce(args) -> int:
         "n": result.n,
         "proof": proof_to_json(result.proof),
         "stats": {
-            "nodes_in": proof_size(proof),
-            "nodes_out": proof_size(result.proof),
+            "nodes_in": report.nodes,
+            "nodes_out": final.nodes,
             "strata": [result.source_stratum, final.stratum],
         },
     }, args.out)

@@ -122,6 +122,8 @@ def validate_model(m: KripkeModel):
     for r, per in m.rels.items():
         ar = m.rel_arity[r]
         for w, tuples in per.items():
+            if w not in wset:
+                raise ModelError(f"relation {r} has an extension at the unknown world {w}")
             for t in tuples:
                 if len(t) != ar or any(v not in dom for v in t):
                     raise ModelError(f"tuple {t} bad for relation {r} at {w}")

@@ -21,8 +21,8 @@ and identity variants ``<nd system>+eq`` / ``<nd system>+eqxm``.
 
 Each axiom schema is written once, as a formula over metavariables, in the
 table ``SCHEMAS``.  The first time a schema is used it is compiled into two
-straight-line functions, a matcher that ``match_schema`` runs for the
-checker and a builder that ``schema_instance`` runs for the translations;
+straight-line functions, a matcher that the checker and ``match_schema`` run
+and a builder that ``schema_instance`` runs for the translations;
 a traceback names them ``<schema NAME>``.  Thirteen rules each internalise
 an axiom schema read as a rule; ``INTERNALISED`` lists them, and the
 checker, the axiom templates and both translations read it.
@@ -31,6 +31,7 @@ checker, the axiom templates and both translations read it.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 from dataclasses import dataclass, replace
@@ -113,20 +114,13 @@ def node(rule: str, conclusion: Formula, children=(), discharges=()) -> Proof:
 
 
 def _preorder(t: Proof):
-    """The nodes of ``t`` in pre-order, children left to right, and the
-    indices of each node's children."""
-    nodes, kids, stack = [], [], [(t, -1)]
-    push = stack.append
+    """The nodes of ``t`` in pre-order, children left to right."""
+    nodes, stack = [], [t]
     while stack:
-        nd, parent = stack.pop()
-        i = len(nodes)
-        if parent >= 0:
-            kids[parent].append(i)
-        for c in reversed(nd.children):
-            push((c, i))
+        nd = stack.pop()
         nodes.append(nd)
-        kids.append([])
-    return nodes, kids
+        stack += reversed(nd.children)
+    return nodes
 
 
 def fold(t: Proof, f):
@@ -150,7 +144,7 @@ def fold(t: Proof, f):
 
 
 def proof_size(t: Proof) -> int:
-    return len(_preorder(t)[0])
+    return len(_preorder(t))
 
 
 def proof_depth(t: Proof) -> int:
@@ -175,9 +169,6 @@ class Analysis:
     discharged_by: dict    # leaf id -> index of the discharging node
     problems: list         # (kind, index, message): structural issues
 
-    def in_subtree(self, leaf_id, i):
-        return i <= self.leaf_node[leaf_id] < self.end[i]
-
     def open_leaves_in(self, i):
         """Leaves in the subtree at i not discharged by a node inside it."""
         end = self.end[i]
@@ -200,36 +191,50 @@ class Analysis:
 
 
 def analyze(t: Proof) -> Analysis:
-    nodes, kids = _preorder(t)
-    end, strata = list(range(1, len(nodes) + 1)), [-1] * len(nodes)
-    for i in reversed(range(len(nodes))):
+    """One walk in pre-order off an explicit stack records each node, its
+    children, ``right_of``, the leaves and the discharging nodes; one
+    reverse loop then fills ``end`` and ``strata``."""
+    nodes, kids, right_of, discharging = [], [], [], []
+    leaf_node, leaf_formula, discharged_by, problems = {}, {}, {}, []
+    stack = [(t, -1, -1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        nd, parent, right = pop()
+        i = len(nodes)
+        nodes.append(nd)
+        right_of.append(right)
+        if parent >= 0:
+            kids[parent].append(i)
+        ch, rule = nd.children, nd.rule
+        kids.append([] if ch else ())
+        if len(ch) > 1 and rule == "imp_elim":
+            for pos in range(len(ch) - 1, -1, -1):
+                push((ch[pos], i, i if pos == 1 else right))
+        else:
+            for c in reversed(ch):
+                push((c, i, right))
+        if rule == ASSUME:
+            lid = nd.leaf_id
+            if lid in leaf_node:
+                problems.append(("discharge", i, f"duplicate leaf id {lid!r}"))
+            leaf_node[lid] = i
+            leaf_formula[lid] = nd.conclusion
+        if nd.discharges:
+            discharging.append(i)
+    n = len(nodes)
+    end, strata = list(range(1, n + 1)), [-1] * n
+    for i in range(n - 1, -1, -1):
         ks = kids[i]
         if ks:
             end[i] = end[ks[-1]]
-            s = -1
-            for k in ks:
-                if strata[k] > s:
-                    s = strata[k]
-            if len(ks) > 1 and nodes[i].rule == "imp_elim" and strata[ks[1]] >= s:
-                s = strata[ks[1]] + 1
+            s = strata[ks[0]]
+            if len(ks) > 1:
+                for k in ks:
+                    if strata[k] > s:
+                        s = strata[k]
+                if nodes[i].rule == "imp_elim" and strata[ks[1]] >= s:
+                    s = strata[ks[1]] + 1
             strata[i] = s
-    leaf_node, leaf_formula, discharged_by, problems = {}, {}, {}, []
-    right_of = [-1] * len(nodes)
-    discharging = []
-    for i, nd in enumerate(nodes):
-        if nd.rule == ASSUME:
-            if nd.leaf_id in leaf_node:
-                problems.append(("discharge", i, f"duplicate leaf id {nd.leaf_id!r}"))
-            leaf_node[nd.leaf_id] = i
-            leaf_formula[nd.leaf_id] = nd.conclusion
-        ks = kids[i]
-        if ks:
-            for k in ks:
-                right_of[k] = right_of[i]
-            if len(ks) > 1 and nd.rule == "imp_elim":
-                right_of[ks[1]] = i
-        if nd.discharges:
-            discharging.append(i)
     for i in discharging:
         for lid in sorted(nodes[i].discharges):
             if lid not in leaf_node:
@@ -467,6 +472,7 @@ _AX_NAMES = {v: k for k, v in AX_SYSTEMS.items()}
 IDENTITY_SUFFIXES = {"absent": "", "congruence": "+eq", "strict": "+eqxm"}
 
 
+@functools.lru_cache(maxsize=32)
 def parse_system(s) -> System:
     if isinstance(s, System):
         return s
@@ -510,6 +516,7 @@ class CheckReport:
     open_assumptions: frozenset
     unsafe_open: frozenset
     safe_open: frozenset
+    nodes: int                      # the number of nodes checked
 
     def to_json(self):
         return {"valid": self.valid,
@@ -525,95 +532,108 @@ def check_proof(t: Proof, system) -> CheckReport:
 
 
 def check_analysis(an: Analysis, system) -> CheckReport:
-    """``check_proof`` of the proof that ``an`` analyses."""
+    """``check_proof`` of the proof that ``an`` analyses.  Each node with a
+    sentence for its label goes to its rule's checker in ``_rule_table``."""
     system = parse_system(system)
+    table = _rule_table(system)
     out = [Violation(an.name(i), kind, msg) for kind, i, msg in an.problems]
-    allowed = _allowed_rules(system)
     for i, nd in enumerate(an.nodes):
-        _check_node(nd, i, an, system, allowed, out)
-    return CheckReport(not out, out, an.strata[0], *_opens(an))
-
-
-def _allowed_rules(system: System):
-    if system.kind == "ax":
-        rules = set(AX_RULES)
-        if not system.exists_elim:
-            rules.discard("exists_elim")
-        return rules
-    rules = set(ND_RULES)
-    if system.identity in ("congruence", "strict"):
-        rules |= {"eq_int", "eq_elim"}
-    if system.identity == "strict":
-        rules.add("id_xm")
-    if system.stratum_bound == -1:
-        rules.discard("imp_elim")
-    return rules
-
-
-def _check_node(nd, i, an, system, allowed, out):
-    def bad(constraint, message):
-        out.append(Violation(an.name(i), constraint, message))
-
-    if nd.conclusion.free:
-        bad("C1", f"label is not a sentence: {pretty(nd.conclusion)}")
-        return
-    if nd.is_assumption():
-        if nd.children or nd.discharges:
-            bad("rule", "assumption leaves have no children or discharges")
-        return
-
-    rule = nd.rule
-    if rule.startswith("axiom:"):
-        _check_axiom_node(nd, rule[6:], system, bad)
-        return
-    if rule not in allowed:
-        if rule in ND_RULES | IDENTITY_RULES | AX_RULES:
-            bad("system", f"rule {rule} is not part of {system.name}")
+        if nd.conclusion.free:
+            found = (("C1", f"label is not a sentence: {pretty(nd.conclusion)}"),)
         else:
-            bad("rule", f"unknown rule {rule!r}")
-        return
-    want = CHILD_COUNT.get(rule)
-    if want is not None and len(nd.children) != want:
-        bad("rule", f"{rule} expects {want} premises, got {len(nd.children)}")
-        return
-    if nd.discharges and rule not in DISCHARGING:
-        bad("discharge", f"rule {rule} cannot discharge assumptions")
-    _check_shape(nd, i, an, system, bad)
+            found = (table.get(nd.rule) or _unlisted(nd.rule, system))(nd, i, an)
+        if found:
+            name = an.name(i)
+            out += [Violation(name, kind, msg) for kind, msg in found]
+    return CheckReport(not out, out, an.strata[0], *_opens(an), len(an.nodes))
 
 
-def _check_axiom_node(nd, schema, system, bad):
+@functools.lru_cache(maxsize=32)
+def _rule_table(system: System) -> dict:
+    """Rule -> the checker ``(node, index, analysis)`` of a node with that
+    rule in ``system``, for ``assume``, each rule of any system and each
+    ``axiom:`` schema; it returns None or the node's (constraint, message)
+    pairs."""
+    if system.kind == "ax":
+        allowed = AX_RULES if system.exists_elim else AX_RULES - {"exists_elim"}
+    else:
+        allowed = ND_RULES | {"congruence": {"eq_int", "eq_elim"},
+                              "strict": IDENTITY_RULES}.get(system.identity, set())
+        if system.stratum_bound == -1:
+            allowed = allowed - {"imp_elim"}
+    leaf = (("rule", "assumption leaves have no children or discharges"),)
+    table = {ASSUME: lambda nd, i, an: leaf if nd.children or nd.discharges else None}
+    for rule in ND_RULES | IDENTITY_RULES | AX_RULES:
+        table[rule] = (functools.partial(_check_step, _SHAPES[rule], system)
+                       if rule in allowed else
+                       _reporter("system", f"rule {rule} is not part of {system.name}"))
+    for schema in SCHEMAS:
+        table[f"axiom:{schema}"] = _axiom_checker(schema, system)
+    return table
+
+
+def _reporter(constraint, message):
+    found = ((constraint, message),)
+    return lambda nd, i, an: found
+
+
+def _unlisted(rule, system):
+    """The checker of a rule the table lacks: an unknown rule or schema."""
+    if rule.startswith("axiom:"):
+        return _axiom_checker(rule[6:], system)
+    return _reporter("rule", f"unknown rule {rule!r}")
+
+
+def _axiom_checker(schema, system):
+    """The checker of ``axiom:<schema>`` nodes: the schema's compiled matcher."""
     if system.kind != "ax":
-        bad("system", "axiom leaves only occur in the axiomatic systems")
-        return
-    if nd.children or nd.discharges:
-        bad("rule", "axiom nodes take no premises")
-        return
-    if schema not in SCHEMAS:
-        bad("rule", f"unknown axiom schema {schema!r}")
-        return
-    if schema not in AXIOMS_BY_LEVEL[system.level]:
-        bad("system", f"axiom {schema} is not available in {system.name}")
-        return
-    if match_schema(schema, nd.conclusion) is None:
-        bad("rule", f"conclusion does not instantiate {schema}: {pretty(nd.conclusion)}")
+        return _reporter("system", "axiom leaves only occur in the axiomatic systems")
+    premises = (("rule", "axiom nodes take no premises"),)
+    if schema not in SCHEMAS or schema not in AXIOMS_BY_LEVEL[system.level]:
+        fault = ((("rule", f"unknown axiom schema {schema!r}"),) if schema not in SCHEMAS
+                 else (("system", f"axiom {schema} is not available in {system.name}"),))
+        return lambda nd, i, an: premises if nd.children or nd.discharges else fault
+    match = (functools.partial(match_schema, schema) if schema in _INSTANTIATING
+             else _KERNELS[schema][0])
+
+    def check(nd, i, an):
+        if nd.children or nd.discharges:
+            return premises
+        if match(nd.conclusion) is None:
+            return (("rule", f"conclusion does not instantiate {schema}: "
+                             f"{pretty(nd.conclusion)}"),)
+    return check
 
 
-def _check_discharges(nd, i, an, bad, slots, enforce_c5):
-    """``slots``: list of (child_index, required_formula).  Every discharged
+def _check_step(shape, system, nd, i, an):
+    """The checker of a node whose rule ``system`` has: premise count,
+    discharges on a rule that makes none, then the rule's ``shape``."""
+    want = CHILD_COUNT[nd.rule]
+    if len(nd.children) != want:
+        return _fault(f"{nd.rule} expects {want} premises, got {len(nd.children)}")
+    found = shape(nd, i, an, system)
+    if nd.discharges and nd.rule not in DISCHARGING:
+        return (("discharge", f"rule {nd.rule} cannot discharge assumptions"), *(found or ()))
+    return found
+
+
+def _discharge_faults(nd, i, an, slots, system):
+    """``slots``: (premise index, required formula) pairs.  Every discharged
     leaf must be an open occurrence of a slot formula inside the matching
-    child; in the simplified systems it must additionally be safe there
+    premise; in the simplified systems it must additionally be safe there
     (C5).  The axiomatic systems discharge unrestrictedly."""
+    found = []
     for lid in sorted(nd.discharges):
         if an.discharged_by.get(lid) != i:
             continue  # unknown or misplaced, reported during the analysis
-        if not any(an.in_subtree(lid, an.kids[i][pos]) and an.leaf_formula[lid] == want
-                   for pos, want in slots):
-            bad("discharge",
-                f"leaf {lid!r} ({pretty(an.leaf_formula[lid])}) does not match "
-                f"a dischargeable assumption of this rule")
-            continue
-        if enforce_c5 and an.unsafe_for(lid, i):
-            bad("C5", f"leaf {lid!r} occurs unsafely and may not be discharged")
+        j = an.leaf_node[lid]
+        if not any(k <= j < an.end[k] and an.leaf_formula[lid] == want for k, want in slots):
+            found.append(("discharge",
+                          f"leaf {lid!r} ({pretty(an.leaf_formula[lid])}) does not match "
+                          f"a dischargeable assumption of this rule"))
+        elif system.kind == "nd" and an.unsafe_for(lid, i):
+            found.append(("C5", f"leaf {lid!r} occurs unsafely and may not be discharged"))
+    return found
 
 
 def _eigenparam_for_forall(nd):
@@ -656,125 +676,147 @@ def _eigenparam_for_exists(nd, an):
     return t.index, xi, None
 
 
-def _check_shape(nd, i, an, system, bad):
-    rule, concl = nd.rule, nd.conclusion
-    kids = [c.conclusion for c in nd.children]
+# rule -> its shape check ``(node, index, analysis, system)``, run on a node
+# with the rule's number of premises; it returns None or (constraint, message)
+# pairs
 
-    if rule == "forall_elim" and not isinstance(kids[0], Forall):
-        bad("rule", "premise is not universally quantified")
-    elif rule == "exists_int" and not isinstance(concl, Exists):
-        bad("rule", "conclusion is not existentially quantified")
-    elif rule in INTERNALISED:
-        schema, message = INTERNALISED[rule]
-        if match_schema(schema, internal_instance(kids, concl)) is None:
-            bad("rule", message)
-    elif rule == "top_int":
-        if concl != TOP:
-            bad("rule", "the truth constant is the only conclusion here")
-    elif rule == "and_int":
-        if concl != And(kids[0], kids[1]):
-            bad("rule", "conclusion is not the conjunction of the premises")
-    elif rule == "or_elim":
-        major = kids[0]
-        if not isinstance(major, Or):
-            bad("rule", "major premise is not a disjunction")
-            return
-        if kids[1] != concl or kids[2] != concl:
-            bad("rule", "branches must conclude the main conclusion")
-            return
-        _check_discharges(nd, i, an, bad,
-                          [(1, major.left), (2, major.right)],
-                          system.kind == "nd")
-    elif rule == "imp_int":
-        if not isinstance(concl, Imp):
-            bad("rule", "conclusion of conditional proof must be a conditional")
-            return
-        if kids[0] != concl.right:
-            bad("rule", "premise must be the consequent of the conclusion")
-            return
-        _check_discharges(nd, i, an, bad, [(0, concl.left)],
-                          system.kind == "nd")
-    elif rule == "imp_elim":
-        if not (isinstance(kids[1], Imp) and kids[1].left == kids[0]
-                and kids[1].right == concl):
-            bad("rule", "premises do not fit modus ponens")
-            return
-        if system.kind == "nd" and system.stratum_bound is not None \
-                and system.stratum_bound >= 0:
-            got = an.strata[an.kids[i][1]]
-            if got >= system.stratum_bound:
-                bad("system",
-                    f"right premise has stratum {got}, needs < {system.stratum_bound}")
-    elif rule == "forall_int":
-        idx, err = _eigenparam_for_forall(nd)
-        if err:
-            bad("rule", err)
-            return
-        if idx is not None:
-            if idx in concl.body.params:
-                bad("C2", f"parameter #{idx} occurs in the generalised formula")
-            for lid in an.open_leaves_in(an.kids[i][0]):
-                if idx in an.leaf_formula[lid].params:
-                    bad("C2", f"parameter #{idx} occurs in open assumption "
-                              f"{pretty(an.leaf_formula[lid])}")
-    elif rule == "exists_elim":
-        if kids[1] != concl:
-            bad("rule", "body must conclude the main conclusion")
-            return
-        idx, xi, err = _eigenparam_for_exists(nd, an)
-        if err:
-            bad("rule", err)
-            return
-        major = kids[0]
-        body = an.kids[i][1]
-        if xi is not None:
-            _check_discharges(nd, i, an, bad, [(1, xi)],
-                              system.kind == "nd")
-            # C4: every open occurrence of the witness inside the body is closed here
-            for lid in an.open_leaves_in(body):
-                if an.leaf_formula[lid] == xi and lid not in nd.discharges:
-                    bad("C4", f"open witness occurrence {lid!r} is not discharged")
-        if idx is not None:
-            if idx in major.body.params:
-                bad("C3", f"parameter #{idx} occurs in the quantified matrix")
-            if idx in concl.params:
-                bad("C3", f"parameter #{idx} occurs in the conclusion")
-            for lid in an.open_leaves_in(body):
-                if lid in nd.discharges:
-                    continue
-                if idx in an.leaf_formula[lid].params:
-                    bad("C3", f"parameter #{idx} occurs in open assumption "
-                              f"{pretty(an.leaf_formula[lid])}")
-    elif rule == "affixing":
-        ok = (isinstance(kids[0], Imp) and isinstance(kids[1], Imp)
-              and isinstance(concl, Imp)
-              and isinstance(concl.left, Imp) and isinstance(concl.right, Imp)
-              and concl.left.left == kids[0].right
-              and concl.left.right == kids[1].left
-              and concl.right.left == kids[0].left
-              and concl.right.right == kids[1].right)
-        if not ok:
-            bad("rule", "premises do not fit the affixing rule")
-    elif rule == "eq_int":
-        ok = (isinstance(concl, Atom) and concl.rel == "=" and len(concl.args) == 2
-              and concl.args[0] == concl.args[1])
-        if not ok:
-            bad("rule", "conclusion is not a reflexive identity")
-    elif rule == "eq_elim":
-        eq = kids[0]
-        if not (isinstance(eq, Atom) and eq.rel == "=" and len(eq.args) == 2):
-            bad("rule", "first premise must be an identity")
-            return
-        t1, t2 = eq.args
-        if not _replaces(kids[1], concl, t1, t2):
-            bad("rule", "conclusion does not replace occurrences of the identified term")
-    elif rule == "id_xm":
-        ok = (isinstance(concl, Or) and isinstance(concl.left, Atom)
-              and concl.left.rel == "=" and isinstance(concl.right, Imp)
-              and concl.right.left == concl.left
-              and isinstance(concl.right.right, Bottom))
-        if not ok:
-            bad("rule", "conclusion is not an identity excluded middle instance")
+def _fault(message):
+    return (("rule", message),)
+
+
+def _shape_internalised(nd, i, an, system):
+    if nd.rule == "forall_elim" and not isinstance(nd.children[0].conclusion, Forall):
+        return _fault("premise is not universally quantified")
+    if nd.rule == "exists_int" and not isinstance(nd.conclusion, Exists):
+        return _fault("conclusion is not existentially quantified")
+    schema, message = INTERNALISED[nd.rule]
+    premises = [c.conclusion for c in nd.children]
+    if match_schema(schema, internal_instance(premises, nd.conclusion)) is None:
+        return _fault(message)
+
+
+def _shape_top_int(nd, i, an, system):
+    if nd.conclusion != TOP:
+        return _fault("the truth constant is the only conclusion here")
+
+
+def _shape_and_int(nd, i, an, system):
+    concl, (left, right) = nd.conclusion, nd.children
+    if not (type(concl) is And and concl.left == left.conclusion
+            and concl.right == right.conclusion):
+        return _fault("conclusion is not the conjunction of the premises")
+
+
+def _shape_or_elim(nd, i, an, system):
+    concl = nd.conclusion
+    major, left, right = (c.conclusion for c in nd.children)
+    if not isinstance(major, Or):
+        return _fault("major premise is not a disjunction")
+    if left != concl or right != concl:
+        return _fault("branches must conclude the main conclusion")
+    ks = an.kids[i]
+    return _discharge_faults(nd, i, an, ((ks[1], major.left), (ks[2], major.right)), system)
+
+
+def _shape_imp_int(nd, i, an, system):
+    concl = nd.conclusion
+    if not isinstance(concl, Imp):
+        return _fault("conclusion of conditional proof must be a conditional")
+    if nd.children[0].conclusion != concl.right:
+        return _fault("premise must be the consequent of the conclusion")
+    return _discharge_faults(nd, i, an, ((an.kids[i][0], concl.left),), system)
+
+
+def _shape_imp_elim(nd, i, an, system):
+    minor, major = nd.children[0].conclusion, nd.children[1].conclusion
+    if not (isinstance(major, Imp) and major.left == minor and major.right == nd.conclusion):
+        return _fault("premises do not fit modus ponens")
+    bound = system.stratum_bound
+    if bound is not None and bound >= 0 and system.kind == "nd":
+        got = an.strata[an.kids[i][1]]
+        if got >= bound:
+            return (("system", f"right premise has stratum {got}, needs < {bound}"),)
+
+
+def _shape_forall_int(nd, i, an, system):
+    idx, err = _eigenparam_for_forall(nd)
+    if err:
+        return _fault(err)
+    if idx is None:
+        return None
+    found = [("C2", f"parameter #{idx} occurs in the generalised formula")
+             ] if idx in nd.conclusion.body.params else []
+    return found + _pinned("C2", idx, an, an.open_leaves_in(an.kids[i][0]))
+
+
+def _pinned(constraint, idx, an, lids):
+    """A fault for each leaf of ``lids`` whose formula has the parameter."""
+    return [(constraint, f"parameter #{idx} occurs in open assumption "
+                         f"{pretty(an.leaf_formula[lid])}")
+            for lid in lids if idx in an.leaf_formula[lid].params]
+
+
+def _shape_exists_elim(nd, i, an, system):
+    concl = nd.conclusion
+    if nd.children[1].conclusion != concl:
+        return _fault("body must conclude the main conclusion")
+    idx, xi, err = _eigenparam_for_exists(nd, an)
+    if err:
+        return _fault(err)
+    body = an.kids[i][1]
+    kept = [lid for lid in an.open_leaves_in(body) if lid not in nd.discharges]
+    found = []
+    if xi is not None:
+        found += _discharge_faults(nd, i, an, ((body, xi),), system)
+        # C4: every open occurrence of the witness inside the body is closed here
+        found += [("C4", f"open witness occurrence {lid!r} is not discharged")
+                  for lid in kept if an.leaf_formula[lid] == xi]
+    if idx is not None:
+        if idx in nd.children[0].conclusion.body.params:
+            found.append(("C3", f"parameter #{idx} occurs in the quantified matrix"))
+        if idx in concl.params:
+            found.append(("C3", f"parameter #{idx} occurs in the conclusion"))
+        found += _pinned("C3", idx, an, kept)
+    return found
+
+
+def _shape_affixing(nd, i, an, system):
+    concl, (first, second) = nd.conclusion, (c.conclusion for c in nd.children)
+    if not (isinstance(first, Imp) and isinstance(second, Imp) and isinstance(concl, Imp)
+            and isinstance(concl.left, Imp) and isinstance(concl.right, Imp)
+            and concl.left.left == first.right and concl.left.right == second.left
+            and concl.right.left == first.left and concl.right.right == second.right):
+        return _fault("premises do not fit the affixing rule")
+
+
+def _shape_eq_int(nd, i, an, system):
+    c = nd.conclusion
+    if not (isinstance(c, Atom) and c.rel == "=" and len(c.args) == 2 and c.args[0] == c.args[1]):
+        return _fault("conclusion is not a reflexive identity")
+
+
+def _shape_eq_elim(nd, i, an, system):
+    eq, before = nd.children[0].conclusion, nd.children[1].conclusion
+    if not (isinstance(eq, Atom) and eq.rel == "=" and len(eq.args) == 2):
+        return _fault("first premise must be an identity")
+    if not _replaces(before, nd.conclusion, *eq.args):
+        return _fault("conclusion does not replace occurrences of the identified term")
+
+
+def _shape_id_xm(nd, i, an, system):
+    c = nd.conclusion
+    if not (isinstance(c, Or) and isinstance(c.left, Atom) and c.left.rel == "="
+            and isinstance(c.right, Imp) and c.right.left == c.left
+            and isinstance(c.right.right, Bottom)):
+        return _fault("conclusion is not an identity excluded middle instance")
+
+
+_SHAPES = {**dict.fromkeys(INTERNALISED, _shape_internalised),
+           "top_int": _shape_top_int, "and_int": _shape_and_int, "or_elim": _shape_or_elim,
+           "imp_int": _shape_imp_int, "imp_elim": _shape_imp_elim,
+           "forall_int": _shape_forall_int, "exists_elim": _shape_exists_elim,
+           "affixing": _shape_affixing, "eq_int": _shape_eq_int, "eq_elim": _shape_eq_elim,
+           "id_xm": _shape_id_xm}
 
 
 def _replaces(before, after, t1, t2):
@@ -824,14 +866,9 @@ def check_judgment(j: Judgment, t: Proof, identity="absent"):
     its unsafely-occurring open assumptions fall inside the left context."""
     bound = None if j.stratum_claim == "r" else int(j.stratum_claim)
     report = check_proof(t, System("nd", bound, identity))
-    if not report.valid or t.conclusion != j.conclusion:
-        return False, report
-    allowed = set(j.gamma) | set(j.sigma)
-    if not set(report.open_assumptions) <= allowed:
-        return False, report
-    if not set(report.unsafe_open) <= set(j.gamma):
-        return False, report
-    return True, report
+    return (report.valid and t.conclusion == j.conclusion
+            and report.open_assumptions <= {*j.gamma, *j.sigma}
+            and report.unsafe_open <= set(j.gamma)), report
 
 
 # ---------------------------------------------------------------------------
@@ -843,41 +880,38 @@ def _rename_params_in_tree(t: Proof, old: int, new: int) -> Proof:
         nd, conclusion=replace_param(nd.conclusion, old, new), children=tuple(kids)))
 
 
-def eigenparameter(nd: Proof) -> int | None:
-    """The inferred parameter of a quantifier node, when it is pinned."""
+def eigenparameter(nd: Proof, an=None) -> int | None:
+    """The inferred parameter of a quantifier node, when it is pinned.  An
+    existential elimination's witness leaves are read off ``an``, the
+    analysis of a proof that holds the node, or else of the node."""
     if nd.rule == "forall_int":
-        idx, _ = _eigenparam_for_forall(nd)
-        return idx
+        return _eigenparam_for_forall(nd)[0]
     if nd.rule == "exists_elim":
-        idx, _, _ = _eigenparam_for_exists(nd, analyze(nd))
-        return idx
+        return _eigenparam_for_exists(nd, an or analyze(nd))[0]
     return None
 
 
-def rename_eigenvariables(t: Proof, avoid) -> Proof:
-    """Rename quantifier parameters so none of them lies in ``avoid``.
+def rename_eigenvariables(t: Proof, avoid, an=None) -> Proof:
+    """Rename quantifier parameters so none of them lies in ``avoid``; ``t``
+    itself when none does.  ``an`` is the analysis of ``t``, when the caller
+    has one.
 
     Conclusion and open assumptions are untouched (their parameters are never
     eigenparameters of a valid proof), so grafting the result into a host
-    that uses ``avoid`` stays checkable.
+    that uses ``avoid`` stays checkable.  Each existential elimination's
+    witness leaves are read off the one analysis of ``t``: in a valid proof,
+    no renaming below the node touches the leaves it discharges.
     """
-    avoid = set(avoid)
+    an, avoid = an or analyze(t), set(avoid)
+    if not any(eigenparameter(nd, an) in avoid for nd in an.nodes):
+        return t
     used = parameters_of(t) | avoid
-    counter = itertools.count(max(used) + 1 if used else 0)
-    # each existential elimination's witness leaves are read off one
-    # analysis of ``t``: in a valid proof, no renaming below the node
-    # touches the leaves it discharges
-    an = analyze(t)
+    counter = itertools.count(max(used) + 1)
 
     def go(nd, kids):
         nd = replace(nd, children=tuple(kids))
-        if nd.rule == "forall_int":
-            idx = _eigenparam_for_forall(nd)[0]
-        elif nd.rule == "exists_elim":
-            idx = _eigenparam_for_exists(nd, an)[0]
-        else:
-            idx = None
-        if idx is not None and idx in avoid:
+        idx = eigenparameter(nd, an)
+        if idx in avoid:
             new = next(counter)
             if nd.rule == "forall_int":
                 sub = _rename_params_in_tree(nd.children[0], idx, new)
@@ -897,10 +931,8 @@ def rename_eigenvariables(t: Proof, avoid) -> Proof:
 def relabel_leaves(t: Proof, name) -> Proof:
     """Copy with the i-th distinct leaf id, in depth-first order, renamed
     to ``name(i)``; discharges of ids with no leaf are dropped."""
-    mapping = {}
-    for nd in _preorder(t)[0]:
-        if nd.is_assumption() and nd.leaf_id not in mapping:
-            mapping[nd.leaf_id] = name(len(mapping))
+    ids = dict.fromkeys(nd.leaf_id for nd in _preorder(t) if nd.is_assumption())
+    mapping = {lid: name(k) for k, lid in enumerate(ids)}
     return fold(t, lambda nd, kids: Proof(
         nd.rule, nd.conclusion, tuple(kids),
         frozenset(mapping[x] for x in nd.discharges if x in mapping),

@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .proofkernel import (
-    AX_RULES, CHILD_COUNT, IDENTITY_RULES, INTERNALISED, ND_RULES, Judgment,
-    Proof, System, _eigenparam_for_exists, analyze, assume, canonical_leaf_ids,
-    check_analysis, check_judgment, check_proof, eigenparameter, fold,
-    internal_instance, node, open_assumptions, relabel_fresh, rename_eigenvariables,
-    schema_instance,
+    AX_RULES, CHILD_COUNT, IDENTITY_RULES, INTERNALISED, ND_RULES, Judgment, Proof,
+    System, analyze, assume, canonical_leaf_ids, check_analysis, check_judgment,
+    check_proof, eigenparameter, fold, internal_instance, node, open_assumptions,
+    relabel_fresh, rename_eigenvariables, schema_instance,
 )
 from .syntax import (
     And, Exists, Forall, Imp, Or, Param, TOP, Formula, big_conj, box,
@@ -195,17 +194,20 @@ def derive_and_release(phi, psi, chi) -> Proof:
 def derive_forall_embedding(n, v, phi) -> Proof:
     """box^n of the universal from the open assumption universalised guard.
 
-    Follows the inductive construction: the guard is pulled inside with the
-    internal universal introduction, then chained with the recursive proof.
+    Follows the inductive construction one guard level at a time: the guard
+    is pulled inside with the internal universal introduction, then chained
+    with the proof of the level below, whose one open assumption is
+    discharged by its id; no modus ponens occurs, so that leaf is safe.
     """
-    if n == 0:
-        return assume(Forall(v, phi))
-    rec = derive_forall_embedding(n - 1, v, phi)
-    lower = Forall(v, box(n - 1, phi))
-    prem = assume(Forall(v, box(n, phi)))
-    left = node("int_forall_int", Imp(TOP, lower), [prem])
-    right = close_antecedent(rec, lower)
-    return node("int_trans", Imp(TOP, box(n - 1, Forall(v, phi))), [left, right])
+    guarded = phi                                   # box(k, phi) at level k
+    out = leaf = assume(Forall(v, phi))
+    for _ in range(n):
+        guarded, lower = Imp(TOP, guarded), leaf.conclusion
+        closed = node("imp_int", Imp(lower, out.conclusion), [out], {leaf.leaf_id})
+        leaf = assume(Forall(v, guarded))
+        pulled = node("int_forall_int", Imp(TOP, lower), [leaf])
+        out = node("int_trans", Imp(TOP, out.conclusion), [pulled, closed])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +485,7 @@ def _rd_exists_elim(an, j, gamma, sigma, n):
     ex = an.nodes[i_major].conclusion
     v, matrix = ex.var, ex.body
     concl = t.conclusion
-    i = _eigenparam_for_exists(t, an)[0]
+    i = eigenparameter(t, an)
     if i is None:
         i = _fresh_param(t, *gamma, *sigma)
     xi = substitute(matrix, v, Param(i))
@@ -786,8 +788,9 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
         raise TransformError("premise list does not cover the open assumptions")
     avoid = set().union(*(f_.params for f_ in
                           [*gamma, *an.leaf_formula.values(), t.conclusion]))
-    t = rename_eigenvariables(t, avoid)
-    an = analyze(t)
+    renamed = rename_eigenvariables(t, avoid, an)
+    if renamed is not t:
+        t, an = renamed, analyze(renamed)
 
     # per node: the open assumptions of its subtree conjoined, and its compiled
     # derivation of them -> its conclusion, filled in children first
@@ -840,7 +843,7 @@ def nd_to_axiomatic(t: Proof, gamma=None) -> Proof:
                                      A=left, B=right, C=concl)
         else:
             v, matrix = major.var, major.body
-            idx = _eigenparam_for_exists(nd_, an)[0]
+            idx = eigenparameter(nd_, an)
             if idx is None:
                 idx = _fresh_param(t, *gamma)
             lifted = sub(1, And(s, substitute(matrix, v, Param(idx))))

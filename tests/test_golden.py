@@ -63,7 +63,7 @@ from bqlcd.proofgen import (
 )
 from bqlcd.proofkernel import (
     AX_RULES, IDENTITY_RULES, ND_RULES, Proof, ProofJsonError, assume,
-    canonical_leaf_ids, check_proof, fold, node, open_assumptions, proof_from_json,
+    analyze, canonical_leaf_ids, check_analysis, fold, node, open_assumptions, proof_from_json,
     proof_size, proof_to_json, split_assumptions, stratum,
 )
 from bqlcd.syntax import (
@@ -552,8 +552,8 @@ def check_mutants(inputs):
     return out
 
 
-def report_data(t, system):
-    report = check_proof(t, system)
+def report_data(an, system):
+    report = check_analysis(an, system)
     return [[[v.node, v.constraint, v.message] for v in report.violations], report.stratum,
             *(sorted(map(pretty, s)) for s in
               (report.open_assumptions, report.unsafe_open, report.safe_open))]
@@ -561,8 +561,10 @@ def report_data(t, system):
 
 def check_record(name, t):
     """The digest of the loader error, or of the report in each system."""
-    digests = ([_digest(t)] if isinstance(t, list)
-               else [_digest(report_data(t, system)) for system in CHECK_SYSTEMS])
+    if isinstance(t, list):
+        return {"name": name, "digests": [_digest(t)]}
+    an = analyze(t)
+    digests = [_digest(report_data(an, system)) for system in CHECK_SYSTEMS]
     return {"name": name, "digests": digests}
 
 

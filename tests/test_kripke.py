@@ -127,6 +127,13 @@ def test_model_error_names_the_same_edge_under_any_hash_seed():
     assert outs == {"edge (w,a) uses an unknown world\n"}
 
 
+def test_an_extension_at_an_unknown_world_is_refused():
+    # before, the model loaded and model_to_json dropped the extension at zz
+    with pytest.raises(ModelError, match="relation p has an extension at the unknown world zz"):
+        model_from_json({"worlds": ["w"], "domain": 1, "rels": {"p": {"w": [], "zz": [[]]}},
+                         "rel_arity": {"p": 0}})
+
+
 def test_model_json_roundtrip_and_closure():
     m = m1()
     again = model_from_json(model_to_json(m))

@@ -102,6 +102,22 @@ def test_split_assumptions_closed_proof():
     assert split_assumptions(t) == (frozenset(), frozenset())
 
 
+def test_the_rule_table_has_one_checker_per_rule_and_schema():
+    from bqlcd.proofkernel import AX_RULES, IDENTITY_RULES, ND_RULES, _rule_table
+    want = ND_RULES | IDENTITY_RULES | AX_RULES | {"assume"} | {
+        f"axiom:{schema}" for schema in SCHEMAS}
+    for name in ["nbqlcd_r", "nbqlcd", "nbqlcd[0]", "nbqlcd_r+eq", "nbqlcd_r+eqxm",
+                 "bd+", "tjk+", "tjkd+"]:
+        table = _rule_table(parse_system(name))
+        assert set(table) == want and len(table) == len(want)
+        assert all(callable(check) for check in table.values())
+
+
+def test_check_report_counts_the_nodes_checked():
+    for t in (mp_from_leaves(), curry_derivation(), deep_and_chain(7)):
+        assert check_proof(t, "nbqlcd_r").nodes == proof_size(t)
+
+
 def test_check_proof_analyzes_once(monkeypatch):
     from bqlcd import proofkernel
     real, calls = proofkernel.analyze, []
@@ -597,6 +613,13 @@ def test_rename_noop_when_clear():
     t = forall_int_proof()
     out = rename_eigenvariables(t, {5, 9})
     assert out == t
+
+
+def test_rename_returns_its_input_when_it_renames_nothing():
+    t = forall_int_proof()
+    assert rename_eigenvariables(t, {5, 9}) is t
+    assert rename_eigenvariables(t, {5, 9}, analyze(t)) is t
+    assert rename_eigenvariables(t, {0}) is not t
 
 
 def test_rename_allows_grafting_conflict_resolution():

@@ -120,6 +120,14 @@ def test_forall_embedding_linear_growth():
     assert len(set(steps)) == 1     # constant increments
 
 
+def test_forall_embedding_1000_guards_deep_builds():
+    # one loop, each level sharing the guard of the level below: n = 400
+    # used to raise RecursionError
+    t = derive_forall_embedding(1000, "x", fo("P(x)"))
+    assert proof_size(t) == 4001
+    assert t.conclusion.left == TOP
+
+
 # --- conjunction plumbing ---------------------------------------------------------
 
 def test_conj_imp_projection():
@@ -520,6 +528,26 @@ def test_nd_to_axiomatic_quantifiers():
     out2 = nd_to_axiomatic(gen)
     assert check_proof(out2, "tjk+").valid
     assert out2.conclusion == Imp(f("forall y. P(y)"), f("forall x. P(x)"))
+
+
+def test_nd_to_axiomatic_analyses_its_input_once_when_nothing_is_renamed(monkeypatch):
+    from bqlcd import proofkernel, transform
+    real, calls = proofkernel.analyze, []
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+    monkeypatch.setattr(proofkernel, "analyze", counting)
+    monkeypatch.setattr(transform, "analyze", counting)
+    inst = node("forall_elim", f("P(#1)"), [assume(f("forall y. P(y)"), "u")])
+    gen = node("forall_int", f("forall x. P(x)"), [inst])
+    # the open assumption holds #0: the eigenparameter #1 of gen needs no renaming
+    for t in (gen, deep_and_chain(5), node("and_int", f("(forall x. P(x)) & Q(#0)"),
+                                           [gen, assume(f("Q(#0)"), "q")])):
+        calls.clear()
+        out = nd_to_axiomatic(t)
+        assert check_proof(out, "tjk+").valid
+        assert sum(c is t for c in calls) == 1
 
 
 def test_nd_to_axiomatic_rejects_identity_rules_as_outside_nbqlcd():
