@@ -866,9 +866,14 @@ def check_judgment(j: Judgment, t: Proof, identity="absent"):
     its unsafely-occurring open assumptions fall inside the left context."""
     bound = None if j.stratum_claim == "r" else int(j.stratum_claim)
     report = check_proof(t, System("nd", bound, identity))
-    return (report.valid and t.conclusion == j.conclusion
-            and report.open_assumptions <= {*j.gamma, *j.sigma}
-            and report.unsafe_open <= set(j.gamma)), report
+    if not report.valid or t.conclusion != j.conclusion:
+        return False, report
+    allowed = set(j.gamma) | set(j.sigma)
+    if not set(report.open_assumptions) <= allowed:
+        return False, report
+    if not set(report.unsafe_open) <= set(j.gamma):
+        return False, report
+    return True, report
 
 
 # ---------------------------------------------------------------------------
@@ -931,8 +936,10 @@ def rename_eigenvariables(t: Proof, avoid, an=None) -> Proof:
 def relabel_leaves(t: Proof, name) -> Proof:
     """Copy with the i-th distinct leaf id, in depth-first order, renamed
     to ``name(i)``; discharges of ids with no leaf are dropped."""
-    ids = dict.fromkeys(nd.leaf_id for nd in _preorder(t) if nd.is_assumption())
-    mapping = {lid: name(k) for k, lid in enumerate(ids)}
+    mapping = {}
+    for nd in _preorder(t):
+        if nd.is_assumption() and nd.leaf_id not in mapping:
+            mapping[nd.leaf_id] = name(len(mapping))
     return fold(t, lambda nd, kids: Proof(
         nd.rule, nd.conclusion, tuple(kids),
         frozenset(mapping[x] for x in nd.discharges if x in mapping),
