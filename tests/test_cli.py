@@ -345,8 +345,9 @@ _DIAGONAL = {"rels": {"=": {"w": [[0, 0]], "u": [[0, 0]]}}, "rel_arity": {"=": 2
                            ("consts", []), ("funs", 3), ("fun_arity", []),
                            ("rel_arity", "x")]),
     *(("sat", "m1_model.json", {**_DIAGONAL, "identity": value}) for value in ["bogus", 3, None]),
-    ("sat", "m1_model.json", {"rels": {"p": {"w": [], "u": [[]], "zz": [[]]}, "q": {}}}),
     *(("brady", "curry_universe.json", {"codes": value}) for value in [None, [], 3, "x"]),
+    # an extension at a world the model lacks
+    ("sat", "m1_model.json", {"rels": {"p": {"w": [], "u": [[]], "zz": [[]]}, "q": {}}}),
 ])
 def test_reader_fields_of_the_wrong_type_exit_2(capsys, tmp_path, command, name, changes):
     with open(data(name)) as fh:

@@ -113,11 +113,6 @@ def test_the_rule_table_has_one_checker_per_rule_and_schema():
         assert all(callable(check) for check in table.values())
 
 
-def test_check_report_counts_the_nodes_checked():
-    for t in (mp_from_leaves(), curry_derivation(), deep_and_chain(7)):
-        assert check_proof(t, "nbqlcd_r").nodes == proof_size(t)
-
-
 def test_check_proof_analyzes_once(monkeypatch):
     from bqlcd import proofkernel
     real, calls = proofkernel.analyze, []
@@ -126,6 +121,7 @@ def test_check_proof_analyzes_once(monkeypatch):
         calls.clear()
         report = check_proof(t, "nbqlcd_r")
         assert len(calls) == 1
+        assert report.nodes == proof_size(t)
         assert (report.unsafe_open, report.safe_open) == split_assumptions(t)
         assert report.open_assumptions == open_assumptions(t)
 
@@ -610,16 +606,10 @@ def test_rename_eigenvariables_avoids():
 
 
 def test_rename_noop_when_clear():
-    t = forall_int_proof()
-    out = rename_eigenvariables(t, {5, 9})
-    assert out == t
-
-
-def test_rename_returns_its_input_when_it_renames_nothing():
+    # nothing to rename: the input itself, whether or not its analysis is passed
     t = forall_int_proof()
     assert rename_eigenvariables(t, {5, 9}) is t
     assert rename_eigenvariables(t, {5, 9}, analyze(t)) is t
-    assert rename_eigenvariables(t, {0}) is not t
 
 
 def test_rename_allows_grafting_conflict_resolution():

@@ -541,7 +541,8 @@ def test_nd_to_axiomatic_analyses_its_input_once_when_nothing_is_renamed(monkeyp
     monkeypatch.setattr(transform, "analyze", counting)
     inst = node("forall_elim", f("P(#1)"), [assume(f("forall y. P(y)"), "u")])
     gen = node("forall_int", f("forall x. P(x)"), [inst])
-    # the open assumption holds #0: the eigenparameter #1 of gen needs no renaming
+    # the eigenparameter #1 of gen is no parameter of a premise or a
+    # conclusion, so nothing is renamed
     for t in (gen, deep_and_chain(5), node("and_int", f("(forall x. P(x)) & Q(#0)"),
                                            [gen, assume(f("Q(#0)"), "q")])):
         calls.clear()
