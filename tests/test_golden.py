@@ -529,11 +529,13 @@ def check_mutants(inputs):
     rng = random.Random(27)
     bases = [(name, proof_to_json(t)) for name, t in inputs
              if proof_size(t) <= MUTANT_BASE_SIZE]
+    places = [_places(data) for _, data in bases]
+    texts = [json.dumps(data) for _, data in bases]
     out = []
     for kind in MUTATIONS:
         sites = {}
-        for b, (_, data) in enumerate(bases):
-            for n, (d, place) in enumerate(_places(data)):
+        for b, base_places in enumerate(places):
+            for n, (d, place) in enumerate(base_places):
                 for aim in _aims(kind, d, place):
                     sites.setdefault(aim, []).append((b, n))
         for aim in sorted(sites):
@@ -541,8 +543,7 @@ def check_mutants(inputs):
             picks = (rng.sample(picks, min(UNAIMED_MUTANTS, len(picks))) if aim == "any"
                      else [rng.choice(picks)])
             for b, n in picks:
-                name, data = bases[b]
-                data = copy.deepcopy(data)
+                name, data = bases[b][0], json.loads(texts[b])
                 _mutate(kind, aim, _places(data)[n][0], data, rng)
                 try:
                     got = _opened(proof_from_json(data))
