@@ -76,9 +76,9 @@ from bqlcd.transform import (
 from oracle import oracle_sat
 from proofcases import (
     AXIOM_INSTANCES, CONSTRAINT_CASES, curry_derivation, deep_and_chain, display_one,
-    display_two, f, detachment_paired_with_itself, exists_elim_with_side_context, mp_chain, mp_from_leaves,
-    nested_stratum_example, nested_witness_chain, or_elim_on_a_repeated_disjunct,
-    or_elim_with_side_context,
+    display_two, f, detachment_paired_with_itself, exists_elim_with_side_context, mp_chain,
+    mp_from_leaves, nested_stratum_example, nested_witness_chain,
+    or_elim_on_a_repeated_disjunct, or_elim_with_side_context,
 )
 from universes import tower_universe
 
