@@ -53,6 +53,8 @@ def _check_nesting(formulas):
     """Refuse formulas nested more than ``MAX_NESTING`` levels deep."""
     level = list(formulas)
     for _ in range(MAX_NESTING + 1):
+        if not level:
+            return
         level = [sub for phi in level for sub in
                  ((phi.left, phi.right) if isinstance(phi, BINARY) else
                   (phi.body,) if isinstance(phi, QUANT) else ())]

@@ -38,8 +38,8 @@ from dataclasses import dataclass, replace
 
 from .syntax import (
     And, Atom, BINARY, Bottom, Exists, Fn, Forall, Imp, Or, Param, QUANT, TOP,
-    Formula, ParseError, Signature, Symbols, match_instantiation, parameters_of,
-    parse_inferring, pretty, replace_param,
+    Formula, ParseError, Signature, Symbols, _Node, match_instantiation,
+    parameters_of, parse_inferring, pretty, replace_param,
 )
 
 
@@ -83,16 +83,39 @@ CHILD_COUNT = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Proof:
+    """A proof node: a frozen dataclass with ``__slots__`` and no instance
+    dict, built in one step through setters bound once.  A copy or a pickle
+    rebuilds it through the constructor."""
     rule: str
     conclusion: Formula
     children: tuple = ()
     discharges: frozenset = frozenset()
     leaf_id: str | None = None
 
+    def __init__(self, rule, conclusion, children=(), discharges=frozenset(),
+                 leaf_id=None):
+        set_rule, set_conclusion, set_children, set_discharges, set_leaf_id = \
+            _PROOF_SETTERS
+        set_rule(self, rule)
+        set_conclusion(self, conclusion)
+        set_children(self, children)
+        set_discharges(self, discharges)
+        set_leaf_id(self, leaf_id)
+
+    def __reduce__(self):
+        return Proof, (self.rule, self.conclusion, self.children, self.discharges,
+                       self.leaf_id)
+
     def is_assumption(self):
         return self.rule == ASSUME
+
+
+# the ``__set__`` of each field's slot, in field order
+_PROOF_SETTERS = tuple(getattr(Proof, name).__set__ for name in Proof.__match_args__)
+# refuse every name with FrozenInstanceError, as a formula does (see ``_Node``)
+Proof.__setattr__, Proof.__delattr__ = _Node.__setattr__, _Node.__delattr__
 
 
 _fresh_leaf_counter = itertools.count()

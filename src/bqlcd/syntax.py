@@ -19,7 +19,7 @@ formula objects alike, and adds fresh names only when inferring.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterator, Mapping, Union
 
 
@@ -42,131 +42,191 @@ class SignatureError(ValueError):
 # ---------------------------------------------------------------------------
 
 class _Node:
-    """Base of terms and formulas.  ``free`` is the set of the node's free
-    variable names and ``params`` the set of its parameter indices, each set
-    once, at construction, from its parts' sets.  An empty set is this
-    shared class attribute; a non-empty one is stored on the instance outside
-    the dataclass fields, so neither takes part in ``repr``, ``==`` or
-    ``hash``."""
+    """Base of terms and formulas.  Every concrete class is a frozen dataclass
+    with ``__slots__`` and no instance dict; each field's slot is on its
+    concrete class.  ``free`` is the set of the node's free variable names
+    and ``params`` the set of its parameter indices, the two slots of this
+    class.  The ``__init__`` of a node writes its fields and both facts in
+    one step, through the slots' setters bound once (``_setters`` holds the
+    fields' setters, in field order), computing the facts from its parts'
+    facts; an empty set is the one shared ``frozenset()``.  The facts are
+    not dataclass fields, so neither takes part in ``repr``, ``==`` or
+    ``hash``.  A copy or a pickle rebuilds the node through its constructor,
+    which computes the facts again."""
 
-    free = params = frozenset()
+    __slots__ = ("free", "params")
 
-    def _facts(self, parts, bound=None):
-        free = params = _Node.free
-        for part in parts:
+    def __init__(self):
+        _set_free(self, _EMPTY)
+        _set_params(self, _EMPTY)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    # ``dataclass(slots=True)`` rebuilds each class, after which the frozen
+    # ``__setattr__`` and ``__delattr__`` it generated fail with TypeError on
+    # a name that is not a field; each concrete class drops them for these,
+    # which refuse every name, the facts included.
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+_EMPTY = frozenset()
+_set_free = _Node.free.__set__
+_set_params = _Node.params.__set__
+
+
+class _Applied(_Node):
+    """``Fn`` and ``Atom``: a head and argument terms."""
+
+    __slots__ = ()
+
+    def _build(self, head, args):
+        set_head, set_args = self._setters
+        set_head(self, head)
+        set_args(self, args)
+        free = params = _EMPTY
+        for part in args:
             if part.free:
                 free = free | part.free if free else part.free
             if part.params:
                 params = params | part.params if params else part.params
-        if bound in free:
-            free = free - {bound}
-        if free:
-            self.__dict__["free"] = free
-        if params:
-            self.__dict__["params"] = params
-
-
-class _Applied(_Node):
-    def __post_init__(self):
-        self._facts(self.args)
+        _set_free(self, free)
+        _set_params(self, params)
 
 
 class _Binary(_Node):
     """``And``, ``Or`` and ``Imp``: the fields and the facts are written in
-    one step, as ``_facts`` would set them, since formulas are built in
-    every hot loop."""
+    one step, since formulas are built in every hot loop."""
+
+    __slots__ = ()
 
     def __init__(self, left, right):
-        d = self.__dict__
-        d["left"] = left
-        d["right"] = right
+        set_left, set_right = self._setters
+        set_left(self, left)
+        set_right(self, right)
         a, b = left.free, right.free
-        if a or b:
-            d["free"] = a | b if a and b else a or b
+        _set_free(self, a | b if a and b else a or b)
         a, b = left.params, right.params
-        if a or b:
-            d["params"] = a | b if a and b else a or b
+        _set_params(self, a | b if a and b else a or b)
 
 
 class _Binder(_Node):
-    def __post_init__(self):
-        self._facts((self.body,), self.var)
+    """``Forall`` and ``Exists``: a bound variable and a body."""
+
+    __slots__ = ()
+
+    def __init__(self, var, body):
+        set_var, set_body = self._setters
+        set_var(self, var)
+        set_body(self, body)
+        free = body.free
+        _set_free(self, free - {var} or _EMPTY if var in free else free)
+        _set_params(self, body.params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Var(_Node):
     name: str
 
-    def __post_init__(self):
-        self.__dict__["free"] = frozenset((self.name,))
+    def __init__(self, name):
+        (set_name,) = self._setters
+        set_name(self, name)
+        _set_free(self, frozenset((name,)))
+        _set_params(self, _EMPTY)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Const(_Node):
     name: str
 
+    def __init__(self, name):
+        (set_name,) = self._setters
+        set_name(self, name)
+        _set_free(self, _EMPTY)
+        _set_params(self, _EMPTY)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Param(_Node):
     index: int
 
-    def __post_init__(self):
-        self.__dict__["params"] = frozenset((self.index,))
+    def __init__(self, index):
+        (set_index,) = self._setters
+        set_index(self, index)
+        _set_free(self, _EMPTY)
+        _set_params(self, frozenset((index,)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Fn(_Applied):
     name: str
     args: tuple["Term", ...]
+
+    def __init__(self, name, args):
+        self._build(name, args)
 
 
 Term = Union[Var, Const, Param, Fn]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Top(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Bottom(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Atom(_Applied):
     rel: str
     args: tuple[Term, ...] = ()
 
+    def __init__(self, rel, args=()):
+        self._build(rel, args)
 
-@dataclass(frozen=True, init=False)
+
+@dataclass(frozen=True, slots=True, init=False)
 class And(_Binary):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Or(_Binary):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Imp(_Binary):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Forall(_Binder):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Exists(_Binder):
     var: str
     body: "Formula"
+
+
+# each concrete class drops the frozen ``__setattr__`` and ``__delattr__``
+# of ``dataclass`` for ``_Node``'s and keeps the setters of its fields' slots
+for _cls in (Var, Const, Param, Fn, Top, Bottom, Atom, And, Or, Imp, Forall, Exists):
+    del _cls.__setattr__, _cls.__delattr__
+    _cls._setters = tuple(getattr(_cls, name).__set__ for name in _cls.__match_args__)
 
 
 Formula = Union[Top, Bottom, Atom, And, Or, Imp, Forall, Exists]

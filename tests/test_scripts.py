@@ -1,5 +1,6 @@
 """Smoke test: the scripts under ``scripts/`` run to completion, and the
-battery visits the work it visited when its counters were pinned."""
+battery visits the work it visited when its counters were pinned.  The
+sizing harness runs the ``truth`` workload against its own checkout."""
 
 import json
 import os
@@ -24,6 +25,7 @@ PINNED = {"battery.py": {
     ["curry_demo.py"],
     ["reduction_stats.py", "--size", "20"],
     ["battery.py", "--bounds", "2", "1"],
+    ["ab_rounds.py", str(ROOT), str(ROOT), "--workload", "truth", "--rounds", "2"],
 ])
 def test_script_runs(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bqlcd.proofgen import generate_corpus, random_sentence
-from bqlcd.proofkernel import SCHEMAS, schema_instance
+from bqlcd.proofkernel import SCHEMAS, Proof, assume, node, schema_instance
 from bqlcd.syntax import (
     And, Atom, Bottom, Const, Exists, Fn, Forall, Imp, Or, Param, ParseError,
     Signature, SignatureError, Top, TOP, BOTTOM, Var, _subst, big_conj, box,
@@ -270,19 +270,54 @@ def test_stored_facts_match_the_reference(phi, rng):
                 assert x.params == reference_params(x)
 
 
+# one node of each class, leaves and proof nodes included
+NODES = (Var("x"), Const("c"), Param(3), Fn("f", (Var("x"), Param(2))), TOP, BOTTOM,
+         Atom("R", (Var("x"), Const("c"))), Atom("p"), And(Atom("p"), Atom("q")),
+         Or(Atom("p"), Atom("P", (Param(1),))), Imp(TOP, BOTTOM),
+         Forall("x", Atom("P", (Var("x"),))), Exists("y", Atom("P", (Var("x"),))),
+         node("and_int", And(Atom("p"), Atom("q")), (assume(Atom("p"), "a"),
+                                                     assume(Atom("q"), "b"))))
+
+
 @settings(max_examples=30, deadline=None)
 @given(formulas())
 def test_copies_keep_the_formula_and_its_facts(phi):
-    # a copy, a pickled round trip, a replaced part and a keyword
-    # construction each give the formula with its stored facts
-    for x in (phi, generalize_param(phi, 1, "y")):
-        copies = [copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
-        if isinstance(x, (And, Or, Imp)):
-            copies += [dataclasses.replace(x, left=x.left),
-                       type(x)(left=x.left, right=x.right)]
+    # a shallow and a deep copy, a pickled round trip, a replaced field and
+    # a keyword construction each give the node with its stored facts (of
+    # its conclusion, for a proof node)
+    proof = node("imp_int", Imp(phi, phi), (assume(phi, "a"),), ("a",))
+    for x in (phi, generalize_param(phi, 1, "y"), proof, *NODES):
+        copies = [copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
+        names = [f.name for f in dataclasses.fields(x)]
+        if names:
+            copies += [dataclasses.replace(x, **{names[0]: getattr(x, names[0])}),
+                       type(x)(**{name: getattr(x, name) for name in names})]
         for y in copies:
             assert (y, hash(y), repr(y)) == (x, hash(x), repr(x))
-            assert (y.free, y.params) == (reference_free_vars(x), reference_params(x))
+            f = y.conclusion if isinstance(y, Proof) else y
+            g = x.conclusion if isinstance(x, Proof) else x
+            assert (f.free, f.params) == (reference_free_vars(g), reference_params(g))
+
+
+@pytest.mark.parametrize("x", NODES, ids=lambda x: type(x).__name__)
+def test_nodes_are_slotted_and_frozen(x):
+    cls = type(x)
+    assert not hasattr(x, "__dict__")
+    names = [f.name for f in dataclasses.fields(x)]
+    # each field has a slot on the concrete class, and no slot is declared twice
+    assert set(names) <= set(cls.__dict__["__slots__"])
+    slots = [name for c in cls.__mro__ for name in c.__dict__.get("__slots__", ())]
+    assert len(slots) == len(set(slots))
+    facts = [] if isinstance(x, Proof) else ["free", "params"]
+    for name in names + facts:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, getattr(x, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.note = 1
+    # an empty fact is the one shared empty set
+    assert all(getattr(x, name) or getattr(x, name) is TOP.free for name in facts)
 
 
 @settings(max_examples=60)
