@@ -6,15 +6,18 @@ lane-parallel search against; the free variables and parameters of a
 term or formula found by walking it, for tests to check the facts each node
 stores against; and axiom schema matching and instantiation by a recursive
 walk over the schema's formula, for tests to check the compiled schema
-kernels against."""
+kernels against; and eigenvariable renaming by nested folds, one over each
+renamed node's premise subtree, for tests to check the package's renaming
+against."""
 
 import itertools
+from dataclasses import replace
 
 from bqlcd import kripke
-from bqlcd.proofkernel import SCHEMAS
+from bqlcd.proofkernel import SCHEMAS, analyze, eigenparameter, fold
 from bqlcd.syntax import (
     BINARY, QUANT, Atom, Const, Exists, Fn, Forall, Param, Var, infer_signature,
-    match_instantiation, subformulas, subterms,
+    match_instantiation, parameters_of, replace_param, subformulas, subterms,
 )
 
 
@@ -270,3 +273,34 @@ def _fill(pat, bindings):
     if isinstance(pat, BINARY):
         return type(pat)(_fill(pat.left, bindings), _fill(pat.right, bindings))
     return pat
+
+
+def reference_rename(t, avoid, an=None):
+    """``rename_eigenvariables``: a post-order fold that, at each quantifier
+    node whose eigenparameter lies in ``avoid``, renames it to the next fresh
+    index by a second fold over the node's premise subtree."""
+    an, avoid = an or analyze(t), set(avoid)
+    if not any(eigenparameter(nd, an) in avoid for nd in an.nodes):
+        return t
+    used = parameters_of(t) | avoid
+    counter = itertools.count(max(used) + 1)
+
+    def go(nd, kids):
+        nd = replace(nd, children=tuple(kids))
+        idx = eigenparameter(nd, an)
+        if idx in avoid:
+            new = next(counter)
+            if nd.rule == "forall_int":
+                sub = _rename_params_in_tree(nd.children[0], idx, new)
+                nd = replace(nd, children=(sub,))
+            else:
+                body = _rename_params_in_tree(nd.children[1], idx, new)
+                nd = replace(nd, children=(nd.children[0], body))
+        return nd
+
+    return fold(t, go)
+
+
+def _rename_params_in_tree(t, old, new):
+    return fold(t, lambda nd, kids: replace(
+        nd, conclusion=replace_param(nd.conclusion, old, new), children=tuple(kids)))

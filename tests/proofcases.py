@@ -167,12 +167,14 @@ def or_elim_on_a_repeated_disjunct():
     return node("or_elim", r, [maj, mp1, mp2], {"dl", "dr"})
 
 
-def nested_witness_chain(depth):
+def nested_witness_chain(depth, bottom=None):
     """``depth`` nested witness eliminations over a modus ponens: each body
     pairs its witness ``P(#0)`` with the next level and takes the pair apart
-    again.  A stratum-0 proof of ``q`` with 5 * depth + 3 nodes."""
+    again.  A stratum-0 proof of ``q`` with 5 * depth + 3 nodes.  A proof
+    ``bottom`` of ``q``, such as the leaf ``assume(q)``, replaces the modus
+    ponens."""
     p, q, wit_formula = f("p"), f("q"), f("P(#0)")
-    t = node("imp_elim", q, [assume(p, "m1"), assume(Imp(p, q), "m2")])
+    t = bottom or node("imp_elim", q, [assume(p, "m1"), assume(Imp(p, q), "m2")])
     for i in range(depth):
         wit = assume(wit_formula, f"w{i}")
         body = node("and_elim_r", q, [node("and_int", And(wit_formula, q), [wit, t])])

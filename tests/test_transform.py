@@ -24,9 +24,10 @@ from bqlcd.transform import (
     reduce_proof, regularity_transform, relabel_fresh, relative_deduction,
     unbox, unrestricted_exists_elim, unrestricted_or_elim, _rule_proof,
 )
-from oracle import reference_instance, reference_match
+from oracle import reference_instance, reference_match, reference_rename
 from proofcases import (
-    AXIOM_INSTANCES, curry_derivation, deep_and_chain, detachment_paired_with_itself,
+    AXIOM_INSTANCES, CONSTRAINT_CASES, curry_derivation, deep_and_chain,
+    detachment_paired_with_itself,
     display_one, display_two, exists_elim_with_side_context, f, fo, mp_chain,
     mp_from_leaves, nested_stratum_example, nested_witness_chain,
     or_elim_on_a_repeated_disjunct, or_elim_with_side_context,
@@ -706,6 +707,28 @@ def test_rename_nested_shared_eigenparameters():
     assert check_proof(out, "nbqlcd_r").valid
     from bqlcd.syntax import parameters_of
     assert 1 not in parameters_of(out)
+
+
+def test_renaming_agrees_with_the_reference(reduced_corpus):
+    # the same proof, down to each fresh parameter's index, as the nested
+    # folds, away from each single parameter of the input and from all of
+    # them: on the corpora and their reductions, the hand-built proofs, and
+    # witness chains over a leaf, whose levels all rename #0
+    proofs = [t for pair in reduced_corpus for t in pair]
+    proofs += [make() for make in CONSTRAINT_CASES.values()] + [
+        curry_derivation(), display_one(), display_two(), nested_stratum_example(),
+        mp_from_leaves(), or_elim_with_side_context(), exists_elim_with_side_context(),
+        deep_and_chain(3), mp_chain(20), detachment_paired_with_itself(),
+        or_elim_on_a_repeated_disjunct(), nested_witness_chain(20)]
+    proofs += [nested_witness_chain(d, assume(f("q"), "q")) for d in range(1, 21)]
+    renamed = 0
+    for t in proofs:
+        params = sorted(parameters_of(t))
+        for avoid in [{i} for i in params] + [set(params)]:
+            got = rename_eigenvariables(t, avoid)
+            assert got == reference_rename(t, avoid)
+            renamed += got is not t
+    assert renamed == 536
 
 
 def _leaf_ids(t):
