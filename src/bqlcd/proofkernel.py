@@ -34,7 +34,7 @@ import bisect
 import functools
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .syntax import (
     And, Atom, BINARY, Bottom, Exists, Fn, Forall, Imp, Or, Param, QUANT, TOP,
@@ -203,13 +203,17 @@ class Analysis:
         has the leaf in its right (conditional-premise) subtree."""
         return self.right_of[self.leaf_node[leaf_id]] >= i
 
-    def name(self, i):
-        """``r``, then the child positions on the way down to node i."""
-        out, j = "r", 0
-        while j != i:
-            pos = bisect.bisect_right(self.kids[j], i) - 1
-            out += f".{pos}"
-            j = self.kids[j][pos]
+    def names(self, wanted):
+        """Index -> ``r``, then the child positions on the way down, for the
+        nodes of the sorted list ``wanted`` and those above them: one walk
+        down, entering only the subtrees that hold a wanted node."""
+        out, stack = {}, [(0, "r")] if wanted else []
+        while stack:
+            i, name = stack.pop()
+            out[i] = name
+            for pos, k in enumerate(self.kids[i]):
+                if bisect.bisect_left(wanted, k) < bisect.bisect_left(wanted, self.end[k]):
+                    stack.append((k, f"{name}.{pos}"))
         return out
 
 
@@ -549,8 +553,8 @@ class CheckReport:
 def check_proof(t: Proof, system) -> CheckReport:
     """Check ``t`` in ``system`` (a ``System`` or its name).  The report lists
     the analysis' structural problems, then each node's violations, nodes in
-    pre-order.  A node is named by its child positions from the root:
-    ``r.2.0`` is the first premise of the root's third premise."""
+    pre-order.  Only reported nodes are named, in one walk down, by their child
+    positions: ``r.2.0`` is the first premise of the root's third premise."""
     return check_analysis(analyze(t), system)
 
 
@@ -559,15 +563,16 @@ def check_analysis(an: Analysis, system) -> CheckReport:
     sentence for its label goes to its rule's checker in ``_rule_table``."""
     system = parse_system(system)
     table = _rule_table(system)
-    out = [Violation(an.name(i), kind, msg) for kind, i, msg in an.problems]
+    found = [(i, kind, msg) for kind, i, msg in an.problems]
     for i, nd in enumerate(an.nodes):
         if nd.conclusion.free:
-            found = (("C1", f"label is not a sentence: {pretty(nd.conclusion)}"),)
+            got = (("C1", f"label is not a sentence: {pretty(nd.conclusion)}"),)
         else:
-            found = (table.get(nd.rule) or _unlisted(nd.rule, system))(nd, i, an)
-        if found:
-            name = an.name(i)
-            out += [Violation(name, kind, msg) for kind, msg in found]
+            got = (table.get(nd.rule) or _unlisted(nd.rule, system))(nd, i, an)
+        if got:
+            found += [(i, kind, msg) for kind, msg in got]
+    names = an.names(sorted({i for i, _, _ in found}))
+    out = [Violation(names[i], kind, msg) for i, kind, msg in found]
     return CheckReport(not out, out, an.strata[0], *_opens(an), len(an.nodes))
 
 
@@ -903,11 +908,6 @@ def check_judgment(j: Judgment, t: Proof, identity="absent"):
 # eigenvariable renaming
 # ---------------------------------------------------------------------------
 
-def _rename_params_in_tree(t: Proof, old: int, new: int) -> Proof:
-    return fold(t, lambda nd, kids: replace(
-        nd, conclusion=replace_param(nd.conclusion, old, new), children=tuple(kids)))
-
-
 def eigenparameter(nd: Proof, an=None) -> int | None:
     """The inferred parameter of a quantifier node, when it is pinned.  An
     existential elimination's witness leaves are read off ``an``, the
@@ -926,30 +926,30 @@ def rename_eigenvariables(t: Proof, avoid, an=None) -> Proof:
 
     Conclusion and open assumptions are untouched (their parameters are never
     eigenparameters of a valid proof), so grafting the result into a host
-    that uses ``avoid`` stays checkable.  Each existential elimination's
-    witness leaves are read off the one analysis of ``t``: in a valid proof,
-    no renaming below the node touches the leaves it discharges.
+    that uses ``avoid`` stays checkable.  Renamed nodes take, in post-order,
+    the next index above ``t``'s and ``avoid``'s in their premise (a witness
+    elimination's body), the innermost winning: one walk down, one walk up.
     """
     an, avoid = an or analyze(t), set(avoid)
-    if not any(eigenparameter(nd, an) in avoid for nd in an.nodes):
+    old = {i: idx for i, nd in enumerate(an.nodes) if (idx := eigenparameter(nd, an)) in avoid}
+    if not old:
         return t
-    used = parameters_of(t) | avoid
-    counter = itertools.count(max(used) + 1)
-
-    def go(nd, kids):
-        nd = replace(nd, children=tuple(kids))
-        idx = eigenparameter(nd, an)
-        if idx in avoid:
-            new = next(counter)
-            if nd.rule == "forall_int":
-                sub = _rename_params_in_tree(nd.children[0], idx, new)
-                nd = replace(nd, children=(sub,))
-            else:
-                body = _rename_params_in_tree(nd.children[1], idx, new)
-                nd = replace(nd, children=(nd.children[0], body))
-        return nd
-
-    return fold(t, go)
+    fresh = itertools.count(max(parameters_of(t) | avoid) + 1)
+    new = {i: next(fresh) for i in sorted(old, key=lambda i: (an.end[i], -i))}
+    maps = [{}] * len(an.nodes)
+    for i, ks in enumerate(an.kids):
+        for k in ks:
+            maps[k] = maps[i]
+        if i in old:
+            body = ks[1] if an.nodes[i].rule == "exists_elim" else ks[0]
+            maps[body] = {**maps[i], old[i]: new[i]}
+    out = [None] * len(an.nodes)
+    for i in reversed(range(len(out))):
+        nd, phi = an.nodes[i], an.nodes[i].conclusion
+        for idx in maps[i].keys() & phi.params:
+            phi = replace_param(phi, idx, maps[i][idx])
+        out[i] = Proof(nd.rule, phi, tuple(out[k] for k in an.kids[i]), nd.discharges, nd.leaf_id)
+    return out[0]
 
 
 # ---------------------------------------------------------------------------

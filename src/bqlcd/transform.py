@@ -215,14 +215,15 @@ def derive_forall_embedding(n, v, phi) -> Proof:
 # ---------------------------------------------------------------------------
 
 def regularity_transform(p: Proof, n: int, premises=None) -> Proof:
-    """Lift a guard-free-system proof under n guards premise-wise: from the
-    premises each guarded n deep, conclude the guarded conclusion."""
+    """Lift a guard-free-system proof, its eigenparameters renamed once away
+    from the premises', under n guards premise-wise: from the premises each
+    guarded n deep, conclude the guarded conclusion."""
     if n < 0:
         raise TransformError("guard depth must be >= 0")
     premises = ordered_opens(p) if premises is None else list(dict.fromkeys(premises))
     if not set(open_assumptions(p)) <= set(premises):
         raise TransformError("premise list does not cover the open assumptions")
-    cur = p
+    cur = rename_eigenvariables(p, big_conj(premises).params) if n else p
     for k in range(1, n + 1):
         cur = _regularity_step(cur, [box(k - 1, f_) for f_ in premises],
                                [box(k, f_) for f_ in premises])
@@ -234,9 +235,7 @@ def _regularity_step(q: Proof, lower: list, upper: list) -> Proof:
         return vacuous_imp(q, TOP)
     big = big_conj(lower)
     comp = _conj_components(big)
-    q2 = graft(rename_eigenvariables(q, big.params),
-               {f_: _project(big, comp[f_]) for f_ in lower})
-    right = close_antecedent(q2, big)
+    right = close_antecedent(graft(q, {f_: _project(big, comp[f_]) for f_ in lower}), big)
     leaves = [assume(u) for u in upper]
     left = leaves[-1]
     for lf, low in zip(reversed(leaves[:-1]), reversed(lower[:-1])):
@@ -658,14 +657,15 @@ def axiomatic_to_nd(t: Proof) -> Proof:
         msgs = "; ".join(v.message for v in report.violations)
         raise TransformError(f"input does not check in the axiomatic system: {msgs}")
     # fresh input ids, so no id minted by the translation can equal one of them
-    out = fold(relabel_fresh(t), _ax2nd)
+    an = analyze(relabel_fresh(t))
+    out = fold(an.nodes[0], lambda nd, kids: _ax2nd(nd, kids, an))
     final = check_proof(out, "nbqlcd_r")
     if not final.valid:
         raise TransformError("internal: translated proof does not check")
     return canonical_leaf_ids(out)
 
 
-def _ax2nd(t: Proof, kids) -> Proof:
+def _ax2nd(t: Proof, kids, an) -> Proof:
     if t.is_assumption():
         return t
     if t.rule.startswith("axiom:"):
@@ -681,7 +681,7 @@ def _ax2nd(t: Proof, kids) -> Proof:
     if t.rule == "or_elim":
         return relabel_fresh(unrestricted_or_elim(*kids))
     if t.rule == "exists_elim":
-        return relabel_fresh(unrestricted_exists_elim(*kids, param_index=eigenparameter(t)))
+        return relabel_fresh(unrestricted_exists_elim(*kids, param_index=eigenparameter(t, an)))
     if t.rule in AX_RULES:
         return node(t.rule, t.conclusion, kids)
     raise TransformError(f"rule {t.rule} has no translation")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from bqlcd.proofkernel import (
     Judgment, Proof, System, Violation, assume, canonical_leaf_ids, check_judgment,
     check_proof, match_schema, node, open_assumptions, parse_system,
     proof_depth, proof_from_json, proof_size, proof_to_json, proofs_equal,
-    BASE_AXIOMS, analyze, rename_eigenvariables,
+    BASE_AXIOMS, analyze, eigenparameter, rename_eigenvariables,
     schema_instance, split_assumptions, stratum, unsafe_leaves,
 )
 from bqlcd.syntax import (
@@ -24,7 +25,8 @@ from proofcases import (
     display_two, exists_elim_into_its_conclusion, exists_elim_on_an_unsafe_witness,
     exists_elim_with_a_partial_discharge, f, forall_int_generalising_part_of_its_premise,
     forall_int_on_a_bare_instance, forall_int_with_a_pinned_open_assumption,
-    mp_from_leaves, nested_stratum_example, vacuous_exists_elim_left_open,
+    mp_from_leaves, nested_stratum_example, nested_witness_chain,
+    vacuous_exists_elim_left_open,
 )
 
 
@@ -603,6 +605,20 @@ def test_rename_eigenvariables_avoids():
     valid(out)
     assert out.conclusion == t.conclusion
     assert 0 not in parameters_of(out)
+
+
+def test_renaming_a_witness_chain_1000_deep_is_linear():
+    # every level renames #0 in its body; nested, each renaming used to
+    # re-fold the levels below it
+    t = nested_witness_chain(1000, assume(f("q"), "q"))
+    start = time.perf_counter()
+    out = rename_eigenvariables(t, {0})
+    elapsed = time.perf_counter() - start
+    valid(out, "nbqlcd")
+    an = analyze(out)
+    assert all(eigenparameter(nd, an) not in {0, None} for nd in an.nodes
+               if nd.rule == "exists_elim")
+    assert elapsed < 0.5
 
 
 def test_rename_noop_when_clear():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -649,6 +650,15 @@ def test_a_proof_1200_deep_compiles_without_recursion():
     out = nd_to_axiomatic(deep_and_chain(600))
     assert check_proof(out, "tjk+").valid
     assert out.conclusion == Imp(big_conj([f("p"), f("q")]), f("p"))
+    # in the natural-deduction system each axiom leaf is a violation, named
+    # in one walk down rather than one walk from the root per leaf
+    start = time.perf_counter()
+    report = check_proof(out, "nbqlcd_r")
+    elapsed = time.perf_counter() - start
+    axioms = sum(nd.rule.startswith("axiom:") for nd in analyze(out).nodes)
+    assert [v.message for v in report.violations] == (
+        ["axiom leaves only occur in the axiomatic systems"] * axioms)
+    assert axioms > 3000 and elapsed < 0.3
 
 
 def test_relative_deduction_exists_elim_with_side_context_deep():
