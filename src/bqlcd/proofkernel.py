@@ -926,9 +926,9 @@ def rename_eigenvariables(t: Proof, avoid, an=None) -> Proof:
 
     Conclusion and open assumptions are untouched (their parameters are never
     eigenparameters of a valid proof), so grafting the result into a host
-    that uses ``avoid`` stays checkable.  Renamed nodes take, in post-order,
-    the next index above ``t``'s and ``avoid``'s in their premise (a witness
-    elimination's body), the innermost winning: one walk down, one walk up.
+    that uses ``avoid`` stays checkable.  In post-order, each renamed node's
+    parameter becomes the next index above ``t``'s and ``avoid``'s in its
+    premise (a witness elimination's body), the innermost renaming winning.
     """
     an, avoid = an or analyze(t), set(avoid)
     old = {i: idx for i, nd in enumerate(an.nodes) if (idx := eigenparameter(nd, an)) in avoid}
