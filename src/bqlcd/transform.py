@@ -223,7 +223,7 @@ def regularity_transform(p: Proof, n: int, premises=None) -> Proof:
     premises = ordered_opens(p) if premises is None else list(dict.fromkeys(premises))
     if not set(open_assumptions(p)) <= set(premises):
         raise TransformError("premise list does not cover the open assumptions")
-    cur = rename_eigenvariables(p, big_conj(premises).params) if n else p
+    cur = rename_eigenvariables(p, big_conj(premises).params) if n and premises else p
     for k in range(1, n + 1):
         cur = _regularity_step(cur, [box(k - 1, f_) for f_ in premises],
                                [box(k, f_) for f_ in premises])

@@ -608,8 +608,8 @@ def test_rename_eigenvariables_avoids():
 
 
 def test_renaming_a_witness_chain_1000_deep_is_linear():
-    # every level renames #0 in its body; nested, each renaming used to
-    # re-fold the levels below it
+    # every level renames #0 in its body, which holds all the levels below
+    # it, so renaming each body afresh would be quadratic in the depth
     t = nested_witness_chain(1000, assume(f("q"), "q"))
     start = time.perf_counter()
     out = rename_eigenvariables(t, {0})

@@ -10,9 +10,9 @@ import pytest
 from bqlcd.proofgen import axiomatic_corpus, closed_theorem_corpus, generate_corpus
 from bqlcd.proofkernel import (
     CHILD_COUNT, IDENTITY_RULES, INTERNALISED, ND_RULES, SCHEMAS, _eigenparam_for_exists,
-    analyze, assume, check_proof, eigenparameter, internal_instance, match_schema, node,
-    open_assumptions, proof_size, proof_to_json, proofs_equal, schema_instance, stratum,
-    rename_eigenvariables,
+    analyze, assume, canonical_leaf_ids, check_proof, eigenparameter, internal_instance,
+    match_schema, node, open_assumptions, proof_size, proof_to_json, proofs_equal,
+    schema_instance, stratum, rename_eigenvariables,
 )
 from bqlcd.syntax import (
     And, Exists, Forall, Imp, Or, Param, TOP, big_conj, box, parameters_of,
@@ -28,8 +28,8 @@ from bqlcd.transform import (
 from oracle import reference_instance, reference_match, reference_rename
 from proofcases import (
     AXIOM_INSTANCES, CONSTRAINT_CASES, curry_derivation, deep_and_chain,
-    detachment_paired_with_itself,
-    display_one, display_two, exists_elim_with_side_context, f, fo, mp_chain,
+    detachment_paired_with_itself, display_one, display_two,
+    exists_elim_with_side_context, f, fo, mp_chain,
     mp_from_leaves, nested_stratum_example, nested_witness_chain,
     or_elim_on_a_repeated_disjunct, or_elim_with_side_context,
 )
@@ -172,6 +172,21 @@ def test_regularity_depth_three():
     check_nb(out)
     assert out.conclusion == box(3, f("p | q"))
     assert open_assumptions(out) == {box(3, f("p"))}
+
+
+def test_regularity_renames_an_eigenparameter_a_premise_uses():
+    # the listed premise R(#0) uses the generalisation's parameter, which is
+    # renamed away before the first guard level; the digests pin the outputs
+    leaf = assume(f("P(#0)"), "w")
+    gen = node("forall_int", f("forall x. P(x) -> P(x)"),
+               [node("imp_int", f("P(#0) -> P(#0)"), [leaf], {"w"})])
+    for n, want in ((1, "41c2e7f8b263979b"), (2, "3b58797319711f14")):
+        out = canonical_leaf_ids(regularity_transform(gen, n, [f("R(#0)")]))
+        check_nb(out)
+        assert open_assumptions(out) == {box(n, f("R(#0)"))}
+        assert 0 not in {eigenparameter(nd) for nd in analyze(out).nodes}
+        text = json.dumps(proof_to_json(out), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == want
 
 
 def test_regularity_closed_proof():
@@ -650,8 +665,8 @@ def test_a_proof_1200_deep_compiles_without_recursion():
     out = nd_to_axiomatic(deep_and_chain(600))
     assert check_proof(out, "tjk+").valid
     assert out.conclusion == Imp(big_conj([f("p"), f("q")]), f("p"))
-    # in the natural-deduction system each axiom leaf is a violation, named
-    # in one walk down rather than one walk from the root per leaf
+    # in the natural-deduction system each of the 3,000 axiom leaves, up to
+    # 1,200 deep, is a violation with a name; naming them must stay linear
     start = time.perf_counter()
     report = check_proof(out, "nbqlcd_r")
     elapsed = time.perf_counter() - start
