@@ -14,10 +14,11 @@ over two or three variables, some with a unary function, are refuted only
 after several frames and constant vectors (their first countermodel has two
 or three worlds and two elements), or exhaust the bounds.  The truth part holds
 ``run_universe`` reports for the universes in ``tests/data``, for guard
-towers of heights 2 to 7 at depth budgets h-1 and h+1, for universes with
-quantified sentences, which take the jump through its quantifier cases, and
-for seeded random quantifier-free universes of 4 to 6 and of 7 to 9
-sentences.
+towers of heights 2 to 7 at depth budgets h-1 and h+1, for the tower of
+height 15 at budget 0 (17 codes, one world, past ``bradyfp._LATTICE_CODES``),
+for universes with quantified sentences, which take the jump through its
+quantifier cases, and for seeded random quantifier-free universes of 4 to 6
+and of 7 to 9 sentences.
 
 The proofs part holds one short digest per proof of the canonical JSON of
 every transform output on it, or of the exception raised: ``reduce_proof``,
@@ -54,6 +55,7 @@ import json
 import os
 import random
 
+from bqlcd import bradyfp
 from bqlcd.bradyfp import make_universe, run_universe, universe_from_json
 from bqlcd.kripke import (
     MODES, SearchBounds, countermodel_search, model_from_json, model_to_json,
@@ -89,6 +91,8 @@ UNIVERSE_FILES = ("curry_universe.json", "tower_universe.json",
                   "truth_teller_universe.json")
 UNIVERSE_BUDGET = 5
 TOWER_HEIGHTS = range(2, 8)
+# one world of a tower with more codes than the lattice check takes
+POOL_TOWER = 15
 # (sentences, domain size); codes follow the list order
 QUANTIFIED = [
     (["true", "false", "exists x. (T(x) -> false)", "forall x. T(x)",
@@ -221,6 +225,7 @@ def truth_cases():
     for h in TOWER_HEIGHTS:
         for budget in (h - 1, h + 1):
             cases.append((f"tower {h}", tower_universe(h), budget))
+    cases.append((f"tower {POOL_TOWER}", tower_universe(POOL_TOWER), 0))
     for i, (texts, domain) in enumerate(QUANTIFIED):
         u = make_universe(texts, {t: j for j, t in enumerate(texts)}, domain)
         cases.append((f"quantified {i}", u, UNIVERSE_BUDGET))
@@ -584,6 +589,18 @@ def test_golden_differential():
         key = (case["name"], case["budget"])
         assert truth_record(*key[:1], universes[key], key[1]) == case
     assert [proofs_record(*c) for c in proofs_cases()] == golden["proofs"]
+
+
+def test_truth_reports_do_not_depend_on_the_lattice_bound(monkeypatch):
+    # with the lattice check bounded at two codes, every universe under the
+    # real bound runs its chain, monotonicity checks and loop the way the
+    # ones past it do, and must report what the golden file recorded
+    with open(GOLDEN) as fh:
+        want = {(c["name"], c["budget"]): c for c in json.load(fh)["truth"]}
+    cases = [c for c in truth_cases() if len(c[1].code) <= bradyfp._LATTICE_CODES]
+    monkeypatch.setattr(bradyfp, "_LATTICE_CODES", 2)
+    for name, u, budget in cases:
+        assert truth_record(name, u, budget) == want[name, budget], (name, budget)
 
 
 def test_golden_check_reports():
