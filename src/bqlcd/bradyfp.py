@@ -14,12 +14,12 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .kripke import KripkeModel, _compile_sequent
 from .syntax import (
     And, Atom, Const, Fn, Imp, Param,
-    Formula, Signature, parse_inferring, pretty, subformulas,
+    Formula, Signature, Symbols, pretty, subformulas,
 )
 
 
@@ -33,6 +33,8 @@ class ChainInvariantError(RuntimeError):
 
 
 _QUOTE_RE = re.compile(r"q(\d+)$")
+# the one relation universe sentences may use
+_UNIVERSE_SEED = Signature(frozenset(), {}, {"T": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -53,14 +55,21 @@ class SentenceUniverse:
         return self.code[phi]
 
     @functools.cached_property
+    def sentence_codes(self):
+        """The codes of the sentences, by position: the evaluation reads
+        these and hashes no formula."""
+        return tuple(self.code[s] for s in self.sentences)
+
+    @functools.cached_property
     def _compiled(self):
         """``kripke._compile_sequent`` of the sentences, then of their
         T-biconditionals, with T as relation 0 and ``q<k>`` as constant k.
         The closures share one frame, so a universe is evaluated on one
         frame at a time."""
         return _compile_sequent(
-            list(self.sentences) + [tb_instance(self, s) for s in self.sentences],
-            {"T": 0}, {f"q{k}": k for k in self.code.values()}, {})
+            list(self.sentences)
+            + [_biconditional(k, s) for k, s in zip(self.sentence_codes, self.sentences)],
+            {"T": 0}, {f"q{k}": k for k in self.sentence_codes}, {})
 
 
 def _quote_constants(phi):
@@ -137,9 +146,10 @@ def make_universe(texts, codes, domain_size) -> SentenceUniverse:
 def _parse_universe_sentence(text):
     # a tiny closed fragment: T-atoms over quotation constants plus the
     # propositional/quantifier skeleton
-    sig = Signature(frozenset(), {}, {"T": 1})
-    phi, inferred = parse_inferring(text, seed=sig)
-    bad = [r for r, ar in inferred.relations.items() if r != "T"]
+    symbols = Symbols(_UNIVERSE_SEED, infer=True)
+    phi = symbols.parse(text)
+    bad = [name for name, (kind, _) in symbols.kinds.items()
+           if kind == "rel" and name != "T"]
     if bad:
         raise UniverseError(f"only the truth predicate is available, got {bad}")
     return phi
@@ -181,9 +191,18 @@ class ChainState:
 
 @dataclass(frozen=True)
 class JumpTrace:
+    """The Kleene iteration of the jump at one world, and what the pass that
+    computed it showed on the way: ``record``, the truth values of the
+    universe sentences at the world once its extension is the fixed point
+    (``satisfaction_record`` of the unlooped chain at that world), and
+    ``monotone``, the verdict of ``verify_monotonicity`` at the world, or
+    None when the universe has more than ``_LATTICE_CODES`` codes.  Neither
+    takes part in equality or repr."""
     world: int
     stages: tuple              # X(0) ... X(fixed_point_stage)
     fixed_point_stage: int
+    record: tuple = field(compare=False, repr=False)
+    monotone: bool | None = field(compare=False, repr=False)
 
 
 def _world_name(a):
@@ -242,8 +261,8 @@ class _Jump:
     def __init__(self, state: ChainState, alpha: int):
         if alpha > state.depth + 1 or alpha < 0:
             raise ValueError(f"world {alpha} is beyond the frontier")
-        self.universe = u = state.universe
-        self.codes = tuple(u.code_of(s) for s in u.sentences)
+        self.universe = state.universe
+        self.codes = state.universe.sentence_codes
         self.above = state.t_ext[:alpha]
 
     def residual(self, member: dict, full: int) -> tuple:
@@ -271,12 +290,32 @@ def jump_to_fixpoint(state: ChainState, alpha: int) -> JumpTrace:
 
     The universe is finite and the jump monotone, so the fixed point arrives
     within universe-size + 1 stages; a non-monotone step aborts loudly.
+    With at most ``_LATTICE_CODES`` codes, one residual pass decides the
+    jump on every subset of the codes, as ``verify_monotonicity`` lays them
+    out; each stage is read off it, and so are the trace's record and
+    monotonicity verdict.  With more codes, each stage is a pass of its own
+    on the one candidate, and the record comes from the last, the one that
+    found the fixed point.
     """
     u = state.universe
     jump = _Jump(state, alpha)
+    codes = sorted(u.codes())
+    monotone = None
+    if len(codes) <= _LATTICE_CODES:
+        full, has = _lattice(len(codes))
+        masks = jump.residual(dict(zip(codes, has)), full)
+        monotone = _monotone(masks, has)
+        index = {c: 1 << i for i, c in enumerate(codes)}
+
+        def apply(x):
+            return masks, sum(index[c] for c in x)
+    else:
+        def apply(x):
+            return jump.residual(dict.fromkeys(x, 1), 1), 0
     stages = [frozenset()]
     for _ in range(len(u.sentences) + 2):
-        nxt = jump(stages[-1])
+        out, j = apply(stages[-1])
+        nxt = jump.decode(out, j)
         if not stages[-1] <= nxt:
             raise ChainInvariantError(
                 f"jump step lost members at world {alpha}: "
@@ -285,7 +324,8 @@ def jump_to_fixpoint(state: ChainState, alpha: int) -> JumpTrace:
             fp = len(stages) - 1
             if fp > len(u.sentences) + 1:
                 raise ChainInvariantError("fixed point arrived too late")
-            return JumpTrace(alpha, tuple(stages), fp)
+            return JumpTrace(alpha, tuple(stages), fp,
+                             tuple(bool(m >> j & 1) for m in out), monotone)
         stages.append(nxt)
     raise ChainInvariantError(f"no fixed point within bounds at world {alpha}")
 
@@ -333,9 +373,14 @@ def detect_convergence(state: ChainState, budget: int):
     Returns ``(state, result)`` where the state has been extended as far as
     the search went and the result carries the least repeat point (when
     found) plus the full history.  Some universes cannot settle at any
-    finite depth; ``stable=False`` reports that honestly.
+    finite depth; ``stable=False`` reports that honestly.  The history is
+    read off the worlds' traces; a looped state is evaluated afresh, as
+    its bottom world sees itself.
     """
-    history = [satisfaction_record(state, a) for a in range(state.depth + 1)]
+    if state.loop_added:
+        history = [satisfaction_record(state, a) for a in range(state.depth + 1)]
+    else:
+        history = [tr.record for tr in state.traces]
     theta = None
     for a in range(len(history) - 1):
         if history[a] == history[a + 1]:
@@ -343,7 +388,7 @@ def detect_convergence(state: ChainState, budget: int):
             break
     while theta is None and state.depth < budget:
         state = extend_chain(state)
-        history.append(satisfaction_record(state))
+        history.append(state.traces[-1].record)
         if history[-1] == history[-2]:
             theta = state.depth - 1
     return state, {"theta": theta, "stable": theta is not None,
@@ -355,7 +400,11 @@ def detect_convergence(state: ChainState, budget: int):
 # ---------------------------------------------------------------------------
 
 def tb_instance(universe: SentenceUniverse, phi: Formula) -> Formula:
-    quote = Atom("T", (Const(f"q{universe.code_of(phi)}"),))
+    return _biconditional(universe.code_of(phi), phi)
+
+
+def _biconditional(k, phi):
+    quote = Atom("T", (Const(f"q{k}"),))
     return And(Imp(quote, phi), Imp(phi, quote))
 
 
@@ -372,20 +421,18 @@ def add_loop_and_verify(state: ChainState, theta: int) -> dict:
     state = truncate(state, theta)
     u = state.universe
     n = len(u.sentences)
-    flat = _masks(u, state.t_ext)
-    # the looped masks are computed last: ``implies`` below reads the frame
-    # they were computed on
+    # ``implies`` below reads the frame the looped masks were computed on
     looped = _masks(u, state.t_ext, loop=True, tb=True)
     implies = u._compiled[2]
     failures = []
     value_changes = [{"world": _world_name(a), "sentence": pretty(phi)}
-                     for a in range(state.depth + 1)
-                     for phi, f, g in zip(u.sentences, flat, looped) if (f ^ g) >> a & 1]
+                     for a, tr in enumerate(state.traces)
+                     for phi, f, g in zip(u.sentences, tr.record, looped)
+                     if f != bool(g >> a & 1)]
     if value_changes:
         failures.append({"check": "loop_preserves_values", "cases": value_changes})
     for a in range(state.depth + 1):
-        sat_set = frozenset(u.code_of(phi) for phi, g in zip(u.sentences, looped)
-                            if g >> a & 1)
+        sat_set = frozenset(c for c, g in zip(u.sentence_codes, looped) if g >> a & 1)
         if sat_set != state.t_ext[a]:
             failures.append({"check": "closure", "world": _world_name(a),
                              "satisfied": sorted(sat_set),
@@ -418,28 +465,40 @@ def add_loop_and_verify(state: ChainState, theta: int) -> dict:
 _LATTICE_CODES = 16
 
 
+def _lattice(n):
+    """Every subset of n codes as one candidate: candidate j holds the i-th
+    code iff bit i of j is set, so ``has[i]``, the candidates holding it, is
+    runs of 2**i zeros and ones.  Returns ``(full, has)``."""
+    full = (1 << (1 << n)) - 1
+    return full, [(((1 << (1 << i)) - 1) << (1 << i)) * (full // ((1 << (2 << i)) - 1))
+                  for i in range(n)]
+
+
+def _monotone(masks, has) -> bool:
+    """Whether the residual masks over the lattice of ``_lattice`` keep
+    inclusion.  Shifting the candidates without code i by 2**i adds code i;
+    a sentence mask that loses a bit under that shift breaks monotonicity on
+    a covering pair, and the covering pairs reach every comparable pair of
+    the lattice."""
+    return all(((m & ~p) << (1 << i)) & ~m == 0
+               for m in masks for i, p in enumerate(has))
+
+
 def verify_monotonicity(state: ChainState, alpha: int) -> bool:
     """Check that the jump at world alpha respects inclusion.
 
     With at most ``_LATTICE_CODES`` codes, one residual pass decides the jump
-    on every subset of the codes: candidate j holds the i-th code iff bit i
-    of j is set, so ``has[i]``, the candidates holding it, is runs of 2**i
-    zeros and ones.  Shifting the candidates without code i by 2**i adds
-    code i; a sentence mask that loses a bit under that shift breaks
-    monotonicity on a covering pair, and the covering pairs reach every
-    comparable pair of the lattice.  With more codes, pairs from the pool of
-    subsets of at most three codes and their unions are compared instead,
-    read from one residual pass over those candidates.
+    on every subset of the codes, and ``_monotone`` reads the verdict off
+    it.  With more codes, pairs from the pool of subsets of at most three
+    codes and their unions are compared instead, read from one residual pass
+    over those candidates.  ``jump_to_fixpoint`` keeps the lattice verdict
+    on its trace; this computes it afresh.
     """
     jump = _Jump(state, alpha)
     codes = sorted(state.universe.codes())
     if len(codes) <= _LATTICE_CODES:
-        full = (1 << (1 << len(codes))) - 1
-        has = [(((1 << (1 << i)) - 1) << (1 << i)) * (full // ((1 << (2 << i)) - 1))
-               for i in range(len(codes))]
-        masks = jump.residual(dict(zip(codes, has)), full)
-        return all(((m & ~p) << (1 << i)) & ~m == 0
-                   for m in masks for i, p in enumerate(has))
+        full, has = _lattice(len(codes))
+        return _monotone(jump.residual(dict(zip(codes, has)), full), has)
     # candidates are bit sets over the positions of the codes, and index[x]
     # is the bit of candidate x in the residual masks
     pool = [sum(1 << i for i in c) for r in range(4)
@@ -485,12 +544,19 @@ def verify_stagewise_domination(state: ChainState, alpha: int, beta: int) -> boo
 
 def run_universe(universe: SentenceUniverse, budget: int) -> dict:
     """Build the chain, search for stabilisation, loop and verify; the
-    returned report carries everything the command line emits."""
+    returned report carries everything the command line emits.
+
+    Up to ``_LATTICE_CODES`` codes each world costs one evaluation pass,
+    its jump's, and the world's trace gives its history record and its
+    monotonicity verdict.  Past the bound each jump stage is a pass, the
+    record comes from the last one, and ``verify_monotonicity`` runs on its
+    own.  The closure check and the loop evaluate the chain once each.
+    """
     state = initial_chain(universe)
     state, conv = detect_convergence(state, budget)
     masks = _masks(universe, state.t_ext)
     closure_ok = all(
-        frozenset(universe.code_of(phi) for phi, mask in zip(universe.sentences, masks)
+        frozenset(c for c, mask in zip(universe.sentence_codes, masks)
                   if mask >> a & 1) == state.t_ext[a]
         for a in range(state.depth + 1))
     report = {
@@ -506,8 +572,9 @@ def run_universe(universe: SentenceUniverse, budget: int) -> dict:
                     "fixed_point_stage": tr.fixed_point_stage}
                    for tr in state.traces],
         "checks": {
-            "monotonicity": all(verify_monotonicity(state, a)
-                                for a in range(state.depth + 1)),
+            "monotonicity": all(
+                verify_monotonicity(state, tr.world) if tr.monotone is None
+                else tr.monotone for tr in state.traces),
             "locally_increasing": all(
                 all(a_ <= b_ for a_, b_ in zip(tr.stages, tr.stages[1:]))
                 for tr in state.traces),

@@ -298,6 +298,21 @@ def test_run_universe_computes_each_fixed_point_once(monkeypatch, name, depth):
     assert calls == list(range(depth + 1))
 
 
+@pytest.mark.parametrize("name", ["tower_universe.json", "curry_universe.json"])
+def test_run_universe_makes_one_pass_per_world(monkeypatch, name):
+    calls = []
+    real = bradyfp._masks
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("loop", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bradyfp, "_masks", counting)
+    report = run_universe(_data_universe(name), 5)
+    # each world's jump, then the closure pass, then the looped pass
+    assert calls == [False] * (report["depth"] + 2) + [True] * report["stable"]
+
+
 # --- quantified universes ----------------------------------------------------
 
 def test_quantified_universe():

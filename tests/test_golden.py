@@ -56,7 +56,10 @@ import os
 import random
 
 from bqlcd import bradyfp
-from bqlcd.bradyfp import make_universe, run_universe, universe_from_json
+from bqlcd.bradyfp import (
+    detect_convergence, initial_chain, make_universe, run_universe, satisfaction_record,
+    universe_from_json, verify_monotonicity,
+)
 from bqlcd.kripke import (
     MODES, SearchBounds, countermodel_search, model_from_json, model_to_json,
 )
@@ -601,6 +604,16 @@ def test_truth_reports_do_not_depend_on_the_lattice_bound(monkeypatch):
     monkeypatch.setattr(bradyfp, "_LATTICE_CODES", 2)
     for name, u, budget in cases:
         assert truth_record(name, u, budget) == want[name, budget], (name, budget)
+
+
+def test_traces_agree_with_the_standalone_functions():
+    # each world's trace keeps the record and the monotonicity verdict its
+    # jump's pass showed; both functions compute theirs afresh
+    for name, u, budget in truth_cases():
+        state, _ = detect_convergence(initial_chain(u), budget)
+        for a, tr in enumerate(state.traces):
+            assert tr.record == satisfaction_record(state, a), (name, budget, a)
+            assert tr.monotone in (None, verify_monotonicity(state, a)), (name, budget, a)
 
 
 def test_golden_check_reports():
