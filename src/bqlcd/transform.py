@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from .proofkernel import (
     AX_RULES, CHILD_COUNT, IDENTITY_RULES, INTERNALISED, ND_RULES, Judgment, Proof,
     System, analyze, assume, canonical_leaf_ids, check_analysis, check_judgment,
-    check_proof, eigenparameter, fold, internal_instance, node, open_assumptions,
+    check_proof, eigenparameter, fold, internal_instance, node,
     relabel_fresh, rename_eigenvariables, schema_instance,
 )
 from .syntax import (
@@ -217,13 +217,27 @@ def derive_forall_embedding(n, v, phi) -> Proof:
 def regularity_transform(p: Proof, n: int, premises=None) -> Proof:
     """Lift a guard-free-system proof, its eigenparameters renamed once away
     from the premises', under n guards premise-wise: from the premises each
-    guarded n deep, conclude the guarded conclusion."""
+    guarded n deep, conclude the guarded conclusion.  The input must check
+    in ``nbqlcd`` and the premises must cover its open assumptions; either
+    failure raises ``TransformError``."""
     if n < 0:
         raise TransformError("guard depth must be >= 0")
-    premises = ordered_opens(p) if premises is None else list(dict.fromkeys(premises))
-    if not set(open_assumptions(p)) <= set(premises):
+    an = analyze(p)
+    report = check_analysis(an, "nbqlcd")
+    if not report.valid:
+        msgs = "; ".join(v.message for v in report.violations)
+        raise TransformError(f"input is not a guard-free proof: {msgs}")
+    premises = _ordered_opens(an, 0) if premises is None else list(dict.fromkeys(premises))
+    if not report.open_assumptions <= set(premises):
         raise TransformError("premise list does not cover the open assumptions")
-    cur = rename_eigenvariables(p, big_conj(premises).params) if n and premises else p
+    return _lift(p, n, premises, an)
+
+
+def _lift(p: Proof, n: int, premises: list, an=None) -> Proof:
+    """``regularity_transform`` on a checked proof and a list of distinct
+    premises covering its open assumptions; ``an`` is its analysis, when the
+    caller has one."""
+    cur = rename_eigenvariables(p, big_conj(premises).params, an) if n and premises else p
     for k in range(1, n + 1):
         cur = _regularity_step(cur, [box(k - 1, f_) for f_ in premises],
                                [box(k, f_) for f_ in premises])
@@ -249,7 +263,7 @@ def boxed_chain(template: Proof, n: int, pairs) -> Proof:
     """Regularity applied to a small rule proof, then premise proofs grafted
     onto its guarded assumptions.  ``pairs``: list of (premise, proof of the
     premise guarded n deep)."""
-    lifted = regularity_transform(template, n, [f_ for f_, _ in pairs])
+    lifted = _lift(template, n, list(dict.fromkeys(f_ for f_, _ in pairs)))
     # reversed, so that the first proof of a repeated premise is kept
     return graft(lifted, {box(n, f_): p_ for f_, p_ in reversed(pairs)})
 

@@ -189,6 +189,16 @@ def test_regularity_renames_an_eigenparameter_a_premise_uses():
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == want
 
 
+@pytest.mark.parametrize("t, premises", [
+    (node("forall_int", f("forall x. P(x)")), [f("p")]),
+    (node("forall_int", f("forall x. P(x)")), None),
+    (node("exists_elim", f("q"), [assume(f("exists x. P(x)"))]), [f("exists x. P(x)")]),
+], ids=["forall_int_without_premise", "forall_int_unlisted", "exists_elim_one_premise"])
+def test_regularity_rejects_a_malformed_quantifier_node(t, premises):
+    with pytest.raises(TransformError, match="not a guard-free proof"):
+        regularity_transform(t, 1, premises)
+
+
 def test_regularity_closed_proof():
     t = node("top_int", TOP)
     out = regularity_transform(t, 2)
