@@ -12,7 +12,9 @@ sides alike.
 When the rounds are done, each side prints its ``ops_per_s``,
 ``op_ms.p50`` and ``op_ms.p90``, computed as ``bench/run.py`` computes them
 from each operation's fastest round, with ``correct`` and the failed
-operations, and the last line gives the change's gain in ``ops_per_s``.
+operations, and the last line gives the change's relative change in each of
+the three: a gain is positive in ``ops_per_s`` and negative in the two
+latencies.
 
 This sizes a change.  It is not the gate for a claim: that stays
 ``bench/run.py`` in alternating pairs of whole runs.  Nothing under
@@ -95,8 +97,9 @@ def main(argv=None):
     for path, got in zip(args.checkouts, results):
         print(f"{path}: " + ", ".join(f"{name} {got[name]:.6g}" for name in SHOWN)
               + f", correct {got['correct']}, failed {got['failed']} of {got['attempted']}")
-    parent, change = (got["ops_per_s"] for got in results)
-    print(f"ops_per_s {100.0 * (change / parent - 1.0):+.1f} %")
+    parent, change = results
+    print(", ".join(f"{name} {100.0 * (change[name] / parent[name] - 1.0):+.1f} %"
+                    for name in SHOWN))
     return 0 if all(got["correct"] for got in results) else 1
 
 
