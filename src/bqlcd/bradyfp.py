@@ -469,9 +469,17 @@ def _lattice(n):
     """Every subset of n codes as one candidate: candidate j holds the i-th
     code iff bit i of j is set, so ``has[i]``, the candidates holding it, is
     runs of 2**i zeros and ones.  Returns ``(full, has)``."""
-    full = (1 << (1 << n)) - 1
-    return full, [(((1 << (1 << i)) - 1) << (1 << i)) * (full // ((1 << (2 << i)) - 1))
-                  for i in range(n)]
+    size = 1 << n
+    has = []
+    for i in range(n):
+        # one run of zeros and one of ones, doubled until it spans the
+        # candidates: a few shifts, where dividing ``full`` is quadratic
+        block, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while width < size:
+            block |= block << width
+            width <<= 1
+        has.append(block)
+    return (1 << size) - 1, has
 
 
 def _monotone(masks, has) -> bool:
