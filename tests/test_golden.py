@@ -613,7 +613,9 @@ def test_traces_agree_with_the_standalone_functions():
         state, _ = detect_convergence(initial_chain(u), budget)
         for a, tr in enumerate(state.traces):
             assert tr.record == satisfaction_record(state, a), (name, budget, a)
-            assert tr.monotone in (None, verify_monotonicity(state, a)), (name, budget, a)
+            # None past the lattice bound, where only the pool check runs
+            if tr.monotone is not None:
+                assert tr.monotone == verify_monotonicity(state, a), (name, budget, a)
 
 
 def test_golden_check_reports():
