@@ -57,11 +57,12 @@ import random
 
 from bqlcd import bradyfp
 from bqlcd.bradyfp import (
-    detect_convergence, initial_chain, make_universe, run_universe, satisfaction_record,
-    universe_from_json, verify_monotonicity,
+    add_loop_and_verify, chain_model, detect_convergence, extend_chain, initial_chain,
+    make_universe, run_universe, satisfaction_record, tb_instance, universe_from_json,
+    verify_monotonicity,
 )
 from bqlcd.kripke import (
-    MODES, SearchBounds, countermodel_search, model_from_json, model_to_json,
+    MODES, SearchBounds, countermodel_search, model_from_json, model_to_json, satisfies,
 )
 from bqlcd.proofgen import (
     axiomatic_corpus, closed_theorem_corpus, generate_corpus, random_sentence,
@@ -616,6 +617,33 @@ def test_traces_agree_with_the_standalone_functions():
             # None past the lattice bound, where only the pool check runs
             if tr.monotone is not None:
                 assert tr.monotone == verify_monotonicity(state, a), (name, budget, a)
+
+
+def test_tarski_check_agrees_with_the_formula_path():
+    # at every loop point of a 5-deep chain, the biconditionals the loop
+    # check reports failing are exactly those ``satisfies`` finds false when
+    # it evaluates ``tb_instance`` on the looped chain model
+    failing = {}
+    for name, u, _ in truth_cases():
+        if name in failing:
+            continue
+        state = initial_chain(u)
+        for _ in range(5):
+            state = extend_chain(state)
+        failing[name] = []
+        for theta in range(state.depth + 1):
+            report = add_loop_and_verify(state, theta)
+            got = [s for f_ in report["failures"]
+                   if f_["check"] == "tarski_biconditionals" for s in f_["sentences"]]
+            model = chain_model(u, state.t_ext[:theta + 1], loop=True)
+            want = [pretty(phi) for phi in u.sentences
+                    if not satisfies(model, f"w{theta}", tb_instance(u, phi))]
+            assert got == want, (name, theta)
+            failing[name].append(bool(want))
+    # both verdicts are reached: the tower fails above its height, Curry
+    # holds once the conditional has dropped out
+    assert failing["tower_universe.json"] == [True] * 5 + [False]
+    assert failing["curry_universe.json"] == [True] + [False] * 5
 
 
 def test_golden_check_reports():
