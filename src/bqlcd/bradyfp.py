@@ -67,8 +67,7 @@ class SentenceUniverse:
         The closures share one frame, so a universe is evaluated on one
         frame at a time."""
         return _compile_sequent(
-            list(self.sentences)
-            + [_biconditional(k, s) for k, s in zip(self.sentence_codes, self.sentences)],
+            list(self.sentences),
             {"T": 0}, {f"q{k}": k for k in self.sentence_codes}, {})
 
 
@@ -240,10 +239,14 @@ def _masks(universe, t_ext, loop=False, below=None, tb=False) -> list:
         member, full = below
         groups.append(((1 << n) - 1, full << n))
         t_masks = [t | member.get(k, 0) << n for k, t in enumerate(t_masks)]
-    closures, set_frame, _ = universe._compiled
+    closures, set_frame, implies = universe._compiled
     set_frame(universe.domain_size, tuple(groups))
     args = ((tuple(t_masks),), range(universe.domain_size), (), ())
-    return [run(*args) for run in closures[:None if tb else len(universe.sentences)]]
+    masks = [run(*args) for run in closures]
+    if tb:
+        masks += [implies(t_masks[k], m) & implies(m, t_masks[k])
+                  for k, m in zip(universe.sentence_codes, masks)]
+    return masks
 
 
 class _Jump:
