@@ -307,7 +307,7 @@ def jump_to_fixpoint(state: ChainState, alpha: int) -> JumpTrace:
     if len(codes) <= _LATTICE_CODES:
         full, has = _lattice(len(codes))
         masks = jump.residual(dict(zip(codes, has)), full)
-        monotone = _monotone(masks, has)
+        monotone = _monotone(masks, full, has)
         index = {c: 1 << i for i, c in enumerate(codes)}
 
         def apply(x):
@@ -485,14 +485,15 @@ def _lattice(n):
     return (1 << size) - 1, has
 
 
-def _monotone(masks, has) -> bool:
-    """Whether the residual masks over the lattice of ``_lattice`` keep
-    inclusion.  Shifting the candidates without code i by 2**i adds code i;
-    a sentence mask that loses a bit under that shift breaks monotonicity on
-    a covering pair, and the covering pairs reach every comparable pair of
-    the lattice."""
+def _monotone(masks, full, has) -> bool:
+    """Whether the residual masks over the lattice ``(full, has)`` of
+    ``_lattice`` keep inclusion.  Shifting the candidates without code i by
+    2**i adds code i; a sentence mask that loses a bit under that shift
+    breaks monotonicity on a covering pair, and the covering pairs reach
+    every comparable pair of the lattice.  A mask equal to 0 or to ``full``
+    is the same on every candidate, so it is passed over."""
     return all(((m & ~p) << (1 << i)) & ~m == 0
-               for m in masks for i, p in enumerate(has))
+               for m in masks if m and m != full for i, p in enumerate(has))
 
 
 def verify_monotonicity(state: ChainState, alpha: int) -> bool:
@@ -509,7 +510,7 @@ def verify_monotonicity(state: ChainState, alpha: int) -> bool:
     codes = sorted(state.universe.codes())
     if len(codes) <= _LATTICE_CODES:
         full, has = _lattice(len(codes))
-        return _monotone(jump.residual(dict(zip(codes, has)), full), has)
+        return _monotone(jump.residual(dict(zip(codes, has)), full), full, has)
     # candidates are bit sets over the positions of the codes, and index[x]
     # is the bit of candidate x in the residual masks
     pool = [sum(1 << i for i in c) for r in range(4)

@@ -166,6 +166,26 @@ def test_monotonicity_check_can_fail(monkeypatch, lattice_codes):
     assert not any(verify_monotonicity(state, a) for a in range(state.depth + 2))
 
 
+def test_lattice_monotonicity_verdict_on_seeded_masks():
+    # masks that are 0 or ``full`` are passed over; the verdict must still
+    # be the one a check of every comparable pair of candidates gives
+    rng = random.Random(32)
+    for n in range(1, 5):
+        full, has = bradyfp._lattice(n)
+        pairs = [(i, j) for i in range(1 << n) for j in range(1 << n) if i & j == i]
+        for _ in range(60):
+            masks = [rng.choice([0, full, rng.getrandbits(1 << n)])
+                     for _ in range(rng.randrange(1, 4))]
+            if rng.random() < 0.5:
+                # an upward closure of random candidates is monotone
+                seeds = [x for x in range(1 << n) if rng.random() < 0.2]
+                masks.append(sum(1 << j for j in range(1 << n)
+                                 if any(x & j == x for x in seeds)))
+            want = all(m >> j & 1 for m in masks for i, j in pairs if m >> i & 1)
+            assert bradyfp._monotone(masks, full, has) == want, (n, masks)
+            assert bradyfp._monotone(masks + [0, full], full, has) == want, (n, masks)
+
+
 # --- chain growth -------------------------------------------------------------------
 
 def test_extend_chain_curry():
