@@ -94,8 +94,8 @@ def _quote_constants(phi):
 
 
 def make_universe(texts, codes, domain_size) -> SentenceUniverse:
-    """Validate and build: sentences closed and subformula-closed, codes
-    injective into the domain, every T-atom grounded in the domain."""
+    """Validate and build: sentences distinct, closed and subformula-closed,
+    codes injective into the domain, every T-atom grounded in the domain."""
     if domain_size < 1:
         raise UniverseError("domain must be non-empty")
     parsed = []
@@ -108,6 +108,8 @@ def make_universe(texts, codes, domain_size) -> SentenceUniverse:
     for text, phi in zip(texts, parsed):
         if text not in codes:
             raise UniverseError(f"no code assigned to {text!r}")
+        if phi in code:
+            raise UniverseError(f"sentence listed twice: {pretty(phi)}")
         code[phi] = int(codes[text])
     if set(codes) - set(texts):
         extra = sorted(set(codes) - set(texts))
@@ -156,6 +158,8 @@ def _parse_universe_sentence(text):
 
 def universe_from_json(data) -> SentenceUniverse:
     try:
+        if not isinstance(data["sentences"], list):
+            raise TypeError("sentences is not a list")
         texts = [str(s) for s in data["sentences"]]
         if not isinstance(data["codes"], dict):
             raise TypeError("codes is not an object")

@@ -41,6 +41,20 @@ def test_universe_codes_injective_and_in_domain():
         make_universe(["true"], {"true": 5}, 2)
 
 
+def test_universe_rejects_a_sentence_listed_twice():
+    with pytest.raises(UniverseError, match="twice"):
+        make_universe(["true", "T(q0)", "T(q0)"], {"true": 0, "T(q0)": 1}, 2)
+    # two renderings of one formula are one sentence too
+    with pytest.raises(UniverseError, match="twice"):
+        make_universe(["true", "T(q0)", "T( q0 )"],
+                      {"true": 0, "T(q0)": 1, "T( q0 )": 2}, 3)
+
+
+def test_universe_from_json_requires_a_list_of_sentences():
+    with pytest.raises(UniverseError, match="sentences"):
+        universe_from_json({"sentences": "ab", "codes": {"a": 0, "b": 1}, "domain": 2})
+
+
 def test_universe_rejects_ungrounded_truth_atom():
     # q7 denotes 7, but no sentence carries that code
     texts = ["true", "T(q7)"]

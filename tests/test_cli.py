@@ -294,6 +294,30 @@ def test_brady_malformed_exits_2(capsys):
     assert main(["brady", data("malformed.json")]) == 2
 
 
+def test_brady_sentence_listed_twice_exits_2(capsys, tmp_path):
+    path = tmp_path / "universe.json"
+    path.write_text(json.dumps({"sentences": ["true", "T(q0)", "T(q0)"],
+                                "codes": {"true": 0, "T(q0)": 1}, "domain": 2}))
+    assert main(["brady", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "T(q0)" in captured.err
+
+
+@pytest.mark.parametrize("value", ["ab", {"true": 0}, 3, None])
+def test_brady_sentences_not_a_list_exits_2(capsys, tmp_path, value):
+    with open(data("curry_universe.json")) as fh:
+        blob = json.load(fh)
+    path = tmp_path / "universe.json"
+    path.write_text(json.dumps({**blob, "sentences": value}))
+    assert main(["brady", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "sentences" in captured.err
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(["check", data("top_proof.json"), "--out", str(target)])
