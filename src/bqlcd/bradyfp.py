@@ -62,10 +62,10 @@ class SentenceUniverse:
 
     @functools.cached_property
     def _compiled(self):
-        """``kripke._compile_sequent`` of the sentences, then of their
-        T-biconditionals, with T as relation 0 and ``q<k>`` as constant k.
-        The closures share one frame, so a universe is evaluated on one
-        frame at a time."""
+        """``kripke._compile_sequent`` of the sentences, with T as relation 0
+        and ``q<k>`` as constant k.  The closures share one frame, so a
+        universe is evaluated on one frame at a time.  The T-biconditionals
+        are not compiled: ``_masks`` reads them off the sentences' masks."""
         return _compile_sequent(
             list(self.sentences),
             {"T": 0}, {f"q{k}": k for k in self.sentence_codes}, {})
@@ -234,7 +234,9 @@ def _masks(universe, t_ext, loop=False, below=None, tb=False) -> list:
     the chain with extensions ``t_ext``, each world seeing those above it
     and, with ``loop``, the bottom one itself.  ``below = (member, full)``
     adds under the chain one irreflexive world per bit j of ``full``, whose
-    T extension holds k iff ``member[k]`` has bit j."""
+    T extension holds k iff ``member[k]`` has bit j.  The biconditional of
+    phi with code k is the implication clause both ways between the mask of
+    ``T(q<k>)``, ``t_masks[k]``, and phi's mask, on the frame just set."""
     n = len(t_ext)
     groups = [((1 << a) - 1 | (loop and a == n - 1) << a, 1 << a) for a in range(n)]
     t_masks = [sum(1 << a for a, ext in enumerate(t_ext) if k in ext)
@@ -419,8 +421,9 @@ def add_loop_and_verify(state: ChainState, theta: int) -> dict:
     """Make the world at ``theta`` reflexive and verify the construction:
     no truth value moves, every world stays closed under its extension, the
     truth biconditionals hold at the loop, and detachment has no
-    counterexample there.  Any failure is a construction bug and is
-    reported, not raised."""
+    counterexample there.  One looped pass gives the sentences' masks and,
+    read off them, the biconditionals'.  Any failure is a construction bug
+    and is reported, not raised."""
     if not isinstance(theta, int):
         raise ValueError("no stabilisation point: the chain did not settle")
     if theta > state.depth:
