@@ -50,11 +50,6 @@ def test_universe_rejects_a_sentence_listed_twice():
                       {"true": 0, "T(q0)": 1, "T( q0 )": 2}, 3)
 
 
-def test_universe_from_json_requires_a_list_of_sentences():
-    with pytest.raises(UniverseError, match="sentences"):
-        universe_from_json({"sentences": "ab", "codes": {"a": 0, "b": 1}, "domain": 2})
-
-
 def test_universe_rejects_ungrounded_truth_atom():
     # q7 denotes 7, but no sentence carries that code
     texts = ["true", "T(q7)"]
